@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .features import (
     DEFAULT_GRAM_LEN,
@@ -38,7 +39,6 @@ from .fingerprint import (
     LCS_F,
     QUERY_PHRASE,
     STATEMENT,
-    STATEMENT_GRAM_LEN,
     TOP_KEYWORD,
     TRIGRAM,
     ResemblanceScore,
@@ -97,6 +97,8 @@ class DetectorConfig:
             raise ValueError(f"k_top must be >= 1, got {self.k_top}")
         if self.beta_mode not in ("fixed", "paper"):
             raise ValueError(f"unknown beta_mode: {self.beta_mode!r}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.beta_mode == "fixed" and self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not self.features:
@@ -109,10 +111,15 @@ class DetectorConfig:
         for name, weight in self.feature_weights.items():
             if name not in ALL_FEATURES:
                 raise ValueError(f"weight for unknown feature: {name!r}")
+            if not math.isfinite(weight):
+                raise ValueError(f"weight for {name} must be finite, got {weight}")
             if weight < 0:
                 raise ValueError(f"negative weight for {name}: {weight}")
-        if sum(self.weight(name) for name in self.features) <= 0:
-            raise ValueError("enabled feature weights must sum to a positive value")
+        total = sum(self.weight(name) for name in self.features)
+        if not 0 < total < math.inf:
+            raise ValueError(
+                f"enabled feature weights must sum to a finite positive value, got {total}"
+            )
 
     def weight(self, feature: str) -> float:
         return float(self.feature_weights.get(feature, 1.0))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Mapping
 
 from .textprep import Document, Sentence
 
@@ -258,8 +258,3 @@ def statement_resemblance(
 ) -> ResemblanceScore:
     """Jaccard similarity of the two documents' sentence fingerprint sets."""
     return jaccard(fingerprint_keys(doc_a, k), fingerprint_keys(doc_b, k), STATEMENT)
-
-
-def fingerprint_record(doc_id: str, scheme: str, k: int, keys: Iterable[str]) -> dict:
-    """The line-record layout shared with the corpus index."""
-    return {"id": doc_id, "scheme": scheme, "k": k, "fingerprints": sorted(keys)}

@@ -1,12 +1,15 @@
-"""Longest-common-subsequence kernel with compiled and pure-Python backends.
+"""Bit-parallel longest-common-subsequence length.
 
-The compiled backend is built from ``_speedups.pyx`` at install time.  When
-the extension is unavailable (no compiler, plain source checkout) the
-pure-Python two-row dynamic program is selected at import time instead; both
-compute identical results.  ``benchmarks/lcs_backends.py`` compares the two.
+``lcs_length`` runs the bit-vector recurrence of Allison & Dix, *A
+bit-string longest-common-subsequence algorithm* (IPL 1986), in the form of
+Hyyrö, *Bit-parallel LCS-length computation revisited* (2004).  Each token
+of ``xs`` owns one bit of a Python int, so one row of the DP table is a
+single big-int update and sequences of any length need no native code.
 
-Tokens may be any hashable values: they are interned to dense integer ids
-before the DP runs, so word and character sequences are handled alike.
+Tokens may be any hashable values, so word and character sequences are
+handled alike.  ``lcs_length_ids_py`` is the classic two-row DP over
+``encode_pair`` ids; the tests and the benchmark check the bit-parallel
+kernel against it.
 """
 
 from __future__ import annotations
@@ -14,16 +17,11 @@ from __future__ import annotations
 from array import array
 from typing import Hashable, Sequence
 
-try:
-    from ._speedups import lcs_length_ids as _lcs_length_ids_compiled
-except ImportError:
-    _lcs_length_ids_compiled = None
-
-LCS_BACKEND = "compiled" if _lcs_length_ids_compiled is not None else "pure-python"
+LCS_BACKEND = "pure-python"
 
 
 def lcs_length_ids_py(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """Pure-Python LCS length over integer id sequences (two-row DP)."""
+    """Reference LCS length over integer id sequences (two-row DP)."""
     m, n = len(xs), len(ys)
     if m == 0 or n == 0:
         return 0
@@ -61,7 +59,14 @@ def encode_pair(
 
 def lcs_length(xs: Sequence[Hashable], ys: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence of two token sequences."""
-    a, b = encode_pair(xs, ys)
-    if _lcs_length_ids_compiled is not None:
-        return _lcs_length_ids_compiled(a, b)
-    return lcs_length_ids_py(a, b)
+    masks: dict[Hashable, int] = {}
+    for i, token in enumerate(xs):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(xs)) - 1
+    # Zero bits of v mark the matched positions of xs; carries above bit
+    # len(xs) never flow back down, so they are masked off once at the end.
+    v = full
+    for token in ys:
+        u = v & masks.get(token, 0)
+        v = (v + u) | (v - u)
+    return len(xs) - (v & full).bit_count()

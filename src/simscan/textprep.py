@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .porter import stem
 

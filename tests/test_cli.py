@@ -103,6 +103,17 @@ def test_usage_errors_exit_1(workspace, capsys):
     assert main(["compare", ref, ref, "--weights", "lcs_f"]) == EXIT_USAGE
     assert main(["compare", ref, ref, "--k", "zero"]) == EXIT_USAGE
     assert main(["compare", ref, ref, "--k", "0"]) == EXIT_USAGE
+    capsys.readouterr()
+    for flags in (
+        ["--weights", "statement=nan"],
+        ["--weights", "statement=inf"],
+        ["--weights", "statement=1e308,lcs_f=1e308"],
+        ["--beta", "nan"],
+        ["--beta", "inf"],
+    ):
+        code, out, err = run(["compare", ref, ref, *flags], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("simscan: error:") and err.count("\n") == 1
 
 
 def test_io_errors_exit_2(workspace, capsys):

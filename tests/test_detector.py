@@ -58,6 +58,15 @@ def test_config_defaults_and_validation():
             features=("lcs_f", "statement"),
             feature_weights={"lcs_f": 0.0, "statement": 0.0},
         )
+    for non_finite in (
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+        {"feature_weights": {"statement": float("nan")}},
+        {"feature_weights": {"statement": float("inf")}},
+        {"feature_weights": {"statement": 1e308, "lcs_f": 1e308}},
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            DetectorConfig(**non_finite)
 
 
 def test_self_pair_combines_to_one(detector):

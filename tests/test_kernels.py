@@ -1,4 +1,5 @@
-"""LCS kernel: backend agreement, encoding, and algebraic properties."""
+"""LCS kernel: agreement with the DP and exhaustive oracles, encoding, and
+algebraic properties."""
 
 from itertools import combinations
 
@@ -9,6 +10,9 @@ from simscan import kernels
 
 ids = st.lists(st.integers(min_value=0, max_value=4), max_size=24)
 short_ids = st.lists(st.integers(min_value=0, max_value=2), max_size=8)
+# Long enough that the bit masks and their carries span several 64-bit words.
+long_ids = st.lists(st.integers(min_value=0, max_value=6), min_size=65, max_size=300)
+words = st.lists(st.sampled_from(["the", "ball", "kick", "player", "a", ""]), max_size=40)
 
 
 def exhaustive_lcs(xs, ys) -> int:
@@ -29,7 +33,7 @@ def exhaustive_lcs(xs, ys) -> int:
 
 
 def test_backend_is_declared():
-    assert kernels.LCS_BACKEND in ("compiled", "pure-python")
+    assert kernels.LCS_BACKEND == "pure-python"
 
 
 @given(short_ids, short_ids)
@@ -37,14 +41,25 @@ def test_matches_exhaustive_oracle(xs, ys):
     assert kernels.lcs_length(xs, ys) == exhaustive_lcs(xs, ys)
 
 
+def agrees_with_dp(xs, ys):
+    return kernels.lcs_length(xs, ys) == kernels.lcs_length_ids_py(
+        *kernels.encode_pair(xs, ys)
+    )
+
+
 @given(ids, ids)
 def test_backends_agree(xs, ys):
-    a, b = kernels.encode_pair(xs, ys)
-    pure = kernels.lcs_length_ids_py(a, b)
-    assert kernels.lcs_length(xs, ys) == pure
-    compiled = getattr(kernels, "_lcs_length_ids_compiled", None)
-    if compiled is not None:
-        assert compiled(a, b) == pure
+    assert agrees_with_dp(xs, ys)
+
+
+@given(long_ids, long_ids)
+def test_long_sequences_agree_with_dp(xs, ys):
+    assert agrees_with_dp(xs, ys)
+
+
+@given(words, words)
+def test_string_tokens_agree_with_dp(xs, ys):
+    assert agrees_with_dp(xs, ys)
 
 
 @given(ids, ids)
