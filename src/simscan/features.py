@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -109,12 +107,6 @@ def _parse_phrases(lines: Iterable[str]) -> tuple[str, ...]:
     return tuple(phrases)
 
 
-@cache
-def _default_phrases() -> tuple[str, ...]:
-    text = resources.files("simscan.data").joinpath("phrases.txt").read_text("utf-8")
-    return _parse_phrases(text.splitlines())
-
-
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     """Cue phrases from a file, or the built-in six when no path is given.
 
@@ -122,7 +114,7 @@ def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     trailing "..." is dropped.
     """
     if path is None:
-        return _default_phrases()
+        return DEFAULT_QUERY_PHRASES
     with open(path, encoding="utf-8") as fh:
         return _parse_phrases(fh)
 
@@ -145,6 +137,13 @@ def top_keyword_similarity(
     return jaccard(a, b, TOP_KEYWORD)
 
 
+def first_sentence_grams(doc: Document, k: int = DEFAULT_GRAM_LEN) -> frozenset[str]:
+    """Distinct k-grams of the document's first sentence; none without sentences."""
+    if not doc.sentences:
+        return frozenset()
+    return char_kgrams(doc.sentences[0].normalized, k).gram_set()
+
+
 def first_sentence_similarity(
     ref: Document, susp: Document, k: int = DEFAULT_GRAM_LEN
 ) -> ResemblanceScore:
@@ -155,7 +154,7 @@ def first_sentence_similarity(
     """
     if not ref.sentences:
         return ResemblanceScore(0.0, FIRST_SENTENCE, degenerate=True)
-    a = char_kgrams(ref.sentences[0].normalized, k).gram_set()
+    a = first_sentence_grams(ref, k)
     b = char_kgrams(susp.normalized_text, k).gram_set()
     return jaccard(a, b, FIRST_SENTENCE)
 
@@ -186,6 +185,15 @@ def extract_query_phrase_sentences(
     return tuple(hits)
 
 
+def query_phrase_grams(
+    doc: Document, k: int = DEFAULT_GRAM_LEN, phrases: Sequence[str] | None = None
+) -> frozenset[str]:
+    """Distinct k-grams of all of the document's cue-phrase sentences."""
+    hits = extract_query_phrase_sentences(doc, phrases)
+    sentences = (doc.sentences[hit.sentence_index] for hit in hits)
+    return frozenset().union(*(char_kgrams(s.normalized, k).gram_set() for s in sentences))
+
+
 def query_phrase_similarity(
     ref: Document,
     susp: Document,
@@ -201,12 +209,7 @@ def query_phrase_similarity(
     """
     if not ref.sentences:
         return ResemblanceScore(0.0, QUERY_PHRASE, degenerate=True)
-    hits = extract_query_phrase_sentences(ref, phrases)
-    by_index = {s.index: s for s in ref.sentences}
-    a: frozenset[str] = frozenset()
-    for hit in hits:
-        sentence = by_index[hit.sentence_index]
-        a |= char_kgrams(sentence.normalized, k).gram_set()
+    a = query_phrase_grams(ref, k, phrases)
     if not a:
         return ResemblanceScore(0.0, QUERY_PHRASE, not_applicable=True)
     b = char_kgrams(susp.normalized_text, k).gram_set()
@@ -271,11 +274,10 @@ def lcs_similarity(
     key_indices = key_sentence_indices(ref, phrases)
     if not key_indices or not susp.sentences:
         return ResemblanceScore(0.0, LCS_F, degenerate=True)
-    by_index = {s.index: s for s in ref.sentences}
     best: LcsResult | None = None
     best_pair = (-1, -1)
     for ki in key_indices:
-        ref_tokens = by_index[ki].tokens
+        ref_tokens = ref.sentences[ki].tokens
         for susp_sentence in susp.sentences:
             result = lcs_fmeasure(ref_tokens, susp_sentence.tokens, beta_mode, beta)
             if best is None or result.f_lcs > best.f_lcs:

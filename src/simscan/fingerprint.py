@@ -208,14 +208,17 @@ def sentence_grams(sentence: Sentence, k: int = STATEMENT_GRAM_LEN) -> dict[str,
 
 
 def least_frequent_fingerprint(
-    sentence: Sentence, freqs: GramWeights, k: int = STATEMENT_GRAM_LEN
+    sentence: Sentence,
+    freqs: GramWeights | Mapping[str, int],
+    k: int = STATEMENT_GRAM_LEN,
 ) -> SentenceFingerprint | None:
     """Fingerprint a sentence by its three least frequent k-grams.
 
-    `freqs` must cover every gram of the sentence (weights computed over the
-    containing document).  Grams are ordered by ascending weight, ties by
-    first occurrence in the sentence, and the first three concatenate into
-    the key.  Sentences with fewer than three distinct grams yield None.
+    `freqs` must cover every gram of the sentence, with the exact weights or
+    the integer counts over the containing document; both rank the grams
+    alike.  Grams are ordered by ascending frequency, ties by first
+    occurrence in the sentence, and the first three concatenate into the
+    key.  Sentences with fewer than three distinct grams yield None.
     """
     first_pos = sentence_grams(sentence, k)
     if len(first_pos) < STATEMENT_GRAM_COUNT:
@@ -235,14 +238,15 @@ def least_frequent_fingerprint(
 def document_fingerprints(
     doc: Document, k: int = STATEMENT_GRAM_LEN
 ) -> tuple[SentenceFingerprint, ...]:
-    """Fingerprints of every sentence, weighted over the whole document."""
-    multiset = char_kgrams(doc.normalized_text, k)
-    if multiset.total == 0:
-        return ()
-    freqs = gram_weights(multiset)
+    """Fingerprints of every sentence, weighted over the whole document.
+
+    Grams are ranked by their integer counts: the weights of `gram_weights`
+    all share the document's gram total as denominator, so they order alike.
+    """
+    counts = char_kgrams(doc.normalized_text, k).counts
     out = []
     for sentence in doc.sentences:
-        fp = least_frequent_fingerprint(sentence, freqs, k)
+        fp = least_frequent_fingerprint(sentence, counts, k)
         if fp is not None:
             out.append(fp)
     return tuple(out)

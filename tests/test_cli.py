@@ -131,6 +131,13 @@ def test_io_errors_exit_2(workspace, capsys):
     )
     assert code == EXIT_IO and "bad.txt" in err
 
+    undecodable = workspace / "bad_list.txt"
+    undecodable.write_bytes(b"\xff\xfe bad")
+    for flag in ("--stopwords", "--phrases"):
+        code, out, err = run(["compare", ref, ref, flag, str(undecodable)], capsys)
+        assert code == EXIT_IO and out == ""
+        assert err.startswith("simscan: error:") and err.count("\n") == 1
+
 
 def test_index_and_scan_roundtrip(workspace, capsys):
     corpus = str(workspace / "corpus")
@@ -183,6 +190,11 @@ def test_scan_exit_codes(workspace, capsys):
     assert main(["scan", suspect, str(workspace / "S2.txt")]) == EXIT_IO
     assert main(["scan", suspect, str(workspace / "nope.jsonl")]) == EXIT_IO
     capsys.readouterr()
+    undecodable = workspace / "undecodable.jsonl"
+    undecodable.write_bytes(b"\xff\xfe bad")
+    code, out, err = run(["scan", suspect, str(undecodable)], capsys)
+    assert code == EXIT_IO and out == ""
+    assert err.startswith("simscan: error: malformed index") and err.count("\n") == 1
 
 
 def test_index_empty_dir_warns_on_stderr(workspace, capsys):

@@ -1,6 +1,7 @@
 """Pair reports, score combination, index persistence, and ranking."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,8 @@ from simscan.detector import (
     report_dict,
     save_index,
 )
+
+INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
 CORPUS = {
     "a": "the quick brown fox jumps over the lazy dog.",
@@ -191,6 +194,26 @@ def test_index_round_trip_byte_identical(detector, corpus_docs, tmp_path):
     assert dict(loaded.config) == dict(index.config)
 
 
+def test_failed_save_keeps_previous_index(detector, corpus_docs, tmp_path, monkeypatch):
+    path = tmp_path / "idx.jsonl"
+    save_index(detector.build_index(corpus_docs[:1]), path)
+    before = path.read_bytes()
+    real_dumps = json.dumps
+    calls = []
+
+    def failing_dumps(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("disk full")
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError):
+        save_index(detector.build_index(corpus_docs), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["idx.jsonl"]
+
+
 def test_rebuild_is_deterministic(detector, corpus_docs, tmp_path):
     p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
     save_index(detector.build_index(corpus_docs), p1)
@@ -230,6 +253,12 @@ def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
     missing_key.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
     with pytest.raises(IndexFormatError):
         load_index(missing_key)
+
+    undecodable = tmp_path / "bytes.jsonl"
+    undecodable.write_bytes(lines[0].encode() + b"\n\xff\xfe\n")
+    with pytest.raises(IndexFormatError) as exc_info:
+        load_index(undecodable)
+    assert exc_info.value.line == 2
 
     dupe = tmp_path / "dupe.jsonl"
     dupe.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[1] + "\n")
@@ -298,9 +327,35 @@ def test_rank_scores_match_in_memory(detector, corpus_docs):
     for doc_id, report in detector.rank_candidates(susp, index):
         ref = detector.document(doc_id, CORPUS[doc_id])
         memory = detector.analyze_pair(ref, susp)
-        for name in ("statement", "top_keyword", "first_sentence", "query_phrase"):
+        for name in INDEX_AVAILABLE:
             assert report.scores[name].value == memory.scores[name].value, (doc_id, name)
+            assert report.scores[name].detail == memory.scores[name].detail, (doc_id, name)
             assert report.scores[name].flags == memory.scores[name].flags, (doc_id, name)
+
+
+# Small vocabulary so documents share grams and keywords; some sentences
+# open with a cue phrase, and a document may have no sentences at all.
+sentences = st.builds(
+    lambda cue, words: f"{cue}{' '.join(words)}.",
+    st.sampled_from(["", "", "We find that ", "In conclusion, "]),
+    st.lists(st.sampled_from(["ball", "kick", "goal", "the", "net", "xy"]), max_size=6),
+)
+doc_texts = st.lists(sentences, max_size=4).map(" ".join)
+
+
+@given(st.lists(doc_texts, max_size=4), doc_texts)
+def test_rank_scores_equal_analyze_pair(detector, texts, susp_text):
+    refs = {f"d{i}": detector.document(f"d{i}", text) for i, text in enumerate(texts)}
+    susp = detector.document("s", susp_text)
+    only_indexed = Detector(DetectorConfig(features=INDEX_AVAILABLE))
+    ranked = detector.rank_candidates(susp, detector.build_index(refs.values()))
+    assert sorted(doc_id for doc_id, _ in ranked) == sorted(refs)
+    for doc_id, report in ranked:
+        memory = detector.analyze_pair(refs[doc_id], susp)
+        for name in INDEX_AVAILABLE:
+            assert report.scores[name] == memory.scores[name], (doc_id, name)
+        assert report.skipped == memory.skipped | {"lcs_f"}
+        assert report.combined == only_indexed.analyze_pair(refs[doc_id], susp).combined
 
 
 def test_report_dict_layout(detector):

@@ -227,6 +227,27 @@ def test_document_fingerprints_key_length():
         assert len(fp.key) == 12
 
 
+# Sentences of short words over three letters, so grams repeat unevenly.
+short_words = st.sampled_from(["ab", "ba", "abc", "cab", "bb", "a"])
+gram_texts = st.lists(
+    st.lists(short_words, min_size=1, max_size=8).map(" ".join), max_size=4
+).map(". ".join)
+
+
+@given(gram_texts)
+def test_document_fingerprints_match_exact_weight_ranking(text):
+    # Oracle: rank every sentence's grams by exact Fraction weights over the
+    # whole document; the integer-count ranking must pick the same keys.
+    doc = Preprocessor(frozenset()).document("d", text)
+    multiset = char_kgrams(doc.normalized_text, 4)
+    expected = ()
+    if multiset.total:
+        weights = gram_weights(multiset)
+        candidates = (least_frequent_fingerprint(s, weights) for s in doc.sentences)
+        expected = tuple(fp for fp in candidates if fp is not None)
+    assert document_fingerprints(doc) == expected
+
+
 def test_statement_resemblance_self_and_disjoint():
     pre = Preprocessor(frozenset())
     a = pre.document("a", "The quick brown fox jumps over the lazy dog.")
