@@ -9,6 +9,9 @@ per pair and stored bytes per document.  Storage is counted as:
 * statement: 12 bytes (three 4-grams) per fingerprinted sentence,
 * features: UTF-8 bytes of the serialized index record.
 
+The features scheme scores with `Detector._score`, as `compare` and
+`scan` do.
+
 Measurement only; nothing here passes or fails.
 """
 
@@ -99,16 +102,13 @@ def run_bench(docs: Sequence[Document], detector: Detector | None = None) -> lis
         len(json.dumps(e.record(k), sort_keys=True, separators=(",", ":")).encode("utf-8"))
         for e in entries
     )
-    pairs, elapsed = _timed_pairs(docs, detector.analyze_pair)
-    rows.append(
-        BenchRow(
-            scheme=FEATURES_SCHEME,
-            docs=n,
-            pairs=pairs,
-            seconds_per_pair=elapsed / pairs if pairs else 0.0,
-            bytes_per_doc=entry_bytes / n,
-        )
-    )
+    profiles = [(e, d, detector._suspect(d)) for e, d in zip(entries, docs)]
+
+    def score(ref, susp):
+        (entry, ref_doc, _), (_, susp_doc, suspect) = ref, susp
+        return detector._score(entry, susp_doc, suspect, ref_doc)
+
+    rows.append(_row(FEATURES_SCHEME, n, profiles, score, entry_bytes))
     return rows
 
 

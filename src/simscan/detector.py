@@ -28,6 +28,7 @@ from .features import (
     DEFAULT_GRAM_LEN,
     DEFAULT_K_TOP,
     first_sentence_grams,
+    gram_similarity,
     lcs_similarity,
     load_query_phrases,
     query_phrase_grams,
@@ -261,18 +262,15 @@ class Detector:
         cfg = self.config
         keys, keywords, grams = suspect
         ref_empty = entry.token_digest == _EMPTY_DIGEST
+        ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
         scores = {STATEMENT: jaccard(frozenset(entry.fingerprints), keys, STATEMENT)}
         for name in cfg.features:
             if name == TOP_KEYWORD:
                 scores[name] = jaccard(frozenset(entry.keywords), keywords, name)
-            elif name in (FIRST_SENTENCE, QUERY_PHRASE) and ref_empty:
-                scores[name] = ResemblanceScore(0.0, name, degenerate=True)
-            elif name == FIRST_SENTENCE:
-                scores[name] = jaccard(frozenset(entry.first_grams), grams, name)
-            elif name == QUERY_PHRASE and not entry.query_grams:
-                scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
-            elif name == QUERY_PHRASE:
-                scores[name] = jaccard(frozenset(entry.query_grams), grams, name)
+            elif name in ref_grams:
+                scores[name] = gram_similarity(
+                    name, frozenset(ref_grams[name]), grams, ref_empty
+                )
             elif name in INDEX_UNAVAILABLE and ref is None:
                 scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
             elif name == LCS_F:
@@ -342,27 +340,6 @@ class Detector:
         return results
 
 
-def analyze_pair(
-    ref: Document, susp: Document, cfg: DetectorConfig | None = None
-) -> FeatureReport:
-    return Detector(cfg).analyze_pair(ref, susp)
-
-
-def build_index(
-    docs: Iterable[Document], cfg: DetectorConfig | None = None
-) -> CorpusIndex:
-    return Detector(cfg).build_index(docs)
-
-
-def rank_candidates(
-    susp: Document,
-    index: CorpusIndex,
-    cfg: DetectorConfig | None = None,
-    top_n: int | None = None,
-) -> list[tuple[str, FeatureReport]]:
-    return Detector(cfg).rank_candidates(susp, index, top_n)
-
-
 def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -403,9 +380,7 @@ def _entry_from_record(record: dict, line: int) -> IndexEntry:
         raise IndexFormatError("id and token_digest must be strings", line)
     lists: dict[str, tuple[str, ...]] = {}
     for name, value in fields.items():
-        if not isinstance(value, list) or any(
-            not isinstance(item, str) for item in value
-        ):
+        if not isinstance(value, list) or not {*map(type, value)} <= {str}:
             raise IndexFormatError(f"{name} must be a list of strings", line)
         lists[name] = tuple(value)
     return IndexEntry(doc_id=doc_id, token_digest=digest, **lists)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .fingerprint import (
     FIRST_SENTENCE,
@@ -144,6 +144,27 @@ def first_sentence_grams(doc: Document, k: int = DEFAULT_GRAM_LEN) -> frozenset[
     return char_kgrams(doc.sentences[0].normalized, k).gram_set()
 
 
+def gram_similarity(
+    method: str,
+    ref_grams: AbstractSet[str],
+    susp_grams: AbstractSet[str],
+    ref_empty: bool,
+) -> ResemblanceScore:
+    """Jaccard of a reference's key-sentence grams and the suspect's grams.
+
+    The one rule behind first_sentence and query_phrase.  A reference
+    without sentences (`ref_empty`) is degenerate.  A non-empty reference
+    whose cue-phrase sentences provide no grams (no hits at all, or hits
+    too short for a gram) makes query_phrase not applicable, so the
+    combiner drops it instead of counting a zero.
+    """
+    if ref_empty:
+        return ResemblanceScore(0.0, method, degenerate=True)
+    if method == QUERY_PHRASE and not ref_grams:
+        return ResemblanceScore(0.0, method, not_applicable=True)
+    return jaccard(ref_grams, susp_grams, method)
+
+
 def first_sentence_similarity(
     ref: Document, susp: Document, k: int = DEFAULT_GRAM_LEN
 ) -> ResemblanceScore:
@@ -152,11 +173,9 @@ def first_sentence_similarity(
     Comparing a multi-sentence document to itself therefore scores below 1:
     the first sentence's grams are a strict subset of the document's.
     """
-    if not ref.sentences:
-        return ResemblanceScore(0.0, FIRST_SENTENCE, degenerate=True)
     a = first_sentence_grams(ref, k)
     b = char_kgrams(susp.normalized_text, k).gram_set()
-    return jaccard(a, b, FIRST_SENTENCE)
+    return gram_similarity(FIRST_SENTENCE, a, b, not ref.sentences)
 
 
 def extract_query_phrase_sentences(
@@ -202,18 +221,12 @@ def query_phrase_similarity(
 ) -> ResemblanceScore:
     """Grams of the reference's cue-phrase sentences against the suspect.
 
-    A reference without sentences is degenerate.  A non-empty reference
-    whose cue-phrase sentences provide no grams (no hits at all, or hits
-    too short for a gram) makes the feature not applicable, so the
-    combiner drops it instead of counting a zero.
+    Scored by `gram_similarity`, so a reference without cue-phrase grams
+    makes the feature not applicable.
     """
-    if not ref.sentences:
-        return ResemblanceScore(0.0, QUERY_PHRASE, degenerate=True)
     a = query_phrase_grams(ref, k, phrases)
-    if not a:
-        return ResemblanceScore(0.0, QUERY_PHRASE, not_applicable=True)
     b = char_kgrams(susp.normalized_text, k).gram_set()
-    return jaccard(a, b, QUERY_PHRASE)
+    return gram_similarity(QUERY_PHRASE, a, b, not ref.sentences)
 
 
 def lcs_fmeasure(

@@ -176,7 +176,7 @@ def jaccard(
 ) -> ResemblanceScore:
     """|A o B| / |A u B|; two empty sets score 0 with the degenerate flag."""
     intersection = len(a & b)
-    union = len(a | b)
+    union = len(a) + len(b) - intersection
     detail = {
         "intersection": intersection,
         "union": union,
@@ -198,15 +198,6 @@ def gram_weights(multiset: GramMultiset) -> GramWeights:
     )
 
 
-def sentence_grams(sentence: Sentence, k: int = STATEMENT_GRAM_LEN) -> dict[str, int]:
-    """Distinct k-grams of a sentence mapped to their first character offset."""
-    stripped = "".join(sentence.tokens)
-    first_pos: dict[str, int] = {}
-    for i in range(len(stripped) - k + 1):
-        first_pos.setdefault(stripped[i : i + k], i)
-    return first_pos
-
-
 def least_frequent_fingerprint(
     sentence: Sentence,
     freqs: GramWeights | Mapping[str, int],
@@ -220,11 +211,13 @@ def least_frequent_fingerprint(
     occurrence in the sentence, and the first three concatenate into the
     key.  Sentences with fewer than three distinct grams yield None.
     """
-    first_pos = sentence_grams(sentence, k)
-    if len(first_pos) < STATEMENT_GRAM_COUNT:
+    stripped = "".join(sentence.tokens)
+    grams = dict.fromkeys(stripped[i : i + k] for i in range(len(stripped) - k + 1))
+    if len(grams) < STATEMENT_GRAM_COUNT:
         return None
     try:
-        ranked = sorted(first_pos, key=lambda g: (freqs[g], first_pos[g]))
+        # Stable sort over first-occurrence order breaks ties by position.
+        ranked = sorted(grams, key=freqs.__getitem__)
     except KeyError as exc:
         raise KeyError(
             f"gram {exc.args[0]!r} missing from document weights"

@@ -135,11 +135,12 @@ class Preprocessor:
         self.stopwords = stopwords if stopwords is not None else load_stopwords()
 
     def document(self, doc_id: str, raw_text: str) -> Document:
+        sentences = tuple(split_sentences(raw_text, self.stopwords))
         return Document(
             id=doc_id,
             raw_text=raw_text,
-            normalized_text=normalize(raw_text),
-            sentences=tuple(split_sentences(raw_text, self.stopwords)),
+            normalized_text=" ".join(s.normalized for s in sentences),
+            sentences=sentences,
         )
 
 

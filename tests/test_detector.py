@@ -19,6 +19,12 @@ from simscan.detector import (
     report_dict,
     save_index,
 )
+from simscan.features import (
+    first_sentence_similarity,
+    query_phrase_similarity,
+    top_keyword_similarity,
+)
+from simscan.fingerprint import statement_resemblance
 
 INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
@@ -254,6 +260,15 @@ def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
     with pytest.raises(IndexFormatError):
         load_index(missing_key)
 
+    for name, value in (("fingerprints", ["abcdefghijkl", 7]), ("keywords", "kick")):
+        bad_list = tmp_path / f"{name}.jsonl"
+        record = json.loads(lines[1])
+        record[name] = value
+        bad_list.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(IndexFormatError, match=f"{name} must be a list") as exc_info:
+            load_index(bad_list)
+        assert exc_info.value.line == 2
+
     undecodable = tmp_path / "bytes.jsonl"
     undecodable.write_bytes(lines[0].encode() + b"\n\xff\xfe\n")
     with pytest.raises(IndexFormatError) as exc_info:
@@ -356,6 +371,17 @@ def test_rank_scores_equal_analyze_pair(detector, texts, susp_text):
             assert report.scores[name] == memory.scores[name], (doc_id, name)
         assert report.skipped == memory.skipped | {"lcs_f"}
         assert report.combined == only_indexed.analyze_pair(refs[doc_id], susp).combined
+
+
+@given(doc_texts, doc_texts)
+def test_feature_functions_equal_analyze_pair(detector, ref_text, susp_text):
+    ref = detector.document("r", ref_text)
+    susp = detector.document("s", susp_text)
+    scores = detector.analyze_pair(ref, susp).scores
+    assert statement_resemblance(ref, susp) == scores["statement"]
+    assert top_keyword_similarity(ref, susp) == scores["top_keyword"]
+    assert first_sentence_similarity(ref, susp) == scores["first_sentence"]
+    assert query_phrase_similarity(ref, susp) == scores["query_phrase"]
 
 
 def test_report_dict_layout(detector):

@@ -127,6 +127,7 @@ def test_jaccard_symmetric_and_bounded(a, b):
     ba = jaccard(b, a)
     assert ab.value == ba.value
     assert 0.0 <= ab.value <= 1.0
+    assert ab.detail["union"] == len(a | b)
     if a or b:
         assert jaccard(a, a).value == (1.0 if a else 0.0)
 

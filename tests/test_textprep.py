@@ -95,6 +95,7 @@ def test_document_tokens_match_normalized_text(text):
     pre = Preprocessor(frozenset())
     doc = pre.document("d", text)
     assert " ".join(doc.tokens) == doc.normalized_text
+    assert doc.normalized_text == normalize(text)
 
 
 def _is_subsequence(needle: str, haystack: str) -> bool:
