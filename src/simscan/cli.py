@@ -12,6 +12,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -29,6 +30,7 @@ from .detector import (
     report_dict,
     save_index,
 )
+from .textprep import Document
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,14 +76,14 @@ def _parse_weights(raw: str) -> dict[str, float]:
     return weights
 
 
-def _config(args) -> DetectorConfig:
+def _detector(args) -> Detector:
     beta_mode, beta = _parse_beta(args.beta)
     features = DEFAULT_FEATURES
     if args.features:
         features = tuple(name.strip() for name in args.features.split(","))
     weights = _parse_weights(args.weights) if args.weights else {}
     try:
-        return DetectorConfig(
+        cfg = DetectorConfig(
             k_char=args.k,
             k_top=args.top_keywords,
             beta_mode=beta_mode,
@@ -93,9 +95,6 @@ def _config(args) -> DetectorConfig:
         )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from None
-
-
-def _detector(cfg: DetectorConfig) -> Detector:
     try:
         return Detector(cfg)
     except OSError as exc:
@@ -122,33 +121,32 @@ def _discover(directory: str, recursive: bool) -> list[tuple[str, Path]]:
     return [(p.relative_to(root).as_posix(), p) for p in files]
 
 
-def _corpus_texts(directory: str, recursive: bool) -> list[tuple[str, str]]:
-    return [(doc_id, _read_text(str(p))) for doc_id, p in _discover(directory, recursive)]
+def _build_item(det: Detector, build, item: tuple[str, str]):
+    return build(det, det.document(*item))
 
 
-_WORKER: Detector | None = None
+def _corpus(args, build) -> tuple[Detector, list]:
+    """The detector and `build(det, doc)` of every corpus document, in id order.
+
+    Documents are built in-process unless at least two files and two jobs
+    allow a pool; the pool never has more workers than files.
+    """
+    if args.jobs < 1:
+        raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
+    det = _detector(args)
+    files = _discover(args.directory, args.recursive)
+    if not files:
+        print(f"warning: no .txt files found in {args.directory}", file=sys.stderr)
+    texts = [(doc_id, _read_text(str(p))) for doc_id, p in files]
+    jobs = min(args.jobs, len(texts))
+    if jobs < 2:
+        return det, [_build_item(det, build, item) for item in texts]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return det, list(pool.map(partial(_build_item, det, build), texts))
 
 
-def _worker_init(cfg: DetectorConfig):
-    global _WORKER
-    _WORKER = Detector(cfg)
-
-
-def _worker_entry(item: tuple[str, str]):
-    doc_id, text = item
-    return _WORKER.entry(_WORKER.document(doc_id, text))
-
-
-def _worker_document(item: tuple[str, str]):
-    doc_id, text = item
-    return _WORKER.document(doc_id, text)
-
-
-def _pool_map(worker, items, cfg: DetectorConfig, jobs: int) -> list:
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init, initargs=(cfg,)
-    ) as pool:
-        return list(pool.map(worker, items))
+def _keep_document(det: Detector, doc: Document) -> Document:
+    return doc
 
 
 def _format_report_text(report: FeatureReport) -> str:
@@ -166,8 +164,7 @@ def _format_report_text(report: FeatureReport) -> str:
 
 
 def cmd_compare(args) -> int:
-    cfg = _config(args)
-    det = _detector(cfg)
+    det = _detector(args)
     ref = det.document(args.reference, _read_text(args.reference))
     susp = det.document(args.suspect, _read_text(args.suspect))
     report = det.analyze_pair(ref, susp)
@@ -179,17 +176,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_index(args) -> int:
-    if args.jobs < 1:
-        raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
-    cfg = _config(args)
-    det = _detector(cfg)
-    texts = _corpus_texts(args.directory, args.recursive)
-    if not texts:
-        print(f"warning: no .txt files found in {args.directory}", file=sys.stderr)
-    if args.jobs > 1 and len(texts) > 1:
-        entries = _pool_map(_worker_entry, texts, cfg, args.jobs)
-    else:
-        entries = [det.entry(det.document(doc_id, text)) for doc_id, text in texts]
+    det, entries = _corpus(args, Detector.entry)
     index = det.index_from_entries(entries)
     try:
         save_index(index, args.out)
@@ -202,19 +189,15 @@ def cmd_index(args) -> int:
 def cmd_scan(args) -> int:
     if args.top < 0:
         raise _CliError(EXIT_USAGE, f"--top must be >= 0, got {args.top}")
-    cfg = _config(args)
-    det = _detector(cfg)
+    det = _detector(args)
     try:
         index = load_index(args.index)
+        susp = det.document(args.suspect, _read_text(args.suspect))
+        ranked = det.rank_candidates(susp, index, args.top)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {args.index}: {exc.strerror or exc}") from None
     except IndexFormatError as exc:
         raise _CliError(EXIT_IO, f"malformed index {args.index}: {exc}") from None
-    except IndexVersionError as exc:
-        raise _CliError(EXIT_INDEX, str(exc)) from None
-    susp = det.document(args.suspect, _read_text(args.suspect))
-    try:
-        ranked = det.rank_candidates(susp, index, args.top)
     except IndexVersionError as exc:
         raise _CliError(EXIT_INDEX, str(exc)) from None
     if args.format == "json":
@@ -237,17 +220,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.jobs < 1:
-        raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
-    cfg = _config(args)
-    det = _detector(cfg)
-    texts = _corpus_texts(args.directory, args.recursive)
-    if not texts:
-        print(f"warning: no .txt files found in {args.directory}", file=sys.stderr)
-    if args.jobs > 1 and len(texts) > 1:
-        docs = _pool_map(_worker_document, texts, cfg, args.jobs)
-    else:
-        docs = [det.document(doc_id, text) for doc_id, text in texts]
+    det, docs = _corpus(args, _keep_document)
     rows = run_bench(docs, det)
     if args.format == "json":
         print(dumps_fixed([asdict(row) for row in rows], indent=2))

@@ -177,7 +177,6 @@ class CorpusIndex:
 
     config: Mapping[str, object]
     entries: Mapping[str, IndexEntry]
-    schema: int = INDEX_SCHEMA
 
 
 def _combine(
@@ -294,7 +293,7 @@ class Detector:
         return FeatureReport(entry.doc_id, susp.id, scores, skipped, combined)
 
     def index_from_entries(self, entries: Iterable[IndexEntry]) -> CorpusIndex:
-        """Assemble an index from precomputed entries (worker-pool path)."""
+        """Assemble an index from precomputed entries."""
         keyed: dict[str, IndexEntry] = {}
         for entry in entries:
             if entry.doc_id in keyed:
@@ -306,18 +305,6 @@ class Detector:
         """One entry per document; duplicate ids are an error."""
         return self.index_from_entries(self.entry(doc) for doc in docs)
 
-    def _check_snapshot(self, index: CorpusIndex):
-        if index.schema != INDEX_SCHEMA:
-            raise IndexVersionError(
-                f"index schema {index.schema} != supported {INDEX_SCHEMA}"
-            )
-        snapshot = self.config_snapshot()
-        if dict(index.config) != snapshot:
-            raise IndexVersionError(
-                f"index config {dict(index.config)!r} does not match "
-                f"detector config {snapshot!r}"
-            )
-
     def rank_candidates(
         self, susp: Document, index: CorpusIndex, top_n: int | None = None
     ) -> list[tuple[str, FeatureReport]]:
@@ -326,7 +313,12 @@ class Detector:
         Ties order by document id.  Features absent from the index are
         reported as skipped with a zero, not-applicable score.
         """
-        self._check_snapshot(index)
+        snapshot = self.config_snapshot()
+        if dict(index.config) != snapshot:
+            raise IndexVersionError(
+                f"index config {dict(index.config)!r} does not match "
+                f"detector config {snapshot!r}"
+            )
         if top_n is not None and top_n < 0:
             raise ValueError(f"top_n must be >= 0, got {top_n}")
         suspect = self._suspect(susp)
@@ -355,7 +347,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     k = int(index.config.get("k_char", DEFAULT_GRAM_LEN))
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(_json_line({"schema": index.schema, "config": dict(index.config)}))
+            fh.write(_json_line({"schema": INDEX_SCHEMA, "config": dict(index.config)}))
             for doc_id in sorted(index.entries):
                 fh.write(_json_line(index.entries[doc_id].record(k)))
         os.replace(tmp, path)
@@ -386,41 +378,47 @@ def _entry_from_record(record: dict, line: int) -> IndexEntry:
     return IndexEntry(doc_id=doc_id, token_digest=digest, **lists)
 
 
-def load_index(path: str | Path) -> CorpusIndex:
-    """Read an index; raises IndexVersionError or IndexFormatError."""
-    data = Path(path).read_bytes()
+def _parse_line(raw: bytes, line: int) -> dict:
+    """One index line as a JSON object; any malformed content names the line.
+
+    ValueError covers invalid UTF-8, invalid JSON and over-long integers;
+    RecursionError covers nesting too deep to parse.
+    """
     try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        record = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
         raise IndexFormatError("not valid UTF-8", line) from None
-    if not lines:
-        raise IndexFormatError("missing header record", 1)
-    try:
-        header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise IndexFormatError(f"invalid JSON: {exc.msg}", 1) from None
-    if not isinstance(header, dict) or "schema" not in header:
-        raise IndexFormatError("header must be an object with a schema field", 1)
-    if header["schema"] != INDEX_SCHEMA:
-        raise IndexVersionError(
-            f"index schema {header['schema']!r} != supported {INDEX_SCHEMA}"
-        )
-    config = header.get("config")
-    if not isinstance(config, dict):
-        raise IndexFormatError("header config must be an object", 1)
-    entries: dict[str, IndexEntry] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise IndexFormatError(f"invalid JSON: {exc.msg}", lineno) from None
-        if not isinstance(record, dict):
-            raise IndexFormatError("record must be an object", lineno)
-        entry = _entry_from_record(record, lineno)
-        if entry.doc_id in entries:
-            raise IndexFormatError(f"duplicate document id {entry.doc_id!r}", lineno)
-        entries[entry.doc_id] = entry
+        raise IndexFormatError(f"invalid JSON: {exc.msg}", line) from None
+    except (ValueError, RecursionError) as exc:
+        raise IndexFormatError(f"invalid JSON: {exc}", line) from None
+    if not isinstance(record, dict):
+        raise IndexFormatError("record must be an object", line)
+    return record
+
+
+def load_index(path: str | Path) -> CorpusIndex:
+    """Read an index line by line; raises IndexVersionError or IndexFormatError."""
+    with open(path, "rb") as fh:
+        first = next(fh, None)
+        if first is None:
+            raise IndexFormatError("missing header record", 1)
+        header = _parse_line(first, 1)
+        if "schema" not in header:
+            raise IndexFormatError("header must have a schema field", 1)
+        if header["schema"] != INDEX_SCHEMA:
+            raise IndexVersionError(
+                f"index schema {header['schema']!r} != supported {INDEX_SCHEMA}"
+            )
+        config = header.get("config")
+        if not isinstance(config, dict):
+            raise IndexFormatError("header config must be an object", 1)
+        entries: dict[str, IndexEntry] = {}
+        for lineno, raw in enumerate(fh, start=2):
+            entry = _entry_from_record(_parse_line(raw, lineno), lineno)
+            if entry.doc_id in entries:
+                raise IndexFormatError(f"duplicate document id {entry.doc_id!r}", lineno)
+            entries[entry.doc_id] = entry
     return CorpusIndex(config=config, entries=entries)
 
 

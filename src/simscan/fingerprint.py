@@ -40,7 +40,6 @@ METHODS = (
 )
 
 CHAR_KIND = "character"
-WORD_KIND = "word"
 
 # The statement scheme concatenates this many least-frequent grams of this
 # length into one sentence key.

@@ -7,58 +7,47 @@ preprocessing pipeline only feeds in lowercase word tokens.
 
 from __future__ import annotations
 
-_VOWELS = frozenset("aeiou")
+import re
+import string
+
+# Lowercase vowels are "v"; y is decided by _pattern; every other letter a
+# stem can hold is a consonant.
+_LETTER_CLASS = str.maketrans(
+    {ch: "v" if ch in "aeiou" else "c" for ch in string.ascii_letters if ch != "y"}
+)
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y counts as a vowel when it follows a consonant (TOY vs SYZYGY)
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _y_run(match: re.Match) -> str:
+    # y counts as a vowel when it follows a consonant (TOY vs SYZYGY), so a
+    # run of y's alternates, starting as a consonant at the word start or
+    # after a vowel.
+    start = match.start()
+    first = "cv" if start == 0 or match.string[start - 1] == "v" else "vc"
+    return (first * len(match[0]))[: len(match[0])]
+
+
+def _pattern(word: str) -> str:
+    """One "c" (consonant) or "v" (vowel) per letter of `word`."""
+    pattern = word.translate(_LETTER_CLASS)
+    return re.sub("y+", _y_run, pattern) if "y" in pattern else pattern
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-consonant alternations: [C](VC)^m[V] gives m."""
-    m = 0
-    i, n = 0, len(stem)
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    while i < n:
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i >= n:
-            break
-        m += 1
-        while i < n and _is_consonant(stem, i):
-            i += 1
-    return m
+    return _pattern(stem).count("vc")
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _pattern(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _pattern(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
     """consonant-vowel-consonant ending where the final one is not w, x or y."""
-    if len(word) < 3 or word[-1] in "wxy":
-        return False
-    n = len(word)
-    return (
-        _is_consonant(word, n - 3)
-        and not _is_consonant(word, n - 2)
-        and _is_consonant(word, n - 1)
-    )
+    return word[-1:] not in "wxy" and _pattern(word).endswith("cvc")
 
 
 def _apply_first(word: str, rules) -> str:

@@ -73,10 +73,9 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Document:
-    """A preprocessed document: id, raw text, sentences, normalized text."""
+    """A preprocessed document: id, sentences, normalized text."""
 
     id: str
-    raw_text: str
     normalized_text: str
     sentences: tuple[Sentence, ...]
 
@@ -138,7 +137,6 @@ class Preprocessor:
         sentences = tuple(split_sentences(raw_text, self.stopwords))
         return Document(
             id=doc_id,
-            raw_text=raw_text,
             normalized_text=" ".join(s.normalized for s in sentences),
             sentences=sentences,
         )

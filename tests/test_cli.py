@@ -4,8 +4,13 @@ import json
 import subprocess
 import sys
 
-import pytest
+import pickle
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import simscan.cli
 from simscan.cli import EXIT_INDEX, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 S1 = "Player kicked the ball.\n"
@@ -190,11 +195,106 @@ def test_scan_exit_codes(workspace, capsys):
     assert main(["scan", suspect, str(workspace / "S2.txt")]) == EXIT_IO
     assert main(["scan", suspect, str(workspace / "nope.jsonl")]) == EXIT_IO
     capsys.readouterr()
-    undecodable = workspace / "undecodable.jsonl"
-    undecodable.write_bytes(b"\xff\xfe bad")
-    code, out, err = run(["scan", suspect, str(undecodable)], capsys)
-    assert code == EXIT_IO and out == ""
-    assert err.startswith("simscan: error: malformed index") and err.count("\n") == 1
+    digits = lines[1].replace('"k":4', '"k":' + "7" * 5000)
+    assert digits != lines[1]
+    hostile = {
+        "undecodable": b"\xff\xfe bad",
+        "nested": (lines[0] + "\n" + "[" * 100000 + "\n").encode(),
+        "digits": (lines[0] + "\n" + digits + "\n").encode(),
+    }
+    for name, data in hostile.items():
+        path = workspace / f"{name}.jsonl"
+        path.write_bytes(data)
+        code, out, err = run(["scan", suspect, str(path)], capsys)
+        assert code == EXIT_IO and out == ""
+        assert err.startswith("simscan: error: malformed index") and err.count("\n") == 1
+
+
+def test_scan_never_raises_on_damaged_index(workspace, capsys):
+    index_path = workspace / "idx.jsonl"
+    run(["index", str(workspace / "corpus"), str(index_path)], capsys)
+    data = index_path.read_bytes()
+    suspect = str(workspace / "S1.txt")
+    damaged = workspace / "damaged.jsonl"
+    truncate = st.integers(0, len(data) - 1).map(lambda cut: data[:cut])
+    flip = st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)).map(
+        lambda pos_mask: data[: pos_mask[0]]
+        + bytes([data[pos_mask[0]] ^ pos_mask[1]])
+        + data[pos_mask[0] + 1 :]
+    )
+
+    @settings(max_examples=200)
+    @given(st.one_of(truncate, flip))
+    def check(content):
+        damaged.write_bytes(content)
+        code, out, err = run(["scan", suspect, str(damaged)], capsys)
+        assert code in (EXIT_OK, EXIT_IO, EXIT_INDEX)
+        if code == EXIT_OK:
+            assert err == "" and "results" in json.loads(out)
+        else:
+            assert out == ""
+            assert err.startswith("simscan: error:") and err.count("\n") == 1
+
+    check()
+
+
+def test_compare_long_y_word(workspace, capsys):
+    for suffix in ("ed", "eed"):
+        path = workspace / f"y{suffix}.txt"
+        path.write_text("y" * 1500 + suffix, encoding="utf-8")
+        code, out, err = run(["compare", str(path), str(path)], capsys)
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["combined"] == 1.0
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        # what a real pool would send to its workers must pickle
+        return map(pickle.loads(pickle.dumps(fn)), items)
+
+
+def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(simscan.cli, "ProcessPoolExecutor", _RecordingPool)
+    corpus = str(workspace / "corpus")
+    serial = workspace / "serial.jsonl"
+    pooled = workspace / "pooled.jsonl"
+    run(["index", corpus, str(serial)], capsys)
+    code, _, _ = run(["index", corpus, str(pooled), "--jobs", "64"], capsys)
+    assert code == EXIT_OK and _RecordingPool.sizes == [3]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+    single = workspace / "single"
+    single.mkdir()
+    (single / "only.txt").write_text(S1, encoding="utf-8")
+    code, _, _ = run(["index", str(single), str(pooled), "--jobs", "5"], capsys)
+    code_bench, _, _ = run(["bench", str(single), "--jobs", "5"], capsys)
+    assert code == code_bench == EXIT_OK and _RecordingPool.sizes == [3]
+
+
+def test_bench_jobs_match_serial(workspace, capsys):
+    def rows(*flags):
+        code, out, _ = run(["bench", str(workspace / "corpus"), *flags], capsys)
+        assert code == EXIT_OK
+        keys = ("scheme", "docs", "pairs", "bytes_per_doc")
+        return [{key: row[key] for key in keys} for row in json.loads(out)]
+
+    assert rows("--jobs", "2") == rows("--jobs", "1")
 
 
 def test_index_empty_dir_warns_on_stderr(workspace, capsys):

@@ -275,6 +275,17 @@ def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
         load_index(undecodable)
     assert exc_info.value.line == 2
 
+    # nesting past the parser's recursion limit, and an integer past
+    # Python's int-digit limit
+    digits = lines[1].replace('"k":4', '"k":' + "7" * 5000)
+    assert digits != lines[1]
+    for name, line in (("nested", "[" * 100000), ("digits", digits)):
+        hostile = tmp_path / f"{name}.jsonl"
+        hostile.write_text(lines[0] + "\n" + line + "\n")
+        with pytest.raises(IndexFormatError) as exc_info:
+            load_index(hostile)
+        assert exc_info.value.line == 2
+
     dupe = tmp_path / "dupe.jsonl"
     dupe.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[1] + "\n")
     with pytest.raises(IndexFormatError) as exc_info:

@@ -1,10 +1,12 @@
 """Stemmer behavior: known stems, guards, and shape properties."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simscan.porter import stem
+from simscan.porter import _pattern, stem
 
 # Expected full-pipeline outputs, hand-derived by tracing each word
 # through every step in order (per-step examples alone are misleading:
@@ -134,3 +136,30 @@ def test_stem_never_grows_and_stays_lowercase(word):
 @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=3, max_size=20))
 def test_stem_is_deterministic(word):
     assert stem(word) == stem(word)
+
+
+def _recursive_is_consonant(word, i):
+    """The stemmer's former letter rule, kept as the oracle."""
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return i == 0 or not _recursive_is_consonant(word, i - 1)
+    return True
+
+
+@given(st.text(alphabet="yyyyaebtsY", max_size=24))
+def test_letter_classes_match_recursive_rule(word):
+    expected = "".join(
+        "c" if _recursive_is_consonant(word, i) else "v" for i in range(len(word))
+    )
+    assert _pattern(word) == expected
+
+
+@pytest.mark.parametrize("suffix", ["ed", "eed"])
+def test_long_y_run_stems_quickly(suffix):
+    word = "y" * 5000 + suffix
+    start = time.perf_counter()
+    out = stem(word)
+    assert time.perf_counter() - start < 0.5
+    assert out.startswith("y" * 4999)
