@@ -3,7 +3,8 @@
 Four subcommands: `compare` two files, `index` a directory of .txt files,
 `scan` a suspect file against a saved index, and `bench` the schemes on a
 corpus.  Reports go to stdout, diagnostics to stderr.  Exit codes: 0
-success, 1 usage error, 2 I/O error, 3 index version/config mismatch.
+success, 1 usage error, 2 I/O error, 3 index version/config mismatch, 4
+internal error.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INDEX = 3
+EXIT_INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -293,6 +295,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"simscan: error: {exc}", file=sys.stderr)
         return exc.code
+    except Exception as exc:
+        # A bug, not bad input: one line, never a traceback.
+        print(f"simscan: error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

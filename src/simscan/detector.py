@@ -21,6 +21,7 @@ import os
 import re
 import uuid
 from dataclasses import dataclass, field
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -149,7 +150,7 @@ class FeatureReport:
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """Derived artifacts of one document: what every pair is scored from."""
+    """One document's derived artifacts, each tuple sorted and distinct."""
 
     doc_id: str
     fingerprints: tuple[str, ...]
@@ -262,14 +263,12 @@ class Detector:
         keys, keywords, grams = suspect
         ref_empty = entry.token_digest == _EMPTY_DIGEST
         ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
-        scores = {STATEMENT: jaccard(frozenset(entry.fingerprints), keys, STATEMENT)}
+        scores = {STATEMENT: jaccard(entry.fingerprints, keys, STATEMENT)}
         for name in cfg.features:
             if name == TOP_KEYWORD:
-                scores[name] = jaccard(frozenset(entry.keywords), keywords, name)
+                scores[name] = jaccard(entry.keywords, keywords, name)
             elif name in ref_grams:
-                scores[name] = gram_similarity(
-                    name, frozenset(ref_grams[name]), grams, ref_empty
-                )
+                scores[name] = gram_similarity(name, ref_grams[name], grams, ref_empty)
             elif name in INDEX_UNAVAILABLE and ref is None:
                 scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
             elif name == LCS_F:
@@ -344,7 +343,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    k = int(index.config.get("k_char", DEFAULT_GRAM_LEN))
+    k = index.config["k_char"]
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(_json_line({"schema": INDEX_SCHEMA, "config": dict(index.config)}))
@@ -356,25 +355,40 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         raise
 
 
-def _entry_from_record(record: dict, line: int) -> IndexEntry:
+_LISTS = ("fingerprints", "keywords", "first_grams", "query_grams")
+
+
+def _stored_strings(name: str, value: object, line: int) -> tuple[str, ...]:
+    """A record's list as `save_index` writes it: strictly ascending strings.
+
+    So it is sorted and distinct, and `Detector._score` can use it as stored.
+    """
+    if not isinstance(value, list):
+        raise IndexFormatError(f"{name} must be a list of strings", line)
+    try:
+        "".join(value)  # raises TypeError unless every item is a string
+    except TypeError:
+        raise IndexFormatError(f"{name} must be a list of strings", line) from None
+    if not all(map(lt, value, value[1:])):
+        raise IndexFormatError(f"{name} must be sorted and distinct", line)
+    return tuple(value)
+
+
+def _entry_from_record(record: dict, line: int, k_char: object) -> IndexEntry:
     try:
         doc_id = record["id"]
-        fields = {
-            "fingerprints": record["fingerprints"],
-            "keywords": record["keywords"],
-            "first_grams": record["first_grams"],
-            "query_grams": record["query_grams"],
-        }
+        scheme, k = record["scheme"], record["k"]
+        lists = {name: record[name] for name in _LISTS}
         digest = record["token_digest"]
     except KeyError as exc:
         raise IndexFormatError(f"missing key {exc.args[0]!r}", line) from None
     if not isinstance(doc_id, str) or not isinstance(digest, str):
         raise IndexFormatError("id and token_digest must be strings", line)
-    lists: dict[str, tuple[str, ...]] = {}
-    for name, value in fields.items():
-        if not isinstance(value, list) or not {*map(type, value)} <= {str}:
-            raise IndexFormatError(f"{name} must be a list of strings", line)
-        lists[name] = tuple(value)
+    if scheme != STATEMENT:
+        raise IndexFormatError(f"scheme must be {STATEMENT!r}, got {scheme!r}", line)
+    if type(k) is not int or k != k_char:
+        raise IndexFormatError(f"k must equal the header's k_char {k_char!r}", line)
+    lists = {name: _stored_strings(name, value, line) for name, value in lists.items()}
     return IndexEntry(doc_id=doc_id, token_digest=digest, **lists)
 
 
@@ -406,6 +420,8 @@ def load_index(path: str | Path) -> CorpusIndex:
         header = _parse_line(first, 1)
         if "schema" not in header:
             raise IndexFormatError("header must have a schema field", 1)
+        if type(header["schema"]) is not int:
+            raise IndexFormatError("header schema must be an integer", 1)
         if header["schema"] != INDEX_SCHEMA:
             raise IndexVersionError(
                 f"index schema {header['schema']!r} != supported {INDEX_SCHEMA}"
@@ -413,9 +429,10 @@ def load_index(path: str | Path) -> CorpusIndex:
         config = header.get("config")
         if not isinstance(config, dict):
             raise IndexFormatError("header config must be an object", 1)
+        k_char = config.get("k_char")
         entries: dict[str, IndexEntry] = {}
         for lineno, raw in enumerate(fh, start=2):
-            entry = _entry_from_record(_parse_line(raw, lineno), lineno)
+            entry = _entry_from_record(_parse_line(raw, lineno), lineno, k_char)
             if entry.doc_id in entries:
                 raise IndexFormatError(f"duplicate document id {entry.doc_id!r}", lineno)
             entries[entry.doc_id] = entry

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Collection, Sequence
 
 from .fingerprint import (
     FIRST_SENTENCE,
@@ -28,7 +28,7 @@ from .fingerprint import (
     jaccard,
 )
 from .kernels import lcs_length
-from .textprep import Document
+from .textprep import Document, list_entries
 
 DEFAULT_QUERY_PHRASES: tuple[str, ...] = (
     "in conclusion,",
@@ -97,16 +97,6 @@ class LcsResult:
         )
 
 
-def _parse_phrases(lines: Iterable[str]) -> tuple[str, ...]:
-    phrases = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        phrases.append(line.removesuffix("...").rstrip().lower())
-    return tuple(phrases)
-
-
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     """Cue phrases from a file, or the built-in six when no path is given.
 
@@ -116,7 +106,9 @@ def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     if path is None:
         return DEFAULT_QUERY_PHRASES
     with open(path, encoding="utf-8") as fh:
-        return _parse_phrases(fh)
+        return tuple(
+            line.removesuffix("...").rstrip().lower() for line in list_entries(fh)
+        )
 
 
 def top_keywords(doc: Document, k_top: int = DEFAULT_K_TOP) -> KeywordSet:
@@ -146,7 +138,7 @@ def first_sentence_grams(doc: Document, k: int = DEFAULT_GRAM_LEN) -> frozenset[
 
 def gram_similarity(
     method: str,
-    ref_grams: AbstractSet[str],
+    ref_grams: Collection[str],
     susp_grams: AbstractSet[str],
     ref_empty: bool,
 ) -> ResemblanceScore:

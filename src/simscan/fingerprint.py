@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Collection, Mapping
 
 from .textprep import Document, Sentence
 
@@ -171,10 +171,13 @@ def full_resemblance(a: GramMultiset, b: GramMultiset) -> ResemblanceScore:
 
 
 def jaccard(
-    a: AbstractSet[str], b: AbstractSet[str], method: str = TRIGRAM
+    a: Collection[str], b: AbstractSet[str], method: str = TRIGRAM
 ) -> ResemblanceScore:
-    """|A o B| / |A u B|; two empty sets score 0 with the degenerate flag."""
-    intersection = len(a & b)
+    """|A o B| / |A u B|; two empty sets score 0 with the degenerate flag.
+
+    `a` holds distinct items (a set, or an IndexEntry tuple); `b` is a set.
+    """
+    intersection = len(b.intersection(a))
     union = len(a) + len(b) - intersection
     detail = {
         "intersection": intersection,

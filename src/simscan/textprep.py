@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .porter import stem
 
@@ -142,13 +142,16 @@ class Preprocessor:
         )
 
 
+def list_entries(lines: Iterable[str]) -> Iterator[str]:
+    """The stripped lines of a word or phrase list, minus blanks and `#` comments."""
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
+
+
 def _parse_word_list(text: str) -> frozenset[str]:
-    words = set()
-    for line in text.splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            words.add(word.lower())
-    return frozenset(words)
+    return frozenset(word.lower() for word in list_entries(text.splitlines()))
 
 
 @cache

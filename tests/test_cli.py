@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simscan.cli
-from simscan.cli import EXIT_INDEX, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from simscan.cli import EXIT_INDEX, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from simscan.detector import Detector
 
 S1 = "Player kicked the ball.\n"
 S2 = "Player kick the ball.\n"
@@ -208,6 +209,106 @@ def test_scan_exit_codes(workspace, capsys):
         code, out, err = run(["scan", suspect, str(path)], capsys)
         assert code == EXIT_IO and out == ""
         assert err.startswith("simscan: error: malformed index") and err.count("\n") == 1
+
+
+def test_scan_rejects_hand_edited_index(workspace, capsys):
+    index_path = workspace / "idx.jsonl"
+    run(["index", str(workspace / "corpus"), str(index_path)], capsys)
+    lines = index_path.read_text().splitlines()
+    header, record = json.loads(lines[0]), json.loads(lines[2])
+    assert record["id"] == "b.txt"
+    edits = {
+        "repeated": ({}, {"fingerprints": record["fingerprints"] * 2}),
+        "unsorted": ({}, {"first_grams": record["first_grams"][::-1]}),
+        "scheme": ({}, {"scheme": "bogus"}),
+        "k": ({}, {"k": 99}),
+        "schema-true": ({"schema": True}, {}),
+        "schema-float": ({"schema": 1.0}, {}),
+    }
+    suspect = str(workspace / "S1.txt")
+    for name, (head_edit, record_edit) in edits.items():
+        path = workspace / f"{name}.jsonl"
+        path.write_text(
+            json.dumps({**header, **head_edit}) + "\n"
+            + json.dumps({**record, **record_edit}) + "\n"
+        )
+        code, out, err = run(["scan", suspect, str(path)], capsys)
+        assert code == EXIT_IO and out == "", name
+        assert err.startswith("simscan: error: malformed index"), name
+        assert err.count("\n") == 1, name
+
+
+def test_internal_error_is_one_line(workspace, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(Detector, "analyze_pair", broken)
+    ref = str(workspace / "S1.txt")
+    code, out, err = run(["compare", ref, ref], capsys)
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("simscan: error: internal error: RuntimeError(")
+    assert err.count("\n") == 1
+
+
+int_flag = st.integers(-3, 10**6)
+text_flag = st.one_of(
+    st.sampled_from(["1", "0", "paper", "nan", "-inf", "1e400", "1e-320", ""]),
+    st.text(alphabet="statemnopq_fluic=,.-1e0 ", max_size=24),
+)
+feature_list = st.lists(
+    st.sampled_from(
+        ["statement", "top_keyword", "first_sentence", "query_phrase", "lcs_f",
+         "full_char", "trigram_jaccard", "nope", ""]
+    ),
+    max_size=4,
+).map(",".join)
+weight_list = st.lists(
+    st.tuples(
+        st.sampled_from(["statement", "lcs_f", "full_char", "nope", ""]),
+        st.sampled_from(["=", ""]),
+        st.one_of(st.floats(allow_nan=True).map(repr), text_flag),
+    ).map("".join),
+    max_size=3,
+).map(",".join)
+
+
+def test_random_flags_exit_with_one_line(workspace, capsys):
+    index_path = workspace / "idx.jsonl"
+    run(["index", str(workspace / "corpus"), str(index_path)], capsys)
+    ref, susp = str(workspace / "S1.txt"), str(workspace / "S2.txt")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["compare", "scan"]),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "--k": int_flag,
+                "--top-keywords": int_flag,
+                "--beta": text_flag,
+                "--weights": weight_list,
+                "--features": feature_list,
+                "--top": int_flag,
+            },
+        ),
+    )
+    def check(command, flags):
+        if command == "compare":
+            args = ["compare", ref, susp]
+        else:
+            args = ["scan", susp, str(index_path)]
+        for flag, value in flags.items():
+            if flag != "--top" or command == "scan":
+                args.append(f"{flag}={value}")
+        code, out, err = run(args, capsys)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_INDEX), (args, err)
+        if code == EXIT_OK:
+            assert err == "" and json.loads(out)
+        else:
+            assert out == "" and err.startswith("simscan: error:"), (args, err)
+            assert err.count("\n") == 1, (args, err)
+
+    check()
 
 
 def test_scan_never_raises_on_damaged_index(workspace, capsys):

@@ -4,7 +4,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from simscan.detector import (
@@ -293,6 +293,86 @@ def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
     assert exc_info.value.line == 3
 
 
+def _index_lines(detector, corpus_docs, tmp_path):
+    path = tmp_path / "idx.jsonl"
+    save_index(detector.build_index(corpus_docs), path)
+    return path.read_text().splitlines()
+
+
+def _edited_index(tmp_path, header_line, record_line, name):
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(header_line + "\n" + record_line + "\n")
+    return path
+
+
+@pytest.mark.parametrize("name", ["fingerprints", "keywords", "first_grams", "query_grams"])
+@pytest.mark.parametrize("damage", ["repeated", "unsorted"])
+def test_load_index_rejects_unsorted_or_repeated_lists(
+    detector, corpus_docs, tmp_path, name, damage
+):
+    header, _, line = _index_lines(detector, corpus_docs, tmp_path)[:3]
+    record = json.loads(line)
+    assert record["id"] == "b" and len(record[name]) >= 2
+    if damage == "repeated":
+        record[name] = record[name][:1] + record[name]
+    else:
+        record[name] = record[name][::-1]
+    path = _edited_index(tmp_path, header, json.dumps(record), damage)
+    with pytest.raises(IndexFormatError, match=f"{name} must be sorted and distinct") as exc_info:
+        load_index(path)
+    assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"scheme": "bogus"},
+        {"k": 99},
+        {"k": "4"},
+        {"k": 4.0},
+        {"k": True},
+    ],
+    ids=["scheme", "k-value", "k-string", "k-float", "k-bool"],
+)
+def test_load_index_checks_record_scheme_and_k(detector, corpus_docs, tmp_path, edit):
+    header, line = _index_lines(detector, corpus_docs, tmp_path)[:2]
+    record = {**json.loads(line), **edit}
+    path = _edited_index(tmp_path, header, json.dumps(record), "edited")
+    with pytest.raises(IndexFormatError) as exc_info:
+        load_index(path)
+    assert exc_info.value.line == 2
+
+
+def test_load_index_header_without_k_char(detector, corpus_docs, tmp_path):
+    header, line = _index_lines(detector, corpus_docs, tmp_path)[:2]
+    head = json.loads(header)
+    del head["config"]["k_char"]
+    path = _edited_index(tmp_path, json.dumps(head), line, "no_k_char")
+    with pytest.raises(IndexFormatError, match="k must equal") as exc_info:
+        load_index(path)
+    assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_load_index_schema_must_be_int(detector, corpus_docs, tmp_path, schema):
+    header, line = _index_lines(detector, corpus_docs, tmp_path)[:2]
+    head = {**json.loads(header), "schema": schema}
+    path = _edited_index(tmp_path, json.dumps(head), line, "schema")
+    with pytest.raises(IndexFormatError, match="schema must be an integer") as exc_info:
+        load_index(path)
+    assert exc_info.value.line == 1
+
+
+def test_save_index_writes_header_k_char(tmp_path):
+    det = Detector(DetectorConfig(k_char=3))
+    index = det.build_index([det.document("a", CORPUS["a"])])
+    path = tmp_path / "idx.jsonl"
+    save_index(index, path)
+    header, line = path.read_text().splitlines()
+    assert json.loads(header)["config"]["k_char"] == json.loads(line)["k"] == 3
+    assert load_index(path).entries == index.entries
+
+
 def test_rank_identical_doc_first(detector, corpus_docs):
     index = detector.build_index(corpus_docs)
     susp = detector.document("susp", CORPUS["a"])
@@ -393,6 +473,36 @@ def test_feature_functions_equal_analyze_pair(detector, ref_text, susp_text):
     assert top_keyword_similarity(ref, susp) == scores["top_keyword"]
     assert first_sentence_similarity(ref, susp) == scores["first_sentence"]
     assert query_phrase_similarity(ref, susp) == scores["query_phrase"]
+
+
+finite_weights = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_configs(draw):
+    features = draw(st.lists(st.sampled_from(ALL_FEATURES), min_size=1, unique=True))
+    weights = draw(st.dictionaries(st.sampled_from(ALL_FEATURES), finite_weights))
+    try:
+        return DetectorConfig(
+            k_char=draw(st.integers(1, 8)),
+            k_top=draw(st.integers(1, 12)),
+            beta_mode=draw(st.sampled_from(["fixed", "paper"])),
+            beta=draw(finite_weights),
+            features=tuple(features),
+            feature_weights=weights,
+        )
+    except ValueError:
+        reject()
+
+
+@given(finite_configs(), doc_texts, doc_texts)
+def test_combined_in_unit_interval(cfg, ref_text, susp_text):
+    det = Detector(cfg)
+    ref = det.document("r", ref_text)
+    susp = det.document("s", susp_text)
+    assert 0.0 <= det.analyze_pair(ref, susp).combined <= 1.0
+    ranked = det.rank_candidates(susp, det.build_index([ref]))
+    assert 0.0 <= ranked[0][1].combined <= 1.0
 
 
 def test_report_dict_layout(detector):

@@ -132,6 +132,13 @@ def test_jaccard_symmetric_and_bounded(a, b):
         assert jaccard(a, a).value == (1.0 if a else 0.0)
 
 
+@given(st.frozensets(st.text(max_size=3), max_size=10),
+       st.frozensets(st.text(max_size=3), max_size=10))
+def test_jaccard_of_sorted_tuple_equals_set(a, b):
+    # An index entry's list is scored as stored: a sorted tuple of distinct items.
+    assert jaccard(tuple(sorted(a)), b) == jaccard(a, b)
+
+
 def test_jaccard_worked_example():
     score = jaccard(frozenset({"x", "y", "z"}), frozenset({"y", "z", "w"}))
     assert score.value == 0.5

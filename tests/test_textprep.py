@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from simscan.features import load_query_phrases
 from simscan.textprep import (
     Preprocessor,
     load_stopwords,
@@ -133,6 +134,13 @@ def test_stopword_file_parsing(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# comment\nThe\n\n  And  \n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"the", "and"})
+
+
+def test_word_lists_share_one_line_rule(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text("# comment\n  The  \n\n\t# indented\nIn short,\n", encoding="utf-8")
+    assert load_stopwords(path) == frozenset({"the", "in short,"})
+    assert load_query_phrases(path) == ("the", "in short,")
 
 
 def test_missing_stopword_file_raises(tmp_path):
