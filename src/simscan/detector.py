@@ -235,7 +235,7 @@ class Detector:
             first_grams=tuple(sorted(first_sentence_grams(doc, cfg.k_char))),
             query_grams=tuple(sorted(query_phrase_grams(doc, cfg.k_char, self.phrases))),
             token_digest=hashlib.sha256(
-                "\x1f".join(doc.tokens).encode("utf-8")
+                "\x1f".join(t for s in doc.sentences for t in s.tokens).encode("utf-8")
             ).hexdigest(),
         )
 

@@ -101,14 +101,14 @@ def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     """Cue phrases from a file, or the built-in six when no path is given.
 
     Blank lines and `#` comments are skipped; phrases are lowercased and a
-    trailing "..." is dropped.
+    trailing "..." is dropped.  A phrase left empty is skipped too, since
+    the empty string would open every sentence.
     """
     if path is None:
         return DEFAULT_QUERY_PHRASES
     with open(path, encoding="utf-8") as fh:
-        return tuple(
-            line.removesuffix("...").rstrip().lower() for line in list_entries(fh)
-        )
+        phrases = [line.removesuffix("...").rstrip() for line in list_entries(fh)]
+    return tuple(phrase.lower() for phrase in phrases if phrase)
 
 
 def top_keywords(doc: Document, k_top: int = DEFAULT_K_TOP) -> KeywordSet:

@@ -3,6 +3,13 @@
 Self-contained ASCII implementation.  Tokens shorter than three letters and
 tokens containing anything but ASCII letters are returned unchanged; the
 preprocessing pipeline only feeds in lowercase word tokens.
+
+Steps 1a, 2, 3 and 4 are tables from suffix to replacement, in Porter's
+order; row order carries no meaning.  Each step follows Porter's rule that
+"the longest matching S1 is obeyed": `_replace_suffix` looks the word's
+suffixes up in the table at the lengths the table holds, longest first,
+and the first hit alone decides the step, whether or not the step's
+condition on the remaining stem holds.
 """
 
 from __future__ import annotations
@@ -50,101 +57,60 @@ def _ends_cvc(word: str) -> bool:
     return word[-1:] not in "wxy" and _pattern(word).endswith("cvc")
 
 
-def _apply_first(word: str, rules) -> str:
-    """Apply the longest matching suffix rule of one step.
+class _Suffixes(dict):
+    """A step's table: suffix -> replacement, plus the suffix lengths it holds."""
 
-    Once the longest suffix matches, that rule alone decides the step: if its
-    measure condition fails, no shorter rule is tried.
+    def __init__(self, rows: dict[str, str]):
+        super().__init__(rows)
+        self.lengths = sorted({len(suffix) for suffix in rows}, reverse=True)
+
+
+def _replace_suffix(word: str, table: _Suffixes, condition) -> str:
+    """Apply the rule of the longest suffix of `word` that `table` holds.
+
+    The first hit decides the step: when `condition(stem, suffix)` fails,
+    `word` is returned unchanged and no shorter suffix is tried.
     """
-    for suffix, replacement, condition in rules:
-        if word.endswith(suffix):
+    for n in table.lengths:
+        suffix = word[-n:]
+        if suffix in table:
             stem = word[: len(word) - len(suffix)]
-            if condition(stem):
-                return stem + replacement
-            return word
+            return stem + table[suffix] if condition(stem, suffix) else word
     return word
 
 
-def _m_gt_0(stem: str) -> bool:
+def _always(stem: str, suffix: str) -> bool:
+    return True
+
+
+def _m_gt_0(stem: str, suffix: str) -> bool:
     return _measure(stem) > 0
 
 
-def _m_gt_1(stem: str) -> bool:
-    return _measure(stem) > 1
+def _step4_condition(stem: str, suffix: str) -> bool:
+    # (m>1), and for ION alone also (*S or *T).
+    return _measure(stem) > 1 and (suffix != "ion" or stem[-1:] in ("s", "t"))
 
 
-def _m_gt_1_and_st(stem: str) -> bool:
-    return _measure(stem) > 1 and stem[-1:] in ("s", "t")
+_STEP1A = _Suffixes({"sses": "ss", "ies": "i", "ss": "ss", "s": ""})
 
+_STEP2 = _Suffixes({
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+    "izer": "ize", "abli": "able", "alli": "al", "entli": "ent", "eli": "e",
+    "ousli": "ous", "ization": "ize", "ation": "ate", "ator": "ate",
+    "alism": "al", "iveness": "ive", "fulness": "ful", "ousness": "ous",
+    "aliti": "al", "iviti": "ive", "biliti": "ble",
+})
 
-# Tables are ordered longest suffix first so _apply_first picks the longest
-# match (e.g. EMENT before MENT before ENT).
-_STEP2_RULES = (
-    ("ational", "ate", _m_gt_0),
-    ("ization", "ize", _m_gt_0),
-    ("iveness", "ive", _m_gt_0),
-    ("fulness", "ful", _m_gt_0),
-    ("ousness", "ous", _m_gt_0),
-    ("tional", "tion", _m_gt_0),
-    ("biliti", "ble", _m_gt_0),
-    ("ousli", "ous", _m_gt_0),
-    ("entli", "ent", _m_gt_0),
-    ("ation", "ate", _m_gt_0),
-    ("alism", "al", _m_gt_0),
-    ("aliti", "al", _m_gt_0),
-    ("iviti", "ive", _m_gt_0),
-    ("enci", "ence", _m_gt_0),
-    ("anci", "ance", _m_gt_0),
-    ("izer", "ize", _m_gt_0),
-    ("abli", "able", _m_gt_0),
-    ("alli", "al", _m_gt_0),
-    ("ator", "ate", _m_gt_0),
-    ("eli", "e", _m_gt_0),
-)
+_STEP3 = _Suffixes({
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic", "ical": "ic",
+    "ful": "", "ness": "",
+})
 
-_STEP3_RULES = (
-    ("icate", "ic", _m_gt_0),
-    ("ative", "", _m_gt_0),
-    ("alize", "al", _m_gt_0),
-    ("iciti", "ic", _m_gt_0),
-    ("ical", "ic", _m_gt_0),
-    ("ness", "", _m_gt_0),
-    ("ful", "", _m_gt_0),
-)
-
-_STEP4_RULES = (
-    ("ement", "", _m_gt_1),
-    ("ance", "", _m_gt_1),
-    ("ence", "", _m_gt_1),
-    ("able", "", _m_gt_1),
-    ("ible", "", _m_gt_1),
-    ("ment", "", _m_gt_1),
-    ("ant", "", _m_gt_1),
-    ("ent", "", _m_gt_1),
-    ("ion", "", _m_gt_1_and_st),
-    ("ism", "", _m_gt_1),
-    ("ate", "", _m_gt_1),
-    ("iti", "", _m_gt_1),
-    ("ous", "", _m_gt_1),
-    ("ive", "", _m_gt_1),
-    ("ize", "", _m_gt_1),
-    ("al", "", _m_gt_1),
-    ("er", "", _m_gt_1),
-    ("ic", "", _m_gt_1),
-    ("ou", "", _m_gt_1),
-)
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+_STEP4 = _Suffixes(dict.fromkeys((
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment",
+    "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+), ""))
 
 
 def _step1b(word: str) -> str:
@@ -199,12 +165,12 @@ def stem(token: str) -> str:
     """
     if len(token) < 3 or not token.isascii() or not token.isalpha():
         return token
-    word = _step1a(token)
+    word = _replace_suffix(token, _STEP1A, _always)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_first(word, _STEP2_RULES)
-    word = _apply_first(word, _STEP3_RULES)
-    word = _apply_first(word, _STEP4_RULES)
+    word = _replace_suffix(word, _STEP2, _m_gt_0)
+    word = _replace_suffix(word, _STEP3, _m_gt_0)
+    word = _replace_suffix(word, _STEP4, _step4_condition)
     word = _step5a(word)
     word = _step5b(word)
     return word

@@ -3,10 +3,16 @@
 Normalization, sentence segmentation, whitespace tokenization, stopword
 removal and stemming: the front end every comparison scheme shares.  All
 functions are pure; `Document` and `Sentence` are immutable once built.
+
+Two patterns hold the text rules.  `_WORD` is a word: a maximal run of
+alphanumeric characters (`str.isalnum`).  `_SENTENCE_END` is the empty
+position after '.', '!' or '?' that whitespace (`str.isspace`) or the
+end of the text follows.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -27,6 +33,10 @@ __all__ = [
     "tokenize",
 ]
 
+# For str patterns, `\w` is `str.isalnum` plus "_" and `\s` is `str.isspace`.
+_WORD = re.compile(r"[^\W_]+")
+_SENTENCE_END = re.compile(r"(?<=[.!?])(?=\s|\Z)")
+
 
 def normalize(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace runs to one space.
@@ -35,8 +45,7 @@ def normalize(text: str) -> str:
     separates words rather than gluing them together.  Digits are kept.
     Idempotent: normalizing normalized text is a no-op.
     """
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
-    return " ".join(cleaned.split())
+    return " ".join(_WORD.findall(text.lower()))
 
 
 def tokenize(sentence_text: str) -> list[str]:
@@ -80,26 +89,8 @@ class Document:
     sentences: tuple[Sentence, ...]
 
     @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(t for s in self.sentences for t in s.tokens)
-
-    @property
     def content_tokens(self) -> tuple[str, ...]:
         return tuple(t for s in self.sentences for t in s.content_tokens)
-
-
-def _segment(text: str) -> list[str]:
-    """Cut raw text after '.', '!' or '?' followed by whitespace or EOF."""
-    segments = []
-    start = 0
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
-            segments.append(text[start : i + 1])
-            start = i + 1
-    if start < n:
-        segments.append(text[start:])
-    return [s.strip() for s in segments if s.strip()]
 
 
 def split_sentences(
@@ -114,14 +105,17 @@ def split_sentences(
     if stopwords is None:
         stopwords = load_stopwords()
     sentences: list[Sentence] = []
-    for raw in _segment(text):
-        tokens = tuple(tokenize(normalize(raw)))
+    for raw in _SENTENCE_END.split(text):
+        tokens = tuple(_WORD.findall(raw.lower()))
         if not tokens:
             continue
         content = tuple(stem(t) for t in tokens if t not in stopwords)
         sentences.append(
             Sentence(
-                index=len(sentences), text=raw, tokens=tokens, content_tokens=content
+                index=len(sentences),
+                text=raw.strip(),
+                tokens=tokens,
+                content_tokens=content,
             )
         )
     return sentences

@@ -166,6 +166,21 @@ def test_extra_whole_document_features():
     assert report.combined == 1.0
 
 
+def test_phrase_left_empty_matches_no_sentence(tmp_path):
+    # "..." loses its trailing dots and would become "", a prefix of every
+    # sentence; it must score as if the line were not there.
+    reports = []
+    for lines in ("in conclusion,\n...\n", "in conclusion,\n"):
+        path = tmp_path / f"phrases{len(reports)}.txt"
+        path.write_text(lines, encoding="utf-8")
+        det = Detector(DetectorConfig(phrase_path=str(path)))
+        ref = det.document("r", "The quick fox runs. A lazy dog sleeps. Birds sing.")
+        susp = det.document("s", "The quick fox runs. A cat sleeps. Fish swim.")
+        reports.append(det.analyze_pair(ref, susp))
+    assert reports[0] == reports[1]
+    assert "query_phrase" in reports[1].skipped
+
+
 def test_build_index_rejects_duplicate_ids(detector):
     doc = detector.document("same", "words here.")
     with pytest.raises(ValueError, match="same"):

@@ -1,12 +1,31 @@
 """Stemmer behavior: known stems, guards, and shape properties."""
 
+import hashlib
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simscan.porter import _pattern, stem
+from simscan.porter import (
+    _STEP1A,
+    _STEP2,
+    _STEP3,
+    _STEP4,
+    _always,
+    _m_gt_0,
+    _pattern,
+    _replace_suffix,
+    _step4_condition,
+    stem,
+)
+
+STEPS = (
+    (_STEP1A, _always),
+    (_STEP2, _m_gt_0),
+    (_STEP3, _m_gt_0),
+    (_STEP4, _step4_condition),
+)
 
 # Expected full-pipeline outputs, hand-derived by tracing each word
 # through every step in order (per-step examples alone are misleading:
@@ -163,3 +182,48 @@ def test_long_y_run_stems_quickly(suffix):
     out = stem(word)
     assert time.perf_counter() - start < 0.5
     assert out.startswith("y" * 4999)
+
+
+def _longest_suffix_oracle(word, table, condition):
+    """Porter's rule stated directly: the longest matching suffix is obeyed."""
+    matches = [suffix for suffix in table if word.endswith(suffix)]
+    if not matches:
+        return word
+    suffix = max(matches, key=len)
+    stem_ = word[: len(word) - len(suffix)]
+    return stem_ + table[suffix] if condition(stem_, suffix) else word
+
+
+@pytest.mark.parametrize("step", range(len(STEPS)))
+@given(
+    head=st.text(alphabet="abceilnorstuvyz", max_size=8),
+    tail=st.lists(st.sampled_from(sorted({s for t, _ in STEPS for s in t})), max_size=2),
+)
+def test_replace_suffix_obeys_longest_match(step, head, tail):
+    table, condition = STEPS[step]
+    word = head + "".join(tail)
+    assert _replace_suffix(word, table, condition) == _longest_suffix_oracle(
+        word, table, condition
+    )
+
+
+# Stems of every table suffix after a spread of roots and endings.  The
+# digest was computed with the stemmer whose tables were scanned in a
+# hand-kept longest-first order, so any edit to a row shows here.
+VOCABULARY_ROOTS = (
+    "", "b", "tr", "y", "sy", "toy", "as", "hop", "fil", "cont", "oper", "sens",
+    "gener", "relat", "adjust", "feud", "valen", "condit", "bowdler", "electr",
+    "probat", "defens", "irrit", "commun", "hope", "roll", "agre", "ceas",
+)
+VOCABULARY_ENDINGS = ("", "s", "ed", "ing", "ly")
+VOCABULARY_SHA256 = "6c5eab45d6b182d3a581bf21b0d25acc412db740dfabbf9185346d40d54534c0"
+
+
+def test_stems_of_table_vocabulary_are_pinned():
+    suffixes = {suffix for table, _ in STEPS for suffix in table}
+    vocabulary = sorted(
+        {r + s + e for r in VOCABULARY_ROOTS for s in suffixes for e in VOCABULARY_ENDINGS}
+    )
+    assert len(vocabulary) == 6939
+    listing = "\n".join(f"{word} {stem(word)}" for word in vocabulary)
+    assert hashlib.sha256(listing.encode()).hexdigest() == VOCABULARY_SHA256

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import simscan.textprep
 from simscan.features import load_query_phrases
 from simscan.textprep import (
     Preprocessor,
@@ -13,6 +14,49 @@ from simscan.textprep import (
     split_sentences,
     tokenize,
 )
+
+# Characters where the word and sentence-end rules could part from
+# str.isalnum / str.isspace: terminators, "_", separators that are
+# whitespace to Python ("\x1c", "\u2028", "\xa0", "\u0085"), a letter whose
+# lowercase grows ("İ") and a digit that is not decimal ("²").
+EDGE_TEXT = st.text(alphabet="aZ9 .!?_\x1c\u2028\xa0\u0085İ²\n", max_size=60)
+
+
+def _oracle_normalize(text: str) -> str:
+    """The per-character normalizer the regex replaced."""
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
+    return " ".join(cleaned.split())
+
+
+def _oracle_segment(text: str) -> list[str]:
+    """The hand loop the sentence-end regex replaced."""
+    segments = []
+    start = 0
+    n = len(text)
+    for i, ch in enumerate(text):
+        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
+            segments.append(text[start : i + 1])
+            start = i + 1
+    if start < n:
+        segments.append(text[start:])
+    return [s.strip() for s in segments if s.strip()]
+
+
+def _oracle_sentences(text: str) -> list[tuple[str, tuple[str, ...]]]:
+    pieces = [(raw, tuple(_oracle_normalize(raw).split())) for raw in _oracle_segment(text)]
+    return [(raw, tokens) for raw, tokens in pieces if tokens]
+
+
+@given(st.one_of(st.text(max_size=200), EDGE_TEXT))
+def test_normalize_matches_per_character_oracle(text):
+    assert normalize(text) == _oracle_normalize(text)
+
+
+@given(st.one_of(st.text(max_size=200), EDGE_TEXT))
+def test_split_sentences_matches_segment_loop_oracle(text):
+    sentences = split_sentences(text, frozenset())
+    assert [(s.text, s.tokens) for s in sentences] == _oracle_sentences(text)
+    assert [s.index for s in sentences] == list(range(len(sentences)))
 
 
 def test_normalize_examples():
@@ -86,7 +130,8 @@ def test_document_concatenates_sentences():
     pre = Preprocessor(frozenset({"the"}))
     doc = pre.document("d", "The quick fox. The lazy dog!")
     assert doc.normalized_text == "the quick fox the lazy dog"
-    assert doc.tokens == ("the", "quick", "fox", "the", "lazy", "dog")
+    tokens = tuple(t for s in doc.sentences for t in s.tokens)
+    assert tokens == ("the", "quick", "fox", "the", "lazy", "dog")
     assert doc.content_tokens == ("quick", "fox", "lazi", "dog")
     assert [s.index for s in doc.sentences] == [0, 1]
 
@@ -95,7 +140,7 @@ def test_document_concatenates_sentences():
 def test_document_tokens_match_normalized_text(text):
     pre = Preprocessor(frozenset())
     doc = pre.document("d", text)
-    assert " ".join(doc.tokens) == doc.normalized_text
+    assert " ".join(t for s in doc.sentences for t in s.tokens) == doc.normalized_text
     assert doc.normalized_text == normalize(text)
 
 
@@ -121,6 +166,22 @@ def test_content_tokens_subsequence_of_stemmed_tokens(text):
         stemmed = [stem(t) for t in sentence.tokens]
         it = iter(stemmed)
         assert all(any(tok == s for s in it) for tok in sentence.content_tokens)
+
+
+def test_stemming_goes_through_module_level_stem(monkeypatch):
+    # The benchmark's tracer times stemming by rebinding this name.
+    calls = []
+    real = simscan.textprep.stem
+
+    def counting(token):
+        calls.append(token)
+        return real(token)
+
+    monkeypatch.setattr(simscan.textprep, "stem", counting)
+    text = "The players kicked the balls to the players!"
+    [s] = split_sentences(text, frozenset({"the", "to"}))
+    assert calls == ["players", "kicked", "balls", "players"]
+    assert s.content_tokens == ("player", "kick", "ball", "player")
 
 
 def test_default_stopwords_loaded_once():
