@@ -28,7 +28,6 @@ from .fingerprint import (
     STATEMENT,
     TRIGRAM,
     char_kgrams,
-    fingerprint_keys,
     full_resemblance,
     jaccard,
     word_trigrams,
@@ -91,24 +90,26 @@ def run_bench(docs: Sequence[Document], detector: Detector | None = None) -> lis
         _row(TRIGRAM, n, trigrams, lambda a, b: jaccard(a, b, TRIGRAM), tri_bytes)
     )
 
-    keys = [fingerprint_keys(d) for d in docs]
+    entries = [detector.entry(d) for d in docs]
+    profiles = [(e, d, detector._suspect(d)) for e, d in zip(entries, docs)]
+
+    # `_suspect` already holds each document's statement fingerprint keys.
+    keys = [suspect[0] for _, _, suspect in profiles]
     key_bytes = sum(len(key.encode("utf-8")) for ks in keys for key in ks)
     rows.append(
         _row(STATEMENT, n, keys, lambda a, b: jaccard(a, b, STATEMENT), key_bytes)
     )
 
-    entries = [detector.entry(d) for d in docs]
     entry_bytes = sum(
         len(json.dumps(e.record(k), sort_keys=True, separators=(",", ":")).encode("utf-8"))
         for e in entries
     )
-    profiles = [(e, d, detector._suspect(d)) for e, d in zip(entries, docs)]
 
-    def score(ref, susp):
+    def score_pair(ref, susp):
         (entry, ref_doc, _), (_, susp_doc, suspect) = ref, susp
         return detector._score(entry, susp_doc, suspect, ref_doc)
 
-    rows.append(_row(FEATURES_SCHEME, n, profiles, score, entry_bytes))
+    rows.append(_row(FEATURES_SCHEME, n, profiles, score_pair, entry_bytes))
     return rows
 
 

@@ -31,6 +31,7 @@ from .detector import (
     report_dict,
     save_index,
 )
+from .features import DEFAULT_GRAM_LEN, DEFAULT_K_TOP
 from .textprep import Document
 
 EXIT_OK = 0
@@ -69,8 +70,11 @@ def _parse_weights(raw: str) -> dict[str, float]:
     weights = {}
     for part in raw.split(","):
         name, sep, value = part.partition("=")
+        name = name.strip()
         if not sep or not name:
             raise _CliError(EXIT_USAGE, f"--weights entries must be name=value, got {part!r}")
+        if name in weights:
+            raise _CliError(EXIT_USAGE, f"duplicate weight for {name!r}")
         try:
             weights[name] = float(value)
         except ValueError:
@@ -215,7 +219,7 @@ def cmd_scan(args) -> int:
             values = " ".join(
                 f"{name}={report.scores[name].value:.12f}"
                 for name in ALL_FEATURES
-                if name in report.scores and name not in report.skipped
+                if name in report.scores and not report.scores[name].not_applicable
             )
             print(f"{rank:>3}. {doc_id}  combined={report.combined:.12f}  {values}")
     return EXIT_OK
@@ -233,9 +237,9 @@ def cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--k", type=int, default=4, help="character gram length")
+    common.add_argument("--k", type=int, default=DEFAULT_GRAM_LEN, help="character gram length")
     common.add_argument(
-        "--top-keywords", type=int, default=10, dest="top_keywords",
+        "--top-keywords", type=int, default=DEFAULT_K_TOP, dest="top_keywords",
         help="keyword set size cap",
     )
     common.add_argument(

@@ -36,6 +36,8 @@ from .features import (
     top_keywords,
 )
 from .fingerprint import (
+    ALL_FEATURES,
+    DEFAULT_FEATURES,
     FIRST_SENTENCE,
     FULL_CHAR,
     LCS_F,
@@ -58,12 +60,6 @@ from .features import (  # noqa: F401
 )
 from .fingerprint import statement_resemblance  # noqa: F401
 from .textprep import Document, Preprocessor, load_stopwords
-
-# Features combined by default; the two whole-document schemes can be
-# enabled on top for pair comparisons.
-DEFAULT_FEATURES = (STATEMENT, TOP_KEYWORD, FIRST_SENTENCE, QUERY_PHRASE, LCS_F)
-EXTRA_FEATURES = (FULL_CHAR, TRIGRAM)
-ALL_FEATURES = DEFAULT_FEATURES + EXTRA_FEATURES
 
 # Features that need raw token streams and so cannot be scored from an index.
 INDEX_UNAVAILABLE = frozenset({LCS_F, FULL_CHAR, TRIGRAM})
@@ -140,12 +136,16 @@ class FeatureReport:
     ref_id: str
     susp_id: str
     scores: Mapping[str, ResemblanceScore]
-    skipped: frozenset[str]
     combined: float
 
     def __post_init__(self):
         if not 0.0 <= self.combined <= 1.0:
             raise ValueError(f"combined out of range: {self.combined!r}")
+
+    @property
+    def skipped(self) -> frozenset[str]:
+        """The features left out of `combined`: those scored not applicable."""
+        return frozenset(name for name, score in self.scores.items() if score.not_applicable)
 
 
 @dataclass(frozen=True)
@@ -180,16 +180,12 @@ class CorpusIndex:
     entries: Mapping[str, IndexEntry]
 
 
-def _combine(
-    scores: Mapping[str, ResemblanceScore],
-    skipped: frozenset[str],
-    cfg: DetectorConfig,
-) -> float:
+def _combine(scores: Mapping[str, ResemblanceScore], cfg: DetectorConfig) -> float:
     """Weighted mean over enabled, applicable features; 0 if none remain."""
     num = 0.0
     den = 0.0
     for name in cfg.features:
-        if name in skipped:
+        if scores[name].not_applicable:
             continue
         num += cfg.weight(name) * scores[name].value
         den += cfg.weight(name)
@@ -285,11 +281,7 @@ class Detector:
                     word_trigrams(ref.normalized_text),
                     word_trigrams(susp.normalized_text),
                 )
-        skipped = frozenset(
-            name for name, score in scores.items() if score.not_applicable
-        )
-        combined = _combine(scores, skipped, cfg)
-        return FeatureReport(entry.doc_id, susp.id, scores, skipped, combined)
+        return FeatureReport(entry.doc_id, susp.id, scores, _combine(scores, cfg))
 
     def index_from_entries(self, entries: Iterable[IndexEntry]) -> CorpusIndex:
         """Assemble an index from precomputed entries."""

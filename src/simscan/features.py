@@ -81,21 +81,6 @@ class LcsResult:
     f_lcs: float
     degenerate: bool = False
 
-    def score(self) -> ResemblanceScore:
-        return ResemblanceScore(
-            self.f_lcs,
-            LCS_F,
-            detail={
-                "lcs_length": self.lcs_length,
-                "m": self.m,
-                "n": self.n,
-                "r_lcs": self.r_lcs,
-                "p_lcs": self.p_lcs,
-                "beta": self.beta,
-            },
-            degenerate=self.degenerate,
-        )
-
 
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     """Cue phrases from a file, or the built-in six when no path is given.
@@ -279,19 +264,20 @@ def lcs_similarity(
     key_indices = key_sentence_indices(ref, phrases)
     if not key_indices or not susp.sentences:
         return ResemblanceScore(0.0, LCS_F, degenerate=True)
-    best: LcsResult | None = None
-    best_pair = (-1, -1)
-    for ki in key_indices:
-        ref_tokens = ref.sentences[ki].tokens
-        for susp_sentence in susp.sentences:
-            result = lcs_fmeasure(ref_tokens, susp_sentence.tokens, beta_mode, beta)
-            if best is None or result.f_lcs > best.f_lcs:
-                best = result
-                best_pair = (ki, susp_sentence.index)
-    assert best is not None
-    detail = dict(best.score().detail)
-    detail["ref_sentence"] = best_pair[0]
-    detail["susp_sentence"] = best_pair[1]
-    return ResemblanceScore(
-        best.f_lcs, LCS_F, detail=detail, degenerate=best.degenerate
+    pairs = (
+        (lcs_fmeasure(ref.sentences[ki].tokens, s.tokens, beta_mode, beta), ki, s.index)
+        for ki in key_indices
+        for s in susp.sentences
     )
+    best, ref_sentence, susp_sentence = max(pairs, key=lambda pair: pair[0].f_lcs)
+    detail = {
+        "lcs_length": best.lcs_length,
+        "m": best.m,
+        "n": best.n,
+        "r_lcs": best.r_lcs,
+        "p_lcs": best.p_lcs,
+        "beta": best.beta,
+        "ref_sentence": ref_sentence,
+        "susp_sentence": susp_sentence,
+    }
+    return ResemblanceScore(best.f_lcs, LCS_F, detail, degenerate=best.degenerate)

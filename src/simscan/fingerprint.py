@@ -29,17 +29,10 @@ QUERY_PHRASE = "query_phrase"
 TOP_KEYWORD = "top_keyword"
 LCS_F = "lcs_f"
 
-METHODS = (
-    FULL_CHAR,
-    TRIGRAM,
-    STATEMENT,
-    FIRST_SENTENCE,
-    QUERY_PHRASE,
-    TOP_KEYWORD,
-    LCS_F,
-)
-
-CHAR_KIND = "character"
+# Features combined by default; the two whole-document schemes can be
+# enabled on top for pair comparisons.  ALL_FEATURES is the report order.
+DEFAULT_FEATURES = (STATEMENT, TOP_KEYWORD, FIRST_SENTENCE, QUERY_PHRASE, LCS_F)
+ALL_FEATURES = DEFAULT_FEATURES + (FULL_CHAR, TRIGRAM)
 
 # The statement scheme concatenates this many least-frequent grams of this
 # length into one sentence key.
@@ -65,7 +58,7 @@ class ResemblanceScore:
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"score out of range: {self.value!r}")
-        if self.method not in METHODS:
+        if self.method not in ALL_FEATURES:
             raise ValueError(f"unknown method: {self.method!r}")
 
     @property
@@ -80,24 +73,19 @@ class ResemblanceScore:
 
 @dataclass(frozen=True)
 class GramMultiset:
-    """Grams of one document or sentence with their occurrence counts."""
+    """Character k-grams of one document or sentence with their counts."""
 
     k: int
-    kind: str
+    # A plain dict, not a Counter: looking up a missing gram raises KeyError.
     counts: Mapping[str, int]
-    total: int
-    distinct: int
 
-    @classmethod
-    def from_counts(cls, k: int, kind: str, counts: Mapping[str, int]) -> "GramMultiset":
-        counts = dict(counts)
-        return cls(
-            k=k,
-            kind=kind,
-            counts=counts,
-            total=sum(counts.values()),
-            distinct=len(counts),
-        )
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def distinct(self) -> int:
+        return len(self.counts)
 
     def gram_set(self) -> frozenset[str]:
         return frozenset(self.counts)
@@ -144,7 +132,7 @@ def char_kgrams(text: str, k: int) -> GramMultiset:
         raise ValueError(f"k must be >= 1, got {k}")
     stripped = text.replace(" ", "")
     counts = Counter(stripped[i : i + k] for i in range(len(stripped) - k + 1))
-    return GramMultiset.from_counts(k, CHAR_KIND, counts)
+    return GramMultiset(k, dict(counts))
 
 
 def word_trigrams(text: str) -> frozenset[str]:
@@ -159,10 +147,8 @@ def full_resemblance(a: GramMultiset, b: GramMultiset) -> ResemblanceScore:
     Not symmetric.  An empty A scores 0 with the degenerate flag instead of
     dividing by zero.
     """
-    if (a.k, a.kind) != (b.k, b.kind):
-        raise ValueError(
-            f"gram mismatch: ({a.k}, {a.kind}) vs ({b.k}, {b.kind})"
-        )
+    if a.k != b.k:
+        raise ValueError(f"gram length mismatch: {a.k} vs {b.k}")
     common = sum(1 for gram in a.counts if gram in b.counts)
     detail = {"common": common, "distinct_a": a.distinct, "distinct_b": b.distinct}
     if a.distinct == 0:

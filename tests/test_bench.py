@@ -1,18 +1,21 @@
 """The scheme micro-benchmark."""
 
+import simscan.fingerprint
 from simscan.bench import SCHEMES, run_bench
 from simscan.detector import Detector
 
 
+TEXTS = (
+    "We conclude that players kick balls. Another sentence about games.",
+    "The quick brown fox jumps over the lazy dog.",
+    "In conclusion, the keeper saved the penalty kick.",
+    "",
+)
+
+
 def test_run_bench_builds_each_document_once(monkeypatch):
     det = Detector()
-    texts = (
-        "We conclude that players kick balls. Another sentence about games.",
-        "The quick brown fox jumps over the lazy dog.",
-        "In conclusion, the keeper saved the penalty kick.",
-        "",
-    )
-    docs = [det.document(f"d{i}", text) for i, text in enumerate(texts)]
+    docs = [det.document(f"d{i}", text) for i, text in enumerate(TEXTS)]
     calls = {"entry": [], "_suspect": []}
     for name, ids in calls.items():
         original = getattr(Detector, name)
@@ -27,3 +30,19 @@ def test_run_bench_builds_each_document_once(monkeypatch):
     assert all(row.pairs == len(docs) * (len(docs) - 1) for row in rows)
     for ids in calls.values():
         assert sorted(ids) == [doc.id for doc in docs]
+
+
+def test_run_bench_fingerprints_each_document_twice(monkeypatch):
+    """Once for its IndexEntry and once for its suspect-side keys."""
+    det = Detector()
+    docs = [det.document(f"d{i}", text) for i, text in enumerate(TEXTS)]
+    ids = []
+    original = simscan.fingerprint.document_fingerprints
+
+    def counted(doc, *args):
+        ids.append(doc.id)
+        return original(doc, *args)
+
+    monkeypatch.setattr(simscan.fingerprint, "document_fingerprints", counted)
+    run_bench(docs, det)
+    assert sorted(ids) == sorted(2 * [doc.id for doc in docs])

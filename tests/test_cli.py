@@ -11,8 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simscan.cli
-from simscan.cli import EXIT_INDEX, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from simscan.detector import Detector
+from simscan.cli import (
+    EXIT_INDEX,
+    EXIT_INTERNAL,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
+from simscan.detector import Detector, DetectorConfig
 
 S1 = "Player kicked the ball.\n"
 S2 = "Player kick the ball.\n"
@@ -120,6 +128,35 @@ def test_usage_errors_exit_1(workspace, capsys):
         code, out, err = run(["compare", ref, ref, *flags], capsys)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("simscan: error:") and err.count("\n") == 1
+
+
+def test_weight_names_are_stripped_like_feature_names(workspace, capsys):
+    ref, susp = str(workspace / "S1.txt"), str(workspace / "S2.txt")
+    spaced = run(
+        ["compare", ref, susp, "--features", "statement, lcs_f",
+         "--weights", "statement=1, lcs_f=3"],
+        capsys,
+    )
+    plain = run(
+        ["compare", ref, susp, "--features", "statement,lcs_f",
+         "--weights", "statement=1,lcs_f=3"],
+        capsys,
+    )
+    assert spaced[0] == EXIT_OK
+    assert spaced == plain
+
+
+def test_repeated_weight_name_is_an_error(workspace, capsys):
+    ref = str(workspace / "S1.txt")
+    for weights in ("statement=1,statement=3", "statement=1, statement =1"):
+        code, out, err = run(["compare", ref, ref, "--weights", weights], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "simscan: error: duplicate weight for 'statement'\n"
+
+
+def test_parser_defaults_match_detector_config():
+    args = build_parser().parse_args(["compare", "ref.txt", "susp.txt"])
+    assert simscan.cli._detector(args).config == DetectorConfig()
 
 
 def test_io_errors_exit_2(workspace, capsys):

@@ -257,3 +257,43 @@ def test_lcs_similarity_empty_inputs_degenerate():
     empty = pre.document("e", "")
     assert lcs_similarity(ref, empty).degenerate
     assert lcs_similarity(empty, ref).degenerate
+
+
+# Sentences over three words, some opened by a cue phrase; ties are common.
+sentence_words = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5)
+sentence_texts = st.builds(
+    lambda cue, words: cue + " ".join(words) + ".",
+    st.sampled_from(["", "we find that "]),
+    sentence_words,
+)
+doc_texts = st.lists(sentence_texts, max_size=4).map(" ".join)
+
+
+@given(doc_texts, doc_texts, st.sampled_from(["paper", "fixed"]),
+       st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
+def test_lcs_similarity_matches_brute_force_first_maximum(ref_text, susp_text, mode, beta):
+    ref = bare.document("r", ref_text)
+    susp = bare.document("s", susp_text)
+    best = None
+    for ki in key_sentence_indices(ref):
+        for sentence in susp.sentences:
+            result = lcs_fmeasure(ref.sentences[ki].tokens, sentence.tokens, mode, beta)
+            if best is None or result.f_lcs > best[0].f_lcs:
+                best = (result, ki, sentence.index)
+    score = lcs_similarity(ref, susp, mode, beta)
+    if best is None:
+        assert score.value == 0.0 and score.degenerate and not score.detail
+        return
+    result, ki, si = best
+    assert score.value == result.f_lcs
+    assert score.degenerate == result.degenerate
+    assert dict(score.detail) == {
+        "lcs_length": result.lcs_length,
+        "m": result.m,
+        "n": result.n,
+        "r_lcs": result.r_lcs,
+        "p_lcs": result.p_lcs,
+        "beta": result.beta,
+        "ref_sentence": ki,
+        "susp_sentence": si,
+    }

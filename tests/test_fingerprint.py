@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simscan.fingerprint import (
+    ALL_FEATURES,
     STATEMENT_GRAM_COUNT,
-    GramMultiset,
     ResemblanceScore,
     SentenceFingerprint,
     char_kgrams,
@@ -113,11 +113,6 @@ def test_full_resemblance_empty_a_is_degenerate():
 def test_full_resemblance_rejects_mismatched_grams():
     with pytest.raises(ValueError):
         full_resemblance(char_kgrams("touch", 4), char_kgrams("touch", 3))
-    with pytest.raises(ValueError):
-        full_resemblance(
-            char_kgrams("touch", 3),
-            GramMultiset.from_counts(3, "word", {"a b c": 1}),
-        )
 
 
 @given(st.frozensets(st.text(max_size=3), max_size=10),
@@ -292,3 +287,17 @@ def test_fingerprint_keys_are_sorted_set():
     doc = pre.document("d", "The quick brown fox jumps. Pack my box with jugs.")
     keys = fingerprint_keys(doc)
     assert keys == {fp.key for fp in document_fingerprints(doc)}
+
+
+@pytest.mark.parametrize("name", ALL_FEATURES)
+def test_every_feature_builds_a_score(name):
+    assert ResemblanceScore(0.5, name).method == name
+
+
+def test_least_frequent_fingerprint_rejects_gram_missing_from_counts():
+    # A plain dict, unlike a Counter, does not read a missing gram as 0.
+    counts = char_kgrams("zulu xray victor", 4).counts
+    assert type(counts) is dict
+    sentence = split_sentences("the quick brown fox", frozenset())[0]
+    with pytest.raises(KeyError):
+        least_frequent_fingerprint(sentence, counts)
