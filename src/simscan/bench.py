@@ -17,12 +17,11 @@ Measurement only; nothing here passes or fails.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .detector import Detector
+from .detector import Detector, dumps_record
 from .fingerprint import (
     FULL_CHAR,
     STATEMENT,
@@ -100,10 +99,7 @@ def run_bench(docs: Sequence[Document], detector: Detector | None = None) -> lis
         _row(STATEMENT, n, keys, lambda a, b: jaccard(a, b, STATEMENT), key_bytes)
     )
 
-    entry_bytes = sum(
-        len(json.dumps(e.record(k), sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        for e in entries
-    )
+    entry_bytes = sum(len(dumps_record(e.record(k)).encode("utf-8")) for e in entries)
 
     def score_pair(ref, susp):
         (entry, ref_doc, _), (_, susp_doc, suspect) = ref, susp

@@ -57,11 +57,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_beta(raw: str) -> tuple[str, float]:
+def _parse_beta(raw: str) -> float | str:
     if raw == "paper":
-        return "paper", 1.0
+        return raw
     try:
-        return "fixed", float(raw)
+        return float(raw)
     except ValueError:
         raise _CliError(EXIT_USAGE, f"--beta must be 'paper' or a number, got {raw!r}") from None
 
@@ -83,17 +83,15 @@ def _parse_weights(raw: str) -> dict[str, float]:
 
 
 def _detector(args) -> Detector:
-    beta_mode, beta = _parse_beta(args.beta)
     features = DEFAULT_FEATURES
-    if args.features:
+    if args.features is not None:
         features = tuple(name.strip() for name in args.features.split(","))
-    weights = _parse_weights(args.weights) if args.weights else {}
+    weights = _parse_weights(args.weights) if args.weights is not None else {}
     try:
         cfg = DetectorConfig(
             k_char=args.k,
             k_top=args.top_keywords,
-            beta_mode=beta_mode,
-            beta=beta,
+            beta=_parse_beta(args.beta),
             features=features,
             feature_weights=weights,
             stopword_path=args.stopwords,

@@ -28,11 +28,13 @@ from typing import Iterable, Mapping
 from .features import (
     DEFAULT_GRAM_LEN,
     DEFAULT_K_TOP,
-    first_sentence_grams,
+    check_beta,
+    cue_sentences,
+    first_sentence,
     gram_similarity,
     lcs_similarity,
     load_query_phrases,
-    query_phrase_grams,
+    sentence_grams,
     top_keywords,
 )
 from .fingerprint import (
@@ -87,8 +89,7 @@ class DetectorConfig:
 
     k_char: int = DEFAULT_GRAM_LEN
     k_top: int = DEFAULT_K_TOP
-    beta_mode: str = "fixed"
-    beta: float = 1.0
+    beta: float | str = 1.0
     features: tuple[str, ...] = DEFAULT_FEATURES
     feature_weights: Mapping[str, float] = field(default_factory=dict)
     stopword_path: str | None = None
@@ -99,12 +100,7 @@ class DetectorConfig:
             raise ValueError(f"k_char must be >= 1, got {self.k_char}")
         if self.k_top < 1:
             raise ValueError(f"k_top must be >= 1, got {self.k_top}")
-        if self.beta_mode not in ("fixed", "paper"):
-            raise ValueError(f"unknown beta_mode: {self.beta_mode!r}")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if self.beta_mode == "fixed" and self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        check_beta(self.beta)
         if not self.features:
             raise ValueError("at least one feature must be enabled")
         for name in self.features:
@@ -228,8 +224,10 @@ class Detector:
             doc_id=doc.id,
             fingerprints=tuple(sorted(fingerprint_keys(doc))),
             keywords=tuple(sorted(top_keywords(doc, cfg.k_top).terms)),
-            first_grams=tuple(sorted(first_sentence_grams(doc, cfg.k_char))),
-            query_grams=tuple(sorted(query_phrase_grams(doc, cfg.k_char, self.phrases))),
+            first_grams=tuple(sorted(sentence_grams(doc, first_sentence(doc), cfg.k_char))),
+            query_grams=tuple(
+                sorted(sentence_grams(doc, cue_sentences(doc, self.phrases), cfg.k_char))
+            ),
             token_digest=hashlib.sha256(
                 "\x1f".join(t for s in doc.sentences for t in s.tokens).encode("utf-8")
             ).hexdigest(),
@@ -268,9 +266,7 @@ class Detector:
             elif name in INDEX_UNAVAILABLE and ref is None:
                 scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
             elif name == LCS_F:
-                scores[name] = lcs_similarity(
-                    ref, susp, cfg.beta_mode, cfg.beta, self.phrases
-                )
+                scores[name] = lcs_similarity(ref, susp, cfg.beta, self.phrases)
             elif name == FULL_CHAR:
                 scores[name] = full_resemblance(
                     char_kgrams(ref.normalized_text, cfg.k_char),
@@ -323,8 +319,9 @@ class Detector:
         return results
 
 
-def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+def dumps_record(record: dict) -> str:
+    """One index line as `save_index` writes it, without the newline."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
@@ -335,12 +332,13 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    header = {"schema": INDEX_SCHEMA, "config": dict(index.config)}
     k = index.config["k_char"]
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(_json_line({"schema": INDEX_SCHEMA, "config": dict(index.config)}))
+            fh.write(dumps_record(header) + "\n")
             for doc_id in sorted(index.entries):
-                fh.write(_json_line(index.entries[doc_id].record(k)))
+                fh.write(dumps_record(index.entries[doc_id].record(k)) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

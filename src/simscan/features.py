@@ -13,10 +13,11 @@ Four features compare a reference document against a suspect:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Collection, Sequence
+from typing import AbstractSet, Collection, Iterable, Sequence
 
 from .fingerprint import (
     FIRST_SENTENCE,
@@ -53,19 +54,6 @@ class KeywordSet:
     def __post_init__(self):
         if len(self.terms) > self.k_top:
             raise ValueError(f"{len(self.terms)} terms exceed cap {self.k_top}")
-
-
-@dataclass(frozen=True)
-class QueryPhraseHit:
-    """One sentence matched by a cue phrase."""
-
-    phrase: str
-    sentence_index: int
-    extracted_sentence: str
-
-    def __post_init__(self):
-        if self.phrase not in self.extracted_sentence.lower():
-            raise ValueError(f"sentence does not contain {self.phrase!r}")
 
 
 @dataclass(frozen=True)
@@ -114,11 +102,33 @@ def top_keyword_similarity(
     return jaccard(a, b, TOP_KEYWORD)
 
 
-def first_sentence_grams(doc: Document, k: int = DEFAULT_GRAM_LEN) -> frozenset[str]:
-    """Distinct k-grams of the document's first sentence; none without sentences."""
-    if not doc.sentences:
-        return frozenset()
-    return char_kgrams(doc.sentences[0].normalized, k).gram_set()
+def first_sentence(doc: Document) -> tuple[int, ...]:
+    """The index of the document's first sentence; none without sentences."""
+    return (0,) if doc.sentences else ()
+
+
+def cue_sentences(
+    doc: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
+) -> tuple[int, ...]:
+    """Indices of the sentences whose lowercased raw text contains a cue phrase."""
+    lowered = (sentence.text.lower() for sentence in doc.sentences)
+    return tuple(
+        i for i, text in enumerate(lowered) if any(phrase in text for phrase in phrases)
+    )
+
+
+def key_sentence_indices(
+    ref: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
+) -> tuple[int, ...]:
+    """First sentence plus cue-phrase sentences, deduplicated, in order."""
+    return tuple(sorted({*first_sentence(ref), *cue_sentences(ref, phrases)}))
+
+
+def sentence_grams(doc: Document, indices: Iterable[int], k: int) -> frozenset[str]:
+    """The union of the distinct k-grams of each listed sentence."""
+    return frozenset().union(
+        *(char_kgrams(doc.sentences[i].normalized, k).gram_set() for i in indices)
+    )
 
 
 def gram_similarity(
@@ -150,110 +160,65 @@ def first_sentence_similarity(
     Comparing a multi-sentence document to itself therefore scores below 1:
     the first sentence's grams are a strict subset of the document's.
     """
-    a = first_sentence_grams(ref, k)
+    a = sentence_grams(ref, first_sentence(ref), k)
     b = char_kgrams(susp.normalized_text, k).gram_set()
     return gram_similarity(FIRST_SENTENCE, a, b, not ref.sentences)
-
-
-def extract_query_phrase_sentences(
-    doc: Document, phrases: Sequence[str] | None = None
-) -> tuple[QueryPhraseHit, ...]:
-    """Every sentence containing a cue phrase, in document order.
-
-    Matching is case-insensitive over the sentence's raw text; a sentence
-    yields at most one hit (the first phrase in configuration order).
-    """
-    if phrases is None:
-        phrases = DEFAULT_QUERY_PHRASES
-    hits = []
-    for sentence in doc.sentences:
-        lowered = sentence.text.lower()
-        for phrase in phrases:
-            if phrase in lowered:
-                hits.append(
-                    QueryPhraseHit(
-                        phrase=phrase,
-                        sentence_index=sentence.index,
-                        extracted_sentence=sentence.text,
-                    )
-                )
-                break
-    return tuple(hits)
-
-
-def query_phrase_grams(
-    doc: Document, k: int = DEFAULT_GRAM_LEN, phrases: Sequence[str] | None = None
-) -> frozenset[str]:
-    """Distinct k-grams of all of the document's cue-phrase sentences."""
-    hits = extract_query_phrase_sentences(doc, phrases)
-    sentences = (doc.sentences[hit.sentence_index] for hit in hits)
-    return frozenset().union(*(char_kgrams(s.normalized, k).gram_set() for s in sentences))
 
 
 def query_phrase_similarity(
     ref: Document,
     susp: Document,
     k: int = DEFAULT_GRAM_LEN,
-    phrases: Sequence[str] | None = None,
+    phrases: Sequence[str] = DEFAULT_QUERY_PHRASES,
 ) -> ResemblanceScore:
     """Grams of the reference's cue-phrase sentences against the suspect.
 
     Scored by `gram_similarity`, so a reference without cue-phrase grams
     makes the feature not applicable.
     """
-    a = query_phrase_grams(ref, k, phrases)
+    a = sentence_grams(ref, cue_sentences(ref, phrases), k)
     b = char_kgrams(susp.normalized_text, k).gram_set()
     return gram_similarity(QUERY_PHRASE, a, b, not ref.sentences)
 
 
+def check_beta(beta: float | str) -> None:
+    """Reject a beta that is neither "paper" nor a finite number >= 0."""
+    if beta != "paper" and (isinstance(beta, str) or not 0 <= beta < math.inf):
+        raise ValueError(f"beta must be 'paper' or a finite number >= 0, got {beta!r}")
+
+
 def lcs_fmeasure(
-    ref_tokens: Sequence[str],
-    susp_tokens: Sequence[str],
-    beta_mode: str = "fixed",
-    beta: float = 1.0,
+    ref_tokens: Sequence[str], susp_tokens: Sequence[str], beta: float | str = 1.0
 ) -> LcsResult:
     """F-measure of the longest common word subsequence.
 
     With recall R = LCS/m and precision P = LCS/n the score is
-    (1+b)RP / (R + bP), where b is the fixed constant or, in paper mode,
-    P/R.  Empty inputs are degenerate; LCS = 0 scores 0; equal sequences
-    score 1.
+    (1+b)RP / (R + bP), where b is `beta` or, for beta="paper", P/R.
+    Empty inputs are degenerate; LCS = 0 scores 0; equal sequences score 1.
+    Where P/R is undefined (either of those two cases) "paper" reports b = 1.
     """
-    if beta_mode not in ("fixed", "paper"):
-        raise ValueError(f"unknown beta_mode: {beta_mode!r}")
-    if beta_mode == "fixed" and beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_beta(beta)
+    b = 1.0 if beta == "paper" else beta
     m = len(ref_tokens)
     n = len(susp_tokens)
     if m == 0 or n == 0:
-        return LcsResult(0, m, n, 0.0, 0.0, beta, 0.0, degenerate=True)
+        return LcsResult(0, m, n, 0.0, 0.0, b, 0.0, degenerate=True)
     length = lcs_length(ref_tokens, susp_tokens)
     r = length / m
     p = length / n
     if length == 0:
-        return LcsResult(0, m, n, r, p, beta, 0.0)
-    b = p / r if beta_mode == "paper" else beta
+        return LcsResult(0, m, n, r, p, b, 0.0)
+    if beta == "paper":
+        b = p / r
     f = (1.0 + b) * r * p / (r + b * p)
     return LcsResult(length, m, n, r, p, b, f)
-
-
-def key_sentence_indices(
-    ref: Document, phrases: Sequence[str] | None = None
-) -> tuple[int, ...]:
-    """First sentence plus cue-phrase sentences, deduplicated, in order."""
-    if not ref.sentences:
-        return ()
-    indices = {ref.sentences[0].index}
-    indices.update(h.sentence_index for h in extract_query_phrase_sentences(ref, phrases))
-    return tuple(sorted(indices))
 
 
 def lcs_similarity(
     ref: Document,
     susp: Document,
-    beta_mode: str = "fixed",
-    beta: float = 1.0,
-    phrases: Sequence[str] | None = None,
+    beta: float | str = 1.0,
+    phrases: Sequence[str] = DEFAULT_QUERY_PHRASES,
 ) -> ResemblanceScore:
     """Best sentence-pair LCS F-measure between key sentences and suspect.
 
@@ -265,7 +230,7 @@ def lcs_similarity(
     if not key_indices or not susp.sentences:
         return ResemblanceScore(0.0, LCS_F, degenerate=True)
     pairs = (
-        (lcs_fmeasure(ref.sentences[ki].tokens, s.tokens, beta_mode, beta), ki, s.index)
+        (lcs_fmeasure(ref.sentences[ki].tokens, s.tokens, beta), ki, s.index)
         for ki in key_indices
         for s in susp.sentences
     )

@@ -1,6 +1,6 @@
 """Deterministic text preprocessing.
 
-Normalization, sentence segmentation, whitespace tokenization, stopword
+Normalization, sentence segmentation, word tokenization, stopword
 removal and stemming: the front end every comparison scheme shares.  All
 functions are pure; `Document` and `Sentence` are immutable once built.
 
@@ -27,10 +27,8 @@ __all__ = [
     "Preprocessor",
     "load_stopwords",
     "normalize",
-    "remove_stopwords",
     "split_sentences",
     "stem",
-    "tokenize",
 ]
 
 # For str patterns, `\w` is `str.isalnum` plus "_" and `\s` is `str.isspace`.
@@ -46,20 +44,6 @@ def normalize(text: str) -> str:
     Idempotent: normalizing normalized text is a no-op.
     """
     return " ".join(_WORD.findall(text.lower()))
-
-
-def tokenize(sentence_text: str) -> list[str]:
-    """Split normalized text on whitespace."""
-    return sentence_text.split()
-
-
-def remove_stopwords(
-    tokens: Iterable[str], stopwords: frozenset[str] | None = None
-) -> list[str]:
-    """Drop stopword tokens, preserving the order of the survivors."""
-    if stopwords is None:
-        stopwords = load_stopwords()
-    return [t for t in tokens if t not in stopwords]
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,8 @@ def test_criterion_4():
     s1 = normalize("Player kicked the ball.").split()
     s2 = normalize("Player kick the ball.").split()
     s3 = normalize("The ball kick player.").split()
-    r12 = lcs_fmeasure(s1, s2, "fixed", 1.0)
-    r13 = lcs_fmeasure(s1, s3, "fixed", 1.0)
+    r12 = lcs_fmeasure(s1, s2, 1.0)
+    r13 = lcs_fmeasure(s1, s3, 1.0)
     assert r12.lcs_length == 3
     assert abs(r12.f_lcs - 0.75) <= 1e-12
     assert r13.lcs_length == 2

@@ -1,8 +1,8 @@
 """The scheme micro-benchmark."""
 
 import simscan.fingerprint
-from simscan.bench import SCHEMES, run_bench
-from simscan.detector import Detector
+from simscan.bench import FEATURES_SCHEME, SCHEMES, run_bench
+from simscan.detector import Detector, save_index
 
 
 TEXTS = (
@@ -46,3 +46,15 @@ def test_run_bench_fingerprints_each_document_twice(monkeypatch):
     monkeypatch.setattr(simscan.fingerprint, "document_fingerprints", counted)
     run_bench(docs, det)
     assert sorted(ids) == sorted(2 * [doc.id for doc in docs])
+
+
+def test_features_bytes_per_doc_is_the_mean_index_record_length(tmp_path):
+    det = Detector()
+    texts = TEXTS + ("Caf\u00e9 na\u00efve r\u00e9sum\u00e9.",)
+    docs = [det.document(f"d{i}", text) for i, text in enumerate(texts)]
+    row = next(row for row in run_bench(docs, det) if row.scheme == FEATURES_SCHEME)
+    path = tmp_path / "index.jsonl"
+    save_index(det.build_index(docs), path)
+    records = path.read_bytes().splitlines()[1:]
+    assert len(records) == len(docs)
+    assert row.bytes_per_doc == sum(map(len, records)) / len(records)

@@ -1,8 +1,11 @@
 """CLI surface: exit codes, output schema, stream separation."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pickle
 
@@ -152,6 +155,37 @@ def test_repeated_weight_name_is_an_error(workspace, capsys):
         code, out, err = run(["compare", ref, ref, "--weights", weights], capsys)
         assert code == EXIT_USAGE and out == ""
         assert err == "simscan: error: duplicate weight for 'statement'\n"
+
+
+def test_empty_feature_or_weight_list_is_an_error(workspace, capsys):
+    ref = str(workspace / "S1.txt")
+    for flags in (["--features", ""], ["--weights", ""], ["--features="], ["--weights="]):
+        code, out, err = run(["compare", ref, ref, *flags], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("simscan: error:") and err.count("\n") == 1
+
+
+def test_paper_beta_reports_one_without_common_words(tmp_path, capsys):
+    ref, susp = tmp_path / "ref.txt", tmp_path / "susp.txt"
+    ref.write_text("Alpha bravo charlie.\n", encoding="utf-8")
+    susp.write_text("Delta echo foxtrot.\n", encoding="utf-8")
+    code, out, _ = run(["compare", str(ref), str(susp), "--beta", "paper"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["scores"]["lcs_f"]["detail"]["lcs_length"] == 0
+    assert '"beta": 1.000000000000' in out
+
+
+def test_readme_lists_every_shared_option():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    shared = set.intersection(
+        *({opt for action in sub._actions for opt in action.option_strings}
+          for sub in subparsers.choices.values())
+    ) - {"-h", "--help"}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"^\| `(--[a-z-]+)` \|", readme, re.MULTILINE)) == shared
 
 
 def test_parser_defaults_match_detector_config():

@@ -24,7 +24,7 @@ from simscan.features import (
     query_phrase_similarity,
     top_keyword_similarity,
 )
-from simscan.fingerprint import statement_resemblance
+from simscan.fingerprint import char_kgrams, statement_resemblance
 
 INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
@@ -49,7 +49,7 @@ def test_config_defaults_and_validation():
     with pytest.raises(ValueError):
         DetectorConfig(k_top=0)
     with pytest.raises(ValueError):
-        DetectorConfig(beta_mode="wild")
+        DetectorConfig(beta="wild")
     with pytest.raises(ValueError):
         DetectorConfig(beta=-2.0)
     with pytest.raises(ValueError):
@@ -490,6 +490,23 @@ def test_feature_functions_equal_analyze_pair(detector, ref_text, susp_text):
     assert query_phrase_similarity(ref, susp) == scores["query_phrase"]
 
 
+def gram_union(sentences, k):
+    grams = set()
+    for sentence in sentences:
+        grams |= char_kgrams(sentence.normalized, k).gram_set()
+    return tuple(sorted(grams))
+
+
+@given(doc_texts, st.integers(1, 6))
+def test_entry_grams_are_the_key_sentences_grams(text, k):
+    det = Detector(DetectorConfig(k_char=k))
+    doc = det.document("d", text)
+    cues = [s for s in doc.sentences if any(p in s.text.lower() for p in det.phrases)]
+    entry = det.entry(doc)
+    assert entry.first_grams == gram_union(doc.sentences[:1], k)
+    assert entry.query_grams == gram_union(cues, k)
+
+
 finite_weights = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
 
 
@@ -501,8 +518,7 @@ def finite_configs(draw):
         return DetectorConfig(
             k_char=draw(st.integers(1, 8)),
             k_top=draw(st.integers(1, 12)),
-            beta_mode=draw(st.sampled_from(["fixed", "paper"])),
-            beta=draw(finite_weights),
+            beta=draw(st.one_of(st.just("paper"), finite_weights)),
             features=tuple(features),
             feature_weights=weights,
         )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from simscan.features import (
     DEFAULT_QUERY_PHRASES,
-    extract_query_phrase_sentences,
+    cue_sentences,
     first_sentence_similarity,
     key_sentence_indices,
     lcs_fmeasure,
@@ -116,11 +116,7 @@ def test_extract_query_phrase_sentences_finds_default_cues():
         "We conclude that the main cause of the social ills is the family problem. "
         "In conclusion, it cannot be denied that teachers play an important role.",
     )
-    hits = extract_query_phrase_sentences(doc)
-    assert [h.phrase for h in hits] == ["we conclude that", "in conclusion,"]
-    assert [h.sentence_index for h in hits] == [0, 1]
-    for hit in hits:
-        assert hit.phrase in hit.extracted_sentence.lower()
+    assert cue_sentences(doc) == (0, 1)
 
 
 def test_extract_query_phrase_case_insensitive_and_ordered():
@@ -129,20 +125,61 @@ def test_extract_query_phrase_case_insensitive_and_ordered():
         "Filler first sentence here. WE CONCLUDE THAT it works. "
         "More filler. The survey shows that people agree.",
     )
-    hits = extract_query_phrase_sentences(doc)
-    assert [h.sentence_index for h in hits] == [1, 3]
-    assert hits[0].phrase == "we conclude that"
+    assert cue_sentences(doc) == (1, 3)
 
 
 def test_extract_query_phrase_one_hit_per_sentence():
     doc = pre.document("d", "In general, we conclude that both cues appear.")
-    hits = extract_query_phrase_sentences(doc)
-    assert len(hits) == 1
-    assert hits[0].phrase == "in general,"
+    assert cue_sentences(doc) == (0,)
 
 
 def test_extract_query_phrase_no_hits():
-    assert extract_query_phrase_sentences(pre.document("d", "Nothing here.")) == ()
+    assert cue_sentences(pre.document("d", "Nothing here.")) == ()
+
+
+def per_phrase_hits(doc, phrases):
+    """The per-phrase cue scan `cue_sentences` replaced, as an oracle."""
+    hits = []
+    for sentence in doc.sentences:
+        lowered = sentence.text.lower()
+        for phrase in phrases:
+            if phrase in lowered:
+                hits.append(sentence.index)
+                break
+    return tuple(hits)
+
+
+# Mixed-case words drawn so that cue phrases, their substrings and their
+# extensions all occur; "İ" lowercases to two characters.
+cue_words = st.one_of(
+    st.sampled_from(
+        ["We", "FIND", "that", "In", "general,", "GENERAL", "conclusion,", "x", "\u0130n"]
+    ),
+    st.text(max_size=4),
+)
+cue_texts = st.lists(
+    st.lists(cue_words, min_size=1, max_size=6).map(" ".join).map(lambda s: s + "."),
+    max_size=5,
+).map(" ".join)
+phrase_lists = st.one_of(
+    st.just(DEFAULT_QUERY_PHRASES),
+    st.lists(
+        st.one_of(
+            st.sampled_from(
+                ["we find that", "find", "find that", "in general,", "in", "general",
+                 "i\u0307n"]
+            ),
+            st.text(min_size=1, max_size=2),
+        ),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+@given(cue_texts, phrase_lists)
+def test_cue_sentences_match_per_phrase_scan(text, phrases):
+    doc = bare.document("d", text)
+    assert cue_sentences(doc, phrases) == per_phrase_hits(doc, phrases)
 
 
 def test_query_phrase_half_overlap_fixture():
@@ -176,10 +213,10 @@ def test_lcs_fmeasure_worked_examples():
     s1 = "player kicked the ball".split()
     s2 = "player kick the ball".split()
     s3 = "the ball kick player".split()
-    r12 = lcs_fmeasure(s1, s2, "fixed", 1.0)
+    r12 = lcs_fmeasure(s1, s2, 1.0)
     assert r12.lcs_length == 3
     assert r12.f_lcs == 0.75
-    r13 = lcs_fmeasure(s1, s3, "fixed", 1.0)
+    r13 = lcs_fmeasure(s1, s3, 1.0)
     assert r13.lcs_length == 2
     assert r13.f_lcs == 0.5
 
@@ -198,10 +235,15 @@ def test_lcs_fmeasure_empty_degenerate():
 
 
 def test_lcs_fmeasure_rejects_bad_mode_and_beta():
-    with pytest.raises(ValueError):
-        lcs_fmeasure(["a"], ["a"], "wild")
-    with pytest.raises(ValueError):
-        lcs_fmeasure(["a"], ["a"], "fixed", -1.0)
+    for beta in ("wild", "fixed", -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lcs_fmeasure(["a"], ["a"], beta)
+
+
+def test_lcs_fmeasure_paper_beta_is_one_without_common_words():
+    assert lcs_fmeasure(["a"], ["b"], "paper").beta == 1.0
+    assert lcs_fmeasure([], ["b"], "paper").beta == 1.0
+    assert lcs_fmeasure(["a", "b"], ["a"], "paper").beta == 2.0
 
 
 @given(tokens, tokens)
@@ -216,10 +258,12 @@ def test_lcs_fmeasure_paper_mode_matches_closed_form(xs, ys):
         assert res.f_lcs == pytest.approx(closed, abs=1e-9)
 
 
-@given(tokens, tokens, st.sampled_from(["paper", "fixed"]),
-       st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
-def test_lcs_fmeasure_bounded(xs, ys, mode, beta):
-    res = lcs_fmeasure(xs, ys, mode, beta)
+betas = st.one_of(st.just("paper"), st.floats(min_value=0.0, max_value=8.0))
+
+
+@given(tokens, tokens, betas)
+def test_lcs_fmeasure_bounded(xs, ys, beta):
+    res = lcs_fmeasure(xs, ys, beta)
     assert 0.0 <= res.f_lcs <= 1.0
     assert res.lcs_length <= min(res.m, res.n)
 
@@ -269,18 +313,17 @@ sentence_texts = st.builds(
 doc_texts = st.lists(sentence_texts, max_size=4).map(" ".join)
 
 
-@given(doc_texts, doc_texts, st.sampled_from(["paper", "fixed"]),
-       st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
-def test_lcs_similarity_matches_brute_force_first_maximum(ref_text, susp_text, mode, beta):
+@given(doc_texts, doc_texts, betas)
+def test_lcs_similarity_matches_brute_force_first_maximum(ref_text, susp_text, beta):
     ref = bare.document("r", ref_text)
     susp = bare.document("s", susp_text)
     best = None
     for ki in key_sentence_indices(ref):
         for sentence in susp.sentences:
-            result = lcs_fmeasure(ref.sentences[ki].tokens, sentence.tokens, mode, beta)
+            result = lcs_fmeasure(ref.sentences[ki].tokens, sentence.tokens, beta)
             if best is None or result.f_lcs > best[0].f_lcs:
                 best = (result, ki, sentence.index)
-    score = lcs_similarity(ref, susp, mode, beta)
+    score = lcs_similarity(ref, susp, beta)
     if best is None:
         assert score.value == 0.0 and score.degenerate and not score.detail
         return

@@ -10,9 +10,7 @@ from simscan.textprep import (
     Preprocessor,
     load_stopwords,
     normalize,
-    remove_stopwords,
     split_sentences,
-    tokenize,
 )
 
 # Characters where the word and sentence-end rules could part from
@@ -75,16 +73,6 @@ def test_normalize_idempotent_and_tidy(text):
     assert once == once.strip()
     assert "  " not in once
     assert once == once.lower()
-
-
-def test_tokenize():
-    assert tokenize("web based cross") == ["web", "based", "cross"]
-    assert tokenize("") == []
-
-
-def test_remove_stopwords_keeps_order():
-    kept = remove_stopwords(["the", "ball", "is", "red"], frozenset({"the", "is"}))
-    assert kept == ["ball", "red"]
 
 
 def test_segmentation_basic():
