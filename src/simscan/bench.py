@@ -9,8 +9,8 @@ per pair and stored bytes per document.  Storage is counted as:
 * statement: 12 bytes (three 4-grams) per fingerprinted sentence,
 * features: UTF-8 bytes of the serialized index record.
 
-The features scheme scores with `Detector._score`, as `compare` and
-`scan` do.
+The features scheme scores with `Detector._score`, as `compare` does;
+`scan` ranks with the same value pass and report builder.
 
 Measurement only; nothing here passes or fails.
 """

@@ -5,7 +5,7 @@ lists.  Every reference is scored through its IndexEntry, the derived
 artifacts build_index persists (statement fingerprint keys, keywords,
 first-sentence grams, cue-phrase grams, token digest): analyze_pair builds
 the entry in memory, rank_candidates reads it from an index, and both
-score it with the same function.
+score it with the same value pass and report builder.
 
 The index stores derived artifacts only, never raw text, so features
 needing full token streams (lcs_f, full_char, trigram_jaccard) are skipped
@@ -15,15 +15,16 @@ during scans and the remaining weights renormalize.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import os
 import re
 import uuid
 from dataclasses import dataclass, field
-from operator import lt
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .features import (
     DEFAULT_GRAM_LEN,
@@ -31,7 +32,7 @@ from .features import (
     check_beta,
     cue_sentences,
     first_sentence,
-    gram_similarity,
+    gram_outcome,
     lcs_similarity,
     load_query_phrases,
     sentence_grams,
@@ -43,15 +44,22 @@ from .fingerprint import (
     FIRST_SENTENCE,
     FULL_CHAR,
     LCS_F,
+    NOT_APPLICABLE,
     QUERY_PHRASE,
     STATEMENT,
+    STATEMENT_GRAM_LEN,
     TOP_KEYWORD,
     TRIGRAM,
+    Counts,
+    Outcome,
     ResemblanceScore,
     char_kgrams,
     fingerprint_keys,
     full_resemblance,
-    jaccard,
+    outcome_score,
+    outcome_value,
+    overlap,
+    overlap_bound,
     word_trigrams,
 )
 # Not called here; bound so that the benchmark's tracer can wrap these names.
@@ -176,15 +184,19 @@ class CorpusIndex:
     entries: Mapping[str, IndexEntry]
 
 
-def _combine(scores: Mapping[str, ResemblanceScore], cfg: DetectorConfig) -> float:
-    """Weighted mean over enabled, applicable features; 0 if none remain."""
+def _combine(outcomes: Mapping[str, Outcome], weights: Iterable[tuple[str, float]]) -> float:
+    """Weighted mean over the features in `weights`, taken in that order.
+
+    Each feature adds (weight, value, applicable) from its outcome; the
+    applicable ones are averaged, and 0 is returned if none remain.
+    """
     num = 0.0
     den = 0.0
-    for name in cfg.features:
-        if scores[name].not_applicable:
-            continue
-        num += cfg.weight(name) * scores[name].value
-        den += cfg.weight(name)
+    for name, weight in weights:
+        value, applicable = outcome_value(outcomes[name])
+        if applicable:
+            num += weight * value
+            den += weight
     return num / den if den > 0 else 0.0
 
 
@@ -234,12 +246,73 @@ class Detector:
         )
 
     def _suspect(self, susp: Document) -> tuple[frozenset[str], ...]:
-        """The suspect's fingerprint keys, keywords and full-text gram set."""
+        """The suspect's fingerprint keys, keywords and full-text gram set.
+
+        The text's 4-grams are counted once, for the fingerprints and, when
+        `k_char` is 4, for the gram set too.
+        """
+        cfg = self.config
+        counts = char_kgrams(susp.normalized_text, STATEMENT_GRAM_LEN).counts
+        if cfg.k_char != STATEMENT_GRAM_LEN:
+            grams = char_kgrams(susp.normalized_text, cfg.k_char).counts
+        else:
+            grams = counts
         return (
-            fingerprint_keys(susp),
-            top_keywords(susp, self.config.k_top).terms,
-            char_kgrams(susp.normalized_text, self.config.k_char).gram_set(),
+            fingerprint_keys(susp, counts=counts),
+            top_keywords(susp, cfg.k_top).terms,
+            frozenset(grams),
         )
+
+    def _weights(self) -> tuple[tuple[str, float], ...]:
+        """Each enabled feature with its weight, in `features` order."""
+        return tuple((name, self.config.weight(name)) for name in self.config.features)
+
+    def _outcomes(
+        self,
+        entry: IndexEntry,
+        suspect: tuple[frozenset[str], ...],
+        susp: Document | None = None,
+        ref: Document | None = None,
+        gram_count: Callable[..., Counts] = overlap,
+    ) -> dict[str, Outcome]:
+        """The value pass: statement's and every enabled feature's outcome.
+
+        The token-stream features need both documents; without `ref` they
+        are not applicable.  `gram_count` counts the key-sentence gram
+        features (`overlap_bound` gives their upper bounds instead).
+        """
+        cfg = self.config
+        keys, keywords, grams = suspect
+        ref_empty = entry.token_digest == _EMPTY_DIGEST
+        ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
+        outcomes = {STATEMENT: overlap(entry.fingerprints, keys)}
+        for name in cfg.features:
+            if name == TOP_KEYWORD:
+                outcomes[name] = overlap(entry.keywords, keywords)
+            elif name in ref_grams:
+                outcomes[name] = gram_outcome(name, ref_grams[name], grams, ref_empty, gram_count)
+            elif name in INDEX_UNAVAILABLE and ref is None:
+                outcomes[name] = NOT_APPLICABLE
+            elif name == LCS_F:
+                outcomes[name] = lcs_similarity(ref, susp, cfg.beta, self.phrases)
+            elif name == FULL_CHAR:
+                outcomes[name] = full_resemblance(
+                    char_kgrams(ref.normalized_text, cfg.k_char),
+                    char_kgrams(susp.normalized_text, cfg.k_char),
+                )
+            elif name == TRIGRAM:
+                outcomes[name] = overlap(
+                    word_trigrams(ref.normalized_text), word_trigrams(susp.normalized_text)
+                )
+        return outcomes
+
+    @staticmethod
+    def _report(
+        ref_id: str, susp_id: str, outcomes: Mapping[str, Outcome], combined: float
+    ) -> FeatureReport:
+        """The report builder: one score per outcome, no new intersections."""
+        scores = {name: outcome_score(name, outcome) for name, outcome in outcomes.items()}
+        return FeatureReport(ref_id, susp_id, scores, combined)
 
     def _score(
         self,
@@ -248,36 +321,11 @@ class Detector:
         suspect: tuple[frozenset[str], ...],
         ref: Document | None = None,
     ) -> FeatureReport:
-        """Score a reference entry against a suspect and its `_suspect` sets.
-
-        The token-stream features need the reference document itself; without
-        `ref` they are not applicable.
-        """
-        cfg = self.config
-        keys, keywords, grams = suspect
-        ref_empty = entry.token_digest == _EMPTY_DIGEST
-        ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
-        scores = {STATEMENT: jaccard(entry.fingerprints, keys, STATEMENT)}
-        for name in cfg.features:
-            if name == TOP_KEYWORD:
-                scores[name] = jaccard(entry.keywords, keywords, name)
-            elif name in ref_grams:
-                scores[name] = gram_similarity(name, ref_grams[name], grams, ref_empty)
-            elif name in INDEX_UNAVAILABLE and ref is None:
-                scores[name] = ResemblanceScore(0.0, name, not_applicable=True)
-            elif name == LCS_F:
-                scores[name] = lcs_similarity(ref, susp, cfg.beta, self.phrases)
-            elif name == FULL_CHAR:
-                scores[name] = full_resemblance(
-                    char_kgrams(ref.normalized_text, cfg.k_char),
-                    char_kgrams(susp.normalized_text, cfg.k_char),
-                )
-            elif name == TRIGRAM:
-                scores[name] = jaccard(
-                    word_trigrams(ref.normalized_text),
-                    word_trigrams(susp.normalized_text),
-                )
-        return FeatureReport(entry.doc_id, susp.id, scores, _combine(scores, cfg))
+        """Score a reference entry against a suspect and its `_suspect` sets."""
+        outcomes = self._outcomes(entry, suspect, susp, ref)
+        return self._report(
+            entry.doc_id, susp.id, outcomes, _combine(outcomes, self._weights())
+        )
 
     def index_from_entries(self, entries: Iterable[IndexEntry]) -> CorpusIndex:
         """Assemble an index from precomputed entries."""
@@ -298,7 +346,10 @@ class Detector:
         """Indexed documents as references, best combined score first.
 
         Ties order by document id.  Features absent from the index are
-        reported as skipped with a zero, not-applicable score.
+        reported as skipped with a zero, not-applicable score.  Every entry
+        gets a combined score (or a bound on it), but only the `top_n` best
+        get a report, and gram intersections that cannot reach the n-th
+        score are skipped; the list equals the full ranking cut to `top_n`.
         """
         snapshot = self.config_snapshot()
         if dict(index.config) != snapshot:
@@ -309,14 +360,36 @@ class Detector:
         if top_n is not None and top_n < 0:
             raise ValueError(f"top_n must be >= 0, got {top_n}")
         suspect = self._suspect(susp)
-        results = [
-            (doc_id, self._score(entry, susp, suspect))
+        weights = self._weights()
+        n = len(index.entries) if top_n is None else top_n
+        # An entry's bound is its combined score with each gram feature's
+        # intersection replaced by min(|A|, |B|); applicability is the same.
+        # IEEE division, multiplication and addition round monotonically, so
+        # the bound is >= the exact combined, as floats.  Entries are scored
+        # in descending bound order (Fagin, Lotem & Naor's threshold
+        # algorithm) until a bound falls strictly below the n-th best
+        # combined so far: no later entry can reach or tie it.
+        bounds = sorted(
+            (-_combine(self._outcomes(entry, suspect, gram_count=overlap_bound), weights), doc_id)
             for doc_id, entry in index.entries.items()
+        )
+        best: list[float] = []  # min-heap of the n best combined scores so far
+        scored = []
+        for neg_bound, doc_id in bounds:
+            if len(best) == n and (n == 0 or -neg_bound < best[0]):
+                break
+            outcomes = self._outcomes(index.entries[doc_id], suspect)
+            combined = _combine(outcomes, weights)
+            scored.append((-combined, doc_id, outcomes))
+            if len(best) < n:
+                heapq.heappush(best, combined)
+            else:
+                heapq.heappushpop(best, combined)
+        scored.sort(key=itemgetter(0, 1))
+        return [
+            (doc_id, self._report(doc_id, susp.id, outcomes, -neg_combined))
+            for neg_combined, doc_id, outcomes in scored[:n]
         ]
-        results.sort(key=lambda item: (-item[1].combined, item[0]))
-        if top_n is not None:
-            results = results[:top_n]
-        return results
 
 
 def dumps_record(record: dict) -> str:

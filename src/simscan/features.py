@@ -17,16 +17,22 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Collection, Iterable, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Sequence
 
 from .fingerprint import (
+    DEGENERATE,
     FIRST_SENTENCE,
     LCS_F,
+    NOT_APPLICABLE,
     QUERY_PHRASE,
     TOP_KEYWORD,
+    Counts,
+    Outcome,
     ResemblanceScore,
     char_kgrams,
     jaccard,
+    outcome_score,
+    overlap,
 )
 from .kernels import lcs_length
 from .textprep import Document, list_entries
@@ -131,25 +137,36 @@ def sentence_grams(doc: Document, indices: Iterable[int], k: int) -> frozenset[s
     )
 
 
+def gram_outcome(
+    method: str,
+    ref_grams: Collection[str],
+    susp_grams: AbstractSet[str],
+    ref_empty: bool,
+    count: Callable[[Collection[str], AbstractSet[str]], Counts] = overlap,
+) -> Outcome:
+    """The one rule behind first_sentence and query_phrase.
+
+    A Jaccard of a reference's key-sentence grams and the suspect's grams,
+    counted by `count`.  A reference without sentences (`ref_empty`) is
+    degenerate.  A non-empty reference whose cue-phrase sentences provide no
+    grams (no hits at all, or hits too short for a gram) makes query_phrase
+    not applicable, so the combiner drops it instead of counting a zero.
+    """
+    if ref_empty:
+        return DEGENERATE
+    if method == QUERY_PHRASE and not ref_grams:
+        return NOT_APPLICABLE
+    return count(ref_grams, susp_grams)
+
+
 def gram_similarity(
     method: str,
     ref_grams: Collection[str],
     susp_grams: AbstractSet[str],
     ref_empty: bool,
 ) -> ResemblanceScore:
-    """Jaccard of a reference's key-sentence grams and the suspect's grams.
-
-    The one rule behind first_sentence and query_phrase.  A reference
-    without sentences (`ref_empty`) is degenerate.  A non-empty reference
-    whose cue-phrase sentences provide no grams (no hits at all, or hits
-    too short for a gram) makes query_phrase not applicable, so the
-    combiner drops it instead of counting a zero.
-    """
-    if ref_empty:
-        return ResemblanceScore(0.0, method, degenerate=True)
-    if method == QUERY_PHRASE and not ref_grams:
-        return ResemblanceScore(0.0, method, not_applicable=True)
-    return jaccard(ref_grams, susp_grams, method)
+    """The score of `gram_outcome`."""
+    return outcome_score(method, gram_outcome(method, ref_grams, susp_grams, ref_empty))
 
 
 def first_sentence_similarity(

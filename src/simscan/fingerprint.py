@@ -156,6 +156,72 @@ def full_resemblance(a: GramMultiset, b: GramMultiset) -> ResemblanceScore:
     return ResemblanceScore(common / a.distinct, FULL_CHAR, detail)
 
 
+# (|A o B|, |A|, |B|) of two sets.
+Counts = tuple[int, int, int]
+# The outcome of scoring one feature, before it becomes a ResemblanceScore:
+# the counts of a Jaccard score, one of the two flags below for a zero score
+# carrying only that flag, or an already built score.
+Outcome = Counts | str | ResemblanceScore
+DEGENERATE = "degenerate"
+NOT_APPLICABLE = "not_applicable"
+
+
+def overlap(a: Collection[str], b: AbstractSet[str]) -> Counts:
+    """|A o B|, |A| and |B|.
+
+    `a` holds distinct items (a set, or an IndexEntry tuple); `b` is a set.
+    """
+    return len(b.intersection(a)), len(a), len(b)
+
+
+def overlap_bound(a: Collection[str], b: AbstractSet[str]) -> Counts:
+    """`overlap` with |A o B| replaced by its upper bound min(|A|, |B|).
+
+    Its Jaccard value is min(|A|, |B|) / max(|A|, |B|), the size filter of
+    Bayardo, Ma & Srikant (WWW 2007), and it needs no intersection.
+    """
+    return min(len(a), len(b)), len(a), len(b)
+
+
+def jaccard_value(intersection: int, size_a: int, size_b: int) -> float:
+    """|A o B| / |A u B| from the counts; 0 for two empty sets."""
+    union = size_a + size_b - intersection
+    return intersection / union if union else 0.0
+
+
+def outcome_value(outcome: Outcome) -> tuple[float, bool]:
+    """The value an outcome scores and whether it is applicable."""
+    if type(outcome) is tuple:
+        return jaccard_value(*outcome), True
+    if type(outcome) is str:
+        return 0.0, outcome != NOT_APPLICABLE
+    return outcome.value, not outcome.not_applicable
+
+
+def outcome_score(method: str, outcome: Outcome) -> ResemblanceScore:
+    """The score an outcome reports; two empty sets make a degenerate Jaccard."""
+    if type(outcome) is tuple:
+        intersection, size_a, size_b = outcome
+        union = size_a + size_b - intersection
+        detail = {
+            "intersection": intersection,
+            "union": union,
+            "size_a": size_a,
+            "size_b": size_b,
+        }
+        return ResemblanceScore(
+            jaccard_value(*outcome), method, detail, degenerate=union == 0
+        )
+    if type(outcome) is str:
+        return ResemblanceScore(
+            0.0,
+            method,
+            degenerate=outcome == DEGENERATE,
+            not_applicable=outcome == NOT_APPLICABLE,
+        )
+    return outcome
+
+
 def jaccard(
     a: Collection[str], b: AbstractSet[str], method: str = TRIGRAM
 ) -> ResemblanceScore:
@@ -163,17 +229,7 @@ def jaccard(
 
     `a` holds distinct items (a set, or an IndexEntry tuple); `b` is a set.
     """
-    intersection = len(b.intersection(a))
-    union = len(a) + len(b) - intersection
-    detail = {
-        "intersection": intersection,
-        "union": union,
-        "size_a": len(a),
-        "size_b": len(b),
-    }
-    if union == 0:
-        return ResemblanceScore(0.0, method, detail, degenerate=True)
-    return ResemblanceScore(intersection / union, method, detail)
+    return outcome_score(method, overlap(a, b))
 
 
 def gram_weights(multiset: GramMultiset) -> GramWeights:
@@ -217,14 +273,16 @@ def least_frequent_fingerprint(
 
 
 def document_fingerprints(
-    doc: Document, k: int = STATEMENT_GRAM_LEN
+    doc: Document, k: int = STATEMENT_GRAM_LEN, counts: Mapping[str, int] | None = None
 ) -> tuple[SentenceFingerprint, ...]:
     """Fingerprints of every sentence, weighted over the whole document.
 
     Grams are ranked by their integer counts: the weights of `gram_weights`
     all share the document's gram total as denominator, so they order alike.
+    `counts`, when given, must be `char_kgrams(doc.normalized_text, k).counts`.
     """
-    counts = char_kgrams(doc.normalized_text, k).counts
+    if counts is None:
+        counts = char_kgrams(doc.normalized_text, k).counts
     out = []
     for sentence in doc.sentences:
         fp = least_frequent_fingerprint(sentence, counts, k)
@@ -233,9 +291,11 @@ def document_fingerprints(
     return tuple(out)
 
 
-def fingerprint_keys(doc: Document, k: int = STATEMENT_GRAM_LEN) -> frozenset[str]:
-    """The set of sentence fingerprint keys of a document."""
-    return frozenset(fp.key for fp in document_fingerprints(doc, k))
+def fingerprint_keys(
+    doc: Document, k: int = STATEMENT_GRAM_LEN, counts: Mapping[str, int] | None = None
+) -> frozenset[str]:
+    """The set of sentence fingerprint keys of a document (`counts` as above)."""
+    return frozenset(fp.key for fp in document_fingerprints(doc, k, counts))
 
 
 def statement_resemblance(

@@ -4,7 +4,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, reject
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from simscan.detector import (
@@ -19,12 +19,15 @@ from simscan.detector import (
     report_dict,
     save_index,
 )
+import simscan.detector
+import simscan.fingerprint
 from simscan.features import (
     first_sentence_similarity,
     query_phrase_similarity,
     top_keyword_similarity,
+    top_keywords,
 )
-from simscan.fingerprint import char_kgrams, statement_resemblance
+from simscan.fingerprint import char_kgrams, fingerprint_keys, statement_resemblance
 
 INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
@@ -534,6 +537,96 @@ def test_combined_in_unit_interval(cfg, ref_text, susp_text):
     assert 0.0 <= det.analyze_pair(ref, susp).combined <= 1.0
     ranked = det.rank_candidates(susp, det.build_index([ref]))
     assert 0.0 <= ranked[0][1].combined <= 1.0
+
+
+def full_ranking(det, susp, index):
+    """Brute force: every entry scored with `_score`, by (-combined, id)."""
+    suspect = det._suspect(susp)
+    reports = [(e.doc_id, det._score(e, susp, suspect)) for e in index.entries.values()]
+    return sorted(reports, key=lambda item: (-item[1].combined, item[0]))
+
+
+@settings(max_examples=300)
+@given(finite_configs(), st.lists(doc_texts, max_size=5), st.data())
+def test_rank_equals_full_ranking_cut_to_n(cfg, texts, data):
+    det = Detector(cfg)
+    if texts:
+        # Repeated texts tie on every score, so ids decide their order.
+        texts += data.draw(st.lists(st.sampled_from(texts), max_size=3))
+    index = det.build_index(det.document(f"d{i}", text) for i, text in enumerate(texts))
+    suspect_texts = st.one_of(doc_texts, st.sampled_from(texts)) if texts else doc_texts
+    susp = det.document("s", data.draw(suspect_texts))
+    top_n = data.draw(st.none() | st.integers(0, len(texts) + 1))
+    # FeatureReport equality compares every field, `combined` by ==.
+    assert det.rank_candidates(susp, index, top_n) == full_ranking(det, susp, index)[:top_n]
+
+
+def test_rank_finds_a_match_that_only_gram_features_show():
+    # Scored on first_sentence alone: "a" shares a few grams with the
+    # suspect and is visited first by id, so the bound for "b" must admit
+    # its full gram overlap.
+    det = Detector(DetectorConfig(features=("first_sentence",)))
+    text = "The keeper saved the penalty kick."
+    susp = det.document("s", text)
+    index = det.build_index([det.document("a", "Penalty rules differ."), det.document("b", text)])
+    ranked = det.rank_candidates(susp, index, top_n=1)
+    assert [doc_id for doc_id, _ in ranked] == ["b"]
+    assert ranked == full_ranking(det, susp, index)[:1]
+
+
+def test_rank_skips_gram_intersections_that_cannot_reach_the_top(monkeypatch):
+    det = Detector()
+    text = " ".join(f"Sentence {w} number {i} about kicking goals." for i, w in enumerate(
+        ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]))
+    others = ["zu xy.", "qv wq.", "jj kk.", "pp oo.", "mm nn."]
+    docs = [det.document("copy", text)]
+    docs += [det.document(f"other{i}", other) for i, other in enumerate(others)]
+    index = det.build_index(docs)
+    susp = det.document("s", text)
+    intersected = []
+
+    class CountingGrams(frozenset):
+        def intersection(self, *others):
+            intersected.append(others)
+            return super().intersection(*others)
+
+    original = Detector._suspect
+
+    def counting(self, doc):
+        keys, keywords, grams = original(self, doc)
+        return keys, keywords, CountingGrams(grams)
+
+    monkeypatch.setattr(Detector, "_suspect", counting)
+    ranked = det.rank_candidates(susp, index, top_n=1)
+    assert len(intersected) < len(index.entries)
+    assert ranked == full_ranking(det, susp, index)[:1]
+    assert ranked[0][0] == "copy"
+
+
+@given(st.one_of(doc_texts, st.text(max_size=200)), st.integers(1, 6))
+def test_suspect_equals_separate_computations(text, k):
+    det = Detector(DetectorConfig(k_char=k))
+    doc = det.document("s", text)
+    assert det._suspect(doc) == (
+        fingerprint_keys(doc),
+        top_keywords(doc, det.config.k_top).terms,
+        char_kgrams(doc.normalized_text, k).gram_set(),
+    )
+
+
+def test_suspect_counts_grams_once(detector, monkeypatch):
+    doc = detector.document("s", CORPUS["b"])
+    calls = []
+    for module in (simscan.detector, simscan.fingerprint):
+        original = module.char_kgrams
+
+        def counted(*args, original=original):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "char_kgrams", counted)
+    detector._suspect(doc)
+    assert calls == [(doc.normalized_text, 4)]
 
 
 def test_report_dict_layout(detector):

@@ -17,7 +17,10 @@ from simscan.fingerprint import (
     full_resemblance,
     gram_weights,
     jaccard,
+    jaccard_value,
     least_frequent_fingerprint,
+    overlap,
+    overlap_bound,
     statement_resemblance,
     word_trigrams,
 )
@@ -132,6 +135,16 @@ def test_jaccard_symmetric_and_bounded(a, b):
 def test_jaccard_of_sorted_tuple_equals_set(a, b):
     # An index entry's list is scored as stored: a sorted tuple of distinct items.
     assert jaccard(tuple(sorted(a)), b) == jaccard(a, b)
+
+
+@given(st.frozensets(st.text(max_size=3), max_size=10),
+       st.frozensets(st.text(max_size=3), max_size=10))
+def test_overlap_bound_is_the_size_ratio_and_bounds_jaccard(a, b):
+    bound = overlap_bound(tuple(sorted(a)), b)
+    assert bound[1:] == overlap(tuple(sorted(a)), b)[1:]
+    small, large = sorted((len(a), len(b)))
+    assert jaccard_value(*bound) == (small / large if large else 0.0)
+    assert jaccard_value(*bound) >= jaccard(a, b).value
 
 
 def test_jaccard_worked_example():

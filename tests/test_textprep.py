@@ -157,7 +157,8 @@ def test_content_tokens_subsequence_of_stemmed_tokens(text):
 
 
 def test_stemming_goes_through_module_level_stem(monkeypatch):
-    # The benchmark's tracer times stemming by rebinding this name.
+    # The benchmark's tracer times stemming by rebinding this name.  Each
+    # distinct token is stemmed once.
     calls = []
     real = simscan.textprep.stem
 
@@ -168,8 +169,36 @@ def test_stemming_goes_through_module_level_stem(monkeypatch):
     monkeypatch.setattr(simscan.textprep, "stem", counting)
     text = "The players kicked the balls to the players!"
     [s] = split_sentences(text, frozenset({"the", "to"}))
-    assert calls == ["players", "kicked", "balls", "players"]
+    assert calls == ["players", "kicked", "balls"]
     assert s.content_tokens == ("player", "kick", "ball", "player")
+
+
+WORDY_TEXT = st.text(alphabet="abeilnorstuy .!", max_size=120)
+
+
+@given(st.lists(st.one_of(WORDY_TEXT, st.text(max_size=60)), max_size=6))
+def test_long_lived_preprocessor_equals_fresh_ones(texts):
+    stop = frozenset({"a", "the", "is"})
+    shared = Preprocessor(stop)
+    for i, text in enumerate(texts):
+        assert shared.document(f"d{i}", text) == Preprocessor(stop).document(f"d{i}", text)
+
+
+def test_preprocessor_stems_each_token_once(monkeypatch):
+    calls = []
+    real = simscan.textprep.stem
+
+    def counting(token):
+        calls.append(token)
+        return real(token)
+
+    monkeypatch.setattr(simscan.textprep, "stem", counting)
+    prep = Preprocessor(frozenset({"the"}))
+    first = prep.document("a", "The players kicked the balls.")
+    second = prep.document("b", "Players kicked balls. The goals!")
+    assert sorted(calls) == ["balls", "goals", "kicked", "players"]
+    assert first.content_tokens == ("player", "kick", "ball")
+    assert second.content_tokens == ("player", "kick", "ball", "goal")
 
 
 def test_default_stopwords_loaded_once():
