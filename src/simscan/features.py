@@ -159,16 +159,6 @@ def gram_outcome(
     return count(ref_grams, susp_grams)
 
 
-def gram_similarity(
-    method: str,
-    ref_grams: Collection[str],
-    susp_grams: AbstractSet[str],
-    ref_empty: bool,
-) -> ResemblanceScore:
-    """The score of `gram_outcome`."""
-    return outcome_score(method, gram_outcome(method, ref_grams, susp_grams, ref_empty))
-
-
 def first_sentence_similarity(
     ref: Document, susp: Document, k: int = DEFAULT_GRAM_LEN
 ) -> ResemblanceScore:
@@ -179,7 +169,7 @@ def first_sentence_similarity(
     """
     a = sentence_grams(ref, first_sentence(ref), k)
     b = char_kgrams(susp.normalized_text, k).gram_set()
-    return gram_similarity(FIRST_SENTENCE, a, b, not ref.sentences)
+    return outcome_score(FIRST_SENTENCE, gram_outcome(FIRST_SENTENCE, a, b, not ref.sentences))
 
 
 def query_phrase_similarity(
@@ -190,12 +180,12 @@ def query_phrase_similarity(
 ) -> ResemblanceScore:
     """Grams of the reference's cue-phrase sentences against the suspect.
 
-    Scored by `gram_similarity`, so a reference without cue-phrase grams
+    Scored by `gram_outcome`, so a reference without cue-phrase grams
     makes the feature not applicable.
     """
     a = sentence_grams(ref, cue_sentences(ref, phrases), k)
     b = char_kgrams(susp.normalized_text, k).gram_set()
-    return gram_similarity(QUERY_PHRASE, a, b, not ref.sentences)
+    return outcome_score(QUERY_PHRASE, gram_outcome(QUERY_PHRASE, a, b, not ref.sentences))
 
 
 def check_beta(beta: float | str) -> None:
