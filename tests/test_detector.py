@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import simscan.detector
+import simscan.fingerprint
 from simscan.detector import (
     ALL_FEATURES,
     DEFAULT_FEATURES,
@@ -19,8 +21,6 @@ from simscan.detector import (
     report_dict,
     save_index,
 )
-import simscan.detector
-import simscan.fingerprint
 from simscan.features import (
     first_sentence_similarity,
     query_phrase_similarity,
@@ -552,7 +552,7 @@ def test_rank_equals_full_ranking_cut_to_n(cfg, texts, data):
     det = Detector(cfg)
     if texts:
         # Repeated texts tie on every score, so ids decide their order.
-        texts += data.draw(st.lists(st.sampled_from(texts), max_size=3))
+        texts = texts + data.draw(st.lists(st.sampled_from(texts), max_size=3))
     index = det.build_index(det.document(f"d{i}", text) for i, text in enumerate(texts))
     suspect_texts = st.one_of(doc_texts, st.sampled_from(texts)) if texts else doc_texts
     susp = det.document("s", data.draw(suspect_texts))
@@ -575,9 +575,11 @@ def test_rank_finds_a_match_that_only_gram_features_show():
 
 
 def test_rank_skips_gram_intersections_that_cannot_reach_the_top(monkeypatch):
+    # "copy" repeats the suspect; the others share no keyword or key with
+    # it and have gram sets far smaller than the suspect's.
     det = Detector()
-    text = " ".join(f"Sentence {w} number {i} about kicking goals." for i, w in enumerate(
-        ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]))
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
+    text = " ".join(f"Sentence {word} number {i} about goals." for i, word in enumerate(words))
     others = ["zu xy.", "qv wq.", "jj kk.", "pp oo.", "mm nn."]
     docs = [det.document("copy", text)]
     docs += [det.document(f"other{i}", other) for i, other in enumerate(others)]
