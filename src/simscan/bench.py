@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .detector import Detector, dumps_record
+from .features import cue_sentences
 from .fingerprint import (
     FULL_CHAR,
     STATEMENT,
@@ -89,8 +90,9 @@ def run_bench(docs: Sequence[Document], detector: Detector | None = None) -> lis
         _row(TRIGRAM, n, trigrams, lambda a, b: jaccard(a, b, TRIGRAM), tri_bytes)
     )
 
-    entries = [detector.entry(d) for d in docs]
-    profiles = [(e, d, detector._suspect(d)) for e, d in zip(entries, docs)]
+    refs = [(d, cue_sentences(d, detector.phrases)) for d in docs]
+    entries = [detector.entry(d, cues) for d, cues in refs]
+    profiles = [(e, ref, detector._suspect(ref[0])) for e, ref in zip(entries, refs)]
 
     # `_suspect` already holds each document's statement fingerprint keys.
     keys = [suspect[0] for _, _, suspect in profiles]
@@ -102,8 +104,8 @@ def run_bench(docs: Sequence[Document], detector: Detector | None = None) -> lis
     entry_bytes = sum(len(dumps_record(e.record(k)).encode("utf-8")) for e in entries)
 
     def score_pair(ref, susp):
-        (entry, ref_doc, _), (_, susp_doc, suspect) = ref, susp
-        return detector._score(entry, susp_doc, suspect, ref_doc)
+        (entry, reference, _), (_, (susp_doc, _), suspect) = ref, susp
+        return detector._score(entry, susp_doc, suspect, reference)
 
     rows.append(_row(FEATURES_SCHEME, n, profiles, score_pair, entry_bytes))
     return rows

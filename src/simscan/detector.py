@@ -51,9 +51,11 @@ from .fingerprint import (
     TOP_KEYWORD,
     TRIGRAM,
     Counts,
+    DocumentGrams,
     Outcome,
     ResemblanceScore,
     char_kgrams,
+    document_grams,
     fingerprint_keys,
     full_resemblance,
     outcome_score,
@@ -226,42 +228,51 @@ class Detector:
         }
 
     def analyze_pair(self, ref: Document, susp: Document) -> FeatureReport:
-        """Score every enabled feature (plus statement) for one pair."""
-        return self._score(self.entry(ref), susp, self._suspect(susp), ref)
+        """Score every enabled feature (plus statement) for one pair.
 
-    def entry(self, doc: Document) -> IndexEntry:
-        """The persisted artifacts of one document."""
-        cfg = self.config
+        The reference's cue-phrase sentences are found once, for its entry
+        and for lcs_f.
+        """
+        cues = cue_sentences(ref, self.phrases)
+        return self._score(self.entry(ref, cues), susp, self._suspect(susp), (ref, cues))
+
+    def entry(self, doc: Document, cues: tuple[int, ...] | None = None) -> IndexEntry:
+        """The persisted artifacts of one document.
+
+        `cues`, when given, must be `cue_sentences(doc, self.phrases)`.
+        """
+        if cues is None:
+            cues = cue_sentences(doc, self.phrases)
+        statement, grams = self._grams(doc)
         return IndexEntry(
             doc_id=doc.id,
-            fingerprints=tuple(sorted(fingerprint_keys(doc))),
-            keywords=tuple(sorted(top_keywords(doc, cfg.k_top).terms)),
-            first_grams=tuple(sorted(sentence_grams(doc, first_sentence(doc), cfg.k_char))),
-            query_grams=tuple(
-                sorted(sentence_grams(doc, cue_sentences(doc, self.phrases), cfg.k_char))
-            ),
+            fingerprints=tuple(sorted(fingerprint_keys(doc, grams=statement))),
+            keywords=tuple(sorted(top_keywords(doc, self.config.k_top).terms)),
+            first_grams=tuple(sorted(sentence_grams(grams.sentences, first_sentence(doc)))),
+            query_grams=tuple(sorted(sentence_grams(grams.sentences, cues))),
             token_digest=hashlib.sha256(
                 "\x1f".join(t for s in doc.sentences for t in s.tokens).encode("utf-8")
             ).hexdigest(),
         )
 
     def _suspect(self, susp: Document) -> tuple[frozenset[str], ...]:
-        """The suspect's fingerprint keys, keywords and full-text gram set.
-
-        The text's 4-grams are counted once, for the fingerprints and, when
-        `k_char` is 4, for the gram set too.
-        """
-        cfg = self.config
-        counts = char_kgrams(susp.normalized_text, STATEMENT_GRAM_LEN).counts
-        if cfg.k_char != STATEMENT_GRAM_LEN:
-            grams = char_kgrams(susp.normalized_text, cfg.k_char).counts
-        else:
-            grams = counts
+        """The suspect's fingerprint keys, keywords and full-text gram set."""
+        statement, grams = self._grams(susp)
         return (
-            fingerprint_keys(susp, counts=counts),
-            top_keywords(susp, cfg.k_top).terms,
-            frozenset(grams),
+            fingerprint_keys(susp, grams=statement),
+            top_keywords(susp, self.config.k_top).terms,
+            frozenset(grams.counts),
         )
+
+    def _grams(self, doc: Document) -> tuple[DocumentGrams, DocumentGrams]:
+        """The document's statement grams and its `k_char` grams.
+
+        When `k_char` is the statement gram length, one pass gives both.
+        """
+        statement = document_grams(doc, STATEMENT_GRAM_LEN)
+        if self.config.k_char == STATEMENT_GRAM_LEN:
+            return statement, statement
+        return statement, document_grams(doc, self.config.k_char)
 
     def _weights(self) -> tuple[tuple[str, float], ...]:
         """Each enabled feature with its weight, in `features` order."""
@@ -272,16 +283,18 @@ class Detector:
         entry: IndexEntry,
         suspect: tuple[frozenset[str], ...],
         susp: Document | None = None,
-        ref: Document | None = None,
+        ref: tuple[Document, tuple[int, ...]] | None = None,
         gram_count: Callable[..., Counts] = overlap,
     ) -> dict[str, Outcome]:
         """The value pass: statement's and every enabled feature's outcome.
 
-        The token-stream features need both documents; without `ref` they
-        are not applicable.  `gram_count` counts the key-sentence gram
-        features (`overlap_bound` gives their upper bounds instead).
+        The token-stream features need both documents: `ref` is the
+        reference with its `cue_sentences`, and without it they are not
+        applicable.  `gram_count` counts the key-sentence gram features
+        (`overlap_bound` gives their upper bounds instead).
         """
         cfg = self.config
+        ref_doc, cues = ref or (None, None)
         keys, keywords, grams = suspect
         ref_empty = entry.token_digest == _EMPTY_DIGEST
         ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
@@ -294,15 +307,15 @@ class Detector:
             elif name in INDEX_UNAVAILABLE and ref is None:
                 outcomes[name] = NOT_APPLICABLE
             elif name == LCS_F:
-                outcomes[name] = lcs_similarity(ref, susp, cfg.beta, self.phrases)
+                outcomes[name] = lcs_similarity(ref_doc, susp, cfg.beta, cues)
             elif name == FULL_CHAR:
                 outcomes[name] = full_resemblance(
-                    char_kgrams(ref.normalized_text, cfg.k_char),
+                    char_kgrams(ref_doc.normalized_text, cfg.k_char),
                     char_kgrams(susp.normalized_text, cfg.k_char),
                 )
             elif name == TRIGRAM:
                 outcomes[name] = overlap(
-                    word_trigrams(ref.normalized_text), word_trigrams(susp.normalized_text)
+                    word_trigrams(ref_doc.normalized_text), word_trigrams(susp.normalized_text)
                 )
         return outcomes
 
@@ -319,7 +332,7 @@ class Detector:
         entry: IndexEntry,
         susp: Document,
         suspect: tuple[frozenset[str], ...],
-        ref: Document | None = None,
+        ref: tuple[Document, tuple[int, ...]] | None = None,
     ) -> FeatureReport:
         """Score a reference entry against a suspect and its `_suspect` sets."""
         outcomes = self._outcomes(entry, suspect, susp, ref)

@@ -30,6 +30,7 @@ from .fingerprint import (
     Outcome,
     ResemblanceScore,
     char_kgrams,
+    document_grams,
     jaccard,
     outcome_score,
     overlap,
@@ -124,17 +125,21 @@ def cue_sentences(
 
 
 def key_sentence_indices(
-    ref: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
+    ref: Document, cues: Iterable[int] | None = None
 ) -> tuple[int, ...]:
-    """First sentence plus cue-phrase sentences, deduplicated, in order."""
-    return tuple(sorted({*first_sentence(ref), *cue_sentences(ref, phrases)}))
+    """First sentence plus cue-phrase sentences, deduplicated, in order.
+
+    `cues` are the reference's `cue_sentences`, by default of the built-in
+    phrases.
+    """
+    if cues is None:
+        cues = cue_sentences(ref)
+    return tuple(sorted({*first_sentence(ref), *cues}))
 
 
-def sentence_grams(doc: Document, indices: Iterable[int], k: int) -> frozenset[str]:
-    """The union of the distinct k-grams of each listed sentence."""
-    return frozenset().union(
-        *(char_kgrams(doc.sentences[i].normalized, k).gram_set() for i in indices)
-    )
+def sentence_grams(sentences: Sequence[Iterable[str]], indices: Iterable[int]) -> frozenset[str]:
+    """The union of the listed sentences' grams (`document_grams(...).sentences`)."""
+    return frozenset().union(*(sentences[i] for i in indices))
 
 
 def gram_outcome(
@@ -167,7 +172,7 @@ def first_sentence_similarity(
     Comparing a multi-sentence document to itself therefore scores below 1:
     the first sentence's grams are a strict subset of the document's.
     """
-    a = sentence_grams(ref, first_sentence(ref), k)
+    a = sentence_grams(document_grams(ref, k).sentences, first_sentence(ref))
     b = char_kgrams(susp.normalized_text, k).gram_set()
     return outcome_score(FIRST_SENTENCE, gram_outcome(FIRST_SENTENCE, a, b, not ref.sentences))
 
@@ -183,7 +188,7 @@ def query_phrase_similarity(
     Scored by `gram_outcome`, so a reference without cue-phrase grams
     makes the feature not applicable.
     """
-    a = sentence_grams(ref, cue_sentences(ref, phrases), k)
+    a = sentence_grams(document_grams(ref, k).sentences, cue_sentences(ref, phrases))
     b = char_kgrams(susp.normalized_text, k).gram_set()
     return outcome_score(QUERY_PHRASE, gram_outcome(QUERY_PHRASE, a, b, not ref.sentences))
 
@@ -217,7 +222,8 @@ def lcs_fmeasure(
         return LcsResult(0, m, n, r, p, b, 0.0)
     if beta == "paper":
         b = p / r
-    f = (1.0 + b) * r * p / (r + b * p)
+    # F lies between R and P; with a huge b, rounding can carry it past 1.
+    f = min((1.0 + b) * r * p / (r + b * p), 1.0)
     return LcsResult(length, m, n, r, p, b, f)
 
 
@@ -225,15 +231,16 @@ def lcs_similarity(
     ref: Document,
     susp: Document,
     beta: float | str = 1.0,
-    phrases: Sequence[str] = DEFAULT_QUERY_PHRASES,
+    cues: Iterable[int] | None = None,
 ) -> ResemblanceScore:
     """Best sentence-pair LCS F-measure between key sentences and suspect.
 
-    Key sentences of the reference (first sentence plus cue-phrase hits)
-    are compared against every suspect sentence; the maximum F wins.  The
-    first maximal pair in scan order is reported in the detail.
+    Key sentences of the reference (first sentence plus the cue-phrase
+    sentences `cues`, as `key_sentence_indices` takes them) are compared
+    against every suspect sentence; the maximum F wins.  The first maximal
+    pair in scan order is reported in the detail.
     """
-    key_indices = key_sentence_indices(ref, phrases)
+    key_indices = key_sentence_indices(ref, cues)
     if not key_indices or not susp.sentences:
         return ResemblanceScore(0.0, LCS_F, degenerate=True)
     pairs = (

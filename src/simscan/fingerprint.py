@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Collection, Mapping
+from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple
 
-from .textprep import Document, Sentence
+from .textprep import Document
 
 # Method tags carried by every ResemblanceScore.
 FULL_CHAR = "full_char"
@@ -122,17 +122,49 @@ class SentenceFingerprint:
         return "".join(self.grams)
 
 
+class DocumentGrams(NamedTuple):
+    """One document's k-grams: their counts, and each sentence's in order."""
+
+    counts: dict[str, int]
+    sentences: tuple[list[str], ...]
+
+
+def _kgram_list(text: str, k: int) -> list[str]:
+    """The k-character windows of the space-stripped text, in order."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    stripped = text.replace(" ", "")
+    return [stripped[i : i + k] for i in range(len(stripped) - k + 1)]
+
+
 def char_kgrams(text: str, k: int) -> GramMultiset:
     """All contiguous k-character substrings of the text, spaces ignored.
 
     A space-stripped text of length L yields L - k + 1 grams (with
     multiplicity); shorter text yields an empty multiset.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    stripped = text.replace(" ", "")
-    counts = Counter(stripped[i : i + k] for i in range(len(stripped) - k + 1))
-    return GramMultiset(k, dict(counts))
+    return GramMultiset(k, dict(Counter(_kgram_list(text, k))))
+
+
+def document_grams(doc: Document, k: int) -> DocumentGrams:
+    """The k-grams of the document's text, counted and cut into sentences.
+
+    The text's gram list is built once.  A sentence's grams are the slice
+    of that list that starts at the sentence's offset in the space-stripped
+    text (the lengths of the tokens before it) and stays inside the
+    sentence; a gram spanning two sentences is counted but belongs to
+    neither.  `counts` equals `char_kgrams(doc.normalized_text, k).counts`.
+    """
+    grams = _kgram_list(doc.normalized_text, k)
+    sentences = []
+    start = 0
+    for sentence in doc.sentences:
+        end = start + sum(map(len, sentence.tokens))
+        # A sentence shorter than k has no gram; a negative end - k + 1
+        # would otherwise wrap around to the end of the list.
+        sentences.append(grams[start : max(start, end - k + 1)])
+        start = end
+    return DocumentGrams(dict(Counter(grams)), tuple(sentences))
 
 
 def word_trigrams(text: str) -> frozenset[str]:
@@ -243,59 +275,56 @@ def gram_weights(multiset: GramMultiset) -> GramWeights:
 
 
 def least_frequent_fingerprint(
-    sentence: Sentence,
+    sentence_index: int,
+    grams: Iterable[str],
     freqs: GramWeights | Mapping[str, int],
-    k: int = STATEMENT_GRAM_LEN,
 ) -> SentenceFingerprint | None:
-    """Fingerprint a sentence by its three least frequent k-grams.
+    """Fingerprint a sentence by its three least frequent grams.
 
-    `freqs` must cover every gram of the sentence, with the exact weights or
+    `grams` are the sentence's grams in order, as `document_grams` cuts
+    them.  `freqs` must cover every one of them, with the exact weights or
     the integer counts over the containing document; both rank the grams
     alike.  Grams are ordered by ascending frequency, ties by first
     occurrence in the sentence, and the first three concatenate into the
     key.  Sentences with fewer than three distinct grams yield None.
     """
-    stripped = "".join(sentence.tokens)
-    grams = dict.fromkeys(stripped[i : i + k] for i in range(len(stripped) - k + 1))
-    if len(grams) < STATEMENT_GRAM_COUNT:
+    distinct = dict.fromkeys(grams)
+    if len(distinct) < STATEMENT_GRAM_COUNT:
         return None
     try:
         # Stable sort over first-occurrence order breaks ties by position.
-        ranked = sorted(grams, key=freqs.__getitem__)
+        ranked = sorted(distinct, key=freqs.__getitem__)
     except KeyError as exc:
         raise KeyError(
             f"gram {exc.args[0]!r} missing from document weights"
         ) from None
     return SentenceFingerprint(
-        sentence_index=sentence.index,
+        sentence_index=sentence_index,
         grams=tuple(ranked[:STATEMENT_GRAM_COUNT]),
     )
 
 
 def document_fingerprints(
-    doc: Document, k: int = STATEMENT_GRAM_LEN, counts: Mapping[str, int] | None = None
+    doc: Document, k: int = STATEMENT_GRAM_LEN, grams: DocumentGrams | None = None
 ) -> tuple[SentenceFingerprint, ...]:
     """Fingerprints of every sentence, weighted over the whole document.
 
     Grams are ranked by their integer counts: the weights of `gram_weights`
     all share the document's gram total as denominator, so they order alike.
-    `counts`, when given, must be `char_kgrams(doc.normalized_text, k).counts`.
+    `grams`, when given, must be `document_grams(doc, k)`.
     """
-    if counts is None:
-        counts = char_kgrams(doc.normalized_text, k).counts
-    out = []
-    for sentence in doc.sentences:
-        fp = least_frequent_fingerprint(sentence, counts, k)
-        if fp is not None:
-            out.append(fp)
-    return tuple(out)
+    counts, sentences = document_grams(doc, k) if grams is None else grams
+    fingerprints = (
+        least_frequent_fingerprint(i, sentence, counts) for i, sentence in enumerate(sentences)
+    )
+    return tuple(fp for fp in fingerprints if fp is not None)
 
 
 def fingerprint_keys(
-    doc: Document, k: int = STATEMENT_GRAM_LEN, counts: Mapping[str, int] | None = None
+    doc: Document, k: int = STATEMENT_GRAM_LEN, grams: DocumentGrams | None = None
 ) -> frozenset[str]:
-    """The set of sentence fingerprint keys of a document (`counts` as above)."""
-    return frozenset(fp.key for fp in document_fingerprints(doc, k, counts))
+    """The set of sentence fingerprint keys of a document (`grams` as above)."""
+    return frozenset(fp.key for fp in document_fingerprints(doc, k, grams))
 
 
 def statement_resemblance(

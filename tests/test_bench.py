@@ -20,9 +20,9 @@ def test_run_bench_builds_each_document_once(monkeypatch):
     for name, ids in calls.items():
         original = getattr(Detector, name)
 
-        def counted(self, doc, original=original, ids=ids):
+        def counted(self, doc, *args, original=original, ids=ids):
             ids.append(doc.id)
-            return original(self, doc)
+            return original(self, doc, *args)
 
         monkeypatch.setattr(Detector, name, counted)
     rows = run_bench(docs, det)

@@ -8,6 +8,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import simscan.detector
+import simscan.features
 import simscan.fingerprint
 from simscan.detector import (
     ALL_FEATURES,
@@ -616,19 +617,40 @@ def test_suspect_equals_separate_computations(text, k):
     )
 
 
-def test_suspect_counts_grams_once(detector, monkeypatch):
-    doc = detector.document("s", CORPUS["b"])
+def test_suspect_counts_grams_once(monkeypatch):
+    """One gram pass per distinct gram length: the statement's and k_char."""
     calls = []
     for module in (simscan.detector, simscan.fingerprint):
-        original = module.char_kgrams
+        original = module.document_grams
 
         def counted(*args, original=original):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(module, "char_kgrams", counted)
-    detector._suspect(doc)
-    assert calls == [(doc.normalized_text, 4)]
+        monkeypatch.setattr(module, "document_grams", counted)
+    for k_char, ks in ((4, [4]), (3, [4, 3])):
+        det = Detector(DetectorConfig(k_char=k_char))
+        doc = det.document("s", CORPUS["b"])
+        calls.clear()
+        det._suspect(doc)
+        assert calls == [(doc, k) for k in ks]
+
+
+def test_analyze_pair_finds_cue_sentences_once(detector, monkeypatch):
+    ref = detector.document("r", CORPUS["b"])
+    susp = detector.document("s", CORPUS["a"])
+    calls = []
+    for module in (simscan.detector, simscan.features):
+        original = module.cue_sentences
+
+        def counted(doc, *args, original=original):
+            calls.append(doc.id)
+            return original(doc, *args)
+
+        monkeypatch.setattr(module, "cue_sentences", counted)
+    report = detector.analyze_pair(ref, susp)
+    assert calls == ["r"]
+    assert {"lcs_f", "query_phrase"} <= set(report.scores)
 
 
 def test_report_dict_layout(detector):

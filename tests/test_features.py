@@ -277,6 +277,15 @@ def test_key_sentence_indices():
     assert key_sentence_indices(pre.document("e", "")) == ()
 
 
+def test_lcs_fmeasure_with_huge_beta_stays_in_unit_interval():
+    # F tends to R = 1 from below as beta grows; unclamped, it rounded to
+    # 1.0000000000000002 and the score could not be built.
+    ref, susp = ["we", "find", "that"], ["we", "find", "that", "ball"]
+    result = lcs_fmeasure(ref, susp, 1.5582952287322294e16)
+    assert result.r_lcs == 1.0
+    assert result.f_lcs == 1.0
+
+
 def test_lcs_similarity_picks_best_pair():
     ref = pre.document("r", "Player kicked the ball.")
     susp = pre.document(

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simscan.fingerprint import (
@@ -13,6 +13,7 @@ from simscan.fingerprint import (
     SentenceFingerprint,
     char_kgrams,
     document_fingerprints,
+    document_grams,
     fingerprint_keys,
     full_resemblance,
     gram_weights,
@@ -39,6 +40,11 @@ def naive_grams(text: str, k: int) -> dict[str, int]:
         if len(window) == k:
             counts[window] = counts.get(window, 0) + 1
     return counts
+
+
+def own_grams(sentence) -> dict[str, int]:
+    """A sentence's distinct 4-grams, counted alone, in first-occurrence order."""
+    return char_kgrams(sentence.normalized, 4).counts
 
 
 def test_char_kgrams_touch():
@@ -208,21 +214,21 @@ def test_least_frequent_fingerprint_tie_breaks_by_position():
     # first three windows win.
     [sentence] = split_sentences("soccer game is fantastic.", frozenset())
     weights = gram_weights(char_kgrams("soccer game is fantastic", 4))
-    fp = least_frequent_fingerprint(sentence, weights)
+    fp = least_frequent_fingerprint(sentence.index, own_grams(sentence), weights)
     assert fp.grams == ("socc", "occe", "ccer")
 
 
 def test_short_sentence_has_no_fingerprint():
     [sentence] = split_sentences("tiny.", frozenset())
     weights = gram_weights(char_kgrams("tiny", 4))
-    assert least_frequent_fingerprint(sentence, weights) is None
+    assert least_frequent_fingerprint(sentence.index, own_grams(sentence), weights) is None
 
 
 def test_missing_gram_weight_raises():
     [sentence] = split_sentences("soccer game is fantastic.", frozenset())
     weights = gram_weights(char_kgrams("unrelated text entirely", 4))
     with pytest.raises(KeyError):
-        least_frequent_fingerprint(sentence, weights)
+        least_frequent_fingerprint(sentence.index, own_grams(sentence), weights)
 
 
 def test_sentence_fingerprint_validation():
@@ -259,9 +265,24 @@ def test_document_fingerprints_match_exact_weight_ranking(text):
     expected = ()
     if multiset.total:
         weights = gram_weights(multiset)
-        candidates = (least_frequent_fingerprint(s, weights) for s in doc.sentences)
+        candidates = (
+            least_frequent_fingerprint(s.index, own_grams(s), weights)
+            for s in doc.sentences
+        )
         expected = tuple(fp for fp in candidates if fp is not None)
     assert document_fingerprints(doc) == expected
+
+
+@example(text="ball. ball.", k=6)
+@given(st.one_of(gram_texts, st.text(max_size=60)), small_k)
+def test_document_grams_counts_text_and_cuts_sentences(text, k):
+    doc = Preprocessor(frozenset()).document("d", text)
+    counts, sentences = document_grams(doc, k)
+    assert counts == char_kgrams(doc.normalized_text, k).counts
+    assert len(sentences) == len(doc.sentences)
+    for sentence, grams in zip(doc.sentences, sentences):
+        stripped = "".join(sentence.tokens)
+        assert grams == [stripped[i : i + k] for i in range(len(stripped) - k + 1)]
 
 
 def test_statement_resemblance_self_and_disjoint():
@@ -313,4 +334,4 @@ def test_least_frequent_fingerprint_rejects_gram_missing_from_counts():
     assert type(counts) is dict
     sentence = split_sentences("the quick brown fox", frozenset())[0]
     with pytest.raises(KeyError):
-        least_frequent_fingerprint(sentence, counts)
+        least_frequent_fingerprint(sentence.index, own_grams(sentence), counts)
