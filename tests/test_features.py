@@ -1,7 +1,7 @@
 """The four detection features."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simscan.features import (
@@ -261,6 +261,9 @@ def test_lcs_fmeasure_paper_mode_matches_closed_form(xs, ys):
 betas = st.one_of(st.just("paper"), st.floats(min_value=0.0, max_value=8.0))
 
 
+# With R = 1 and P = 0.75, F tends to 1 from below as beta grows; unclamped
+# it rounded to 1.0000000000000002.
+@example(["a", "b", "c"], ["a", "b", "c", "a"], 1.5582952287322294e16)
 @given(tokens, tokens, betas)
 def test_lcs_fmeasure_bounded(xs, ys, beta):
     res = lcs_fmeasure(xs, ys, beta)
@@ -275,15 +278,6 @@ def test_key_sentence_indices():
     )
     assert key_sentence_indices(doc) == (0, 2)
     assert key_sentence_indices(pre.document("e", "")) == ()
-
-
-def test_lcs_fmeasure_with_huge_beta_stays_in_unit_interval():
-    # F tends to R = 1 from below as beta grows; unclamped, it rounded to
-    # 1.0000000000000002 and the score could not be built.
-    ref, susp = ["we", "find", "that"], ["we", "find", "that", "ball"]
-    result = lcs_fmeasure(ref, susp, 1.5582952287322294e16)
-    assert result.r_lcs == 1.0
-    assert result.f_lcs == 1.0
 
 
 def test_lcs_similarity_picks_best_pair():
