@@ -3,7 +3,8 @@
 Each case runs `simscan.cli.main` on the corpus below, in a fresh working
 directory, and compares the sha256 of everything the case printed (and of
 the index file it wrote, if any) with the digests in `DIGESTS`.  A changed
-digest is a change of behaviour.  After an intended one, print the new
+digest is a change of behaviour.  `bench` prints wall times, so its output
+is hashed with every seconds-per-pair figure masked, and nothing else.  After an intended one, print the new
 digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -128,10 +130,28 @@ CASES = {
             "--phrases", "phrases.txt", "--weights", "query_phrase=0",
         ],
     ],
+    "bench_json": [["bench", "corpus", "--format", "json"]],
+    "bench_text": [["bench", "corpus", "--format", "text"]],
+    "bench_jobs2": [["bench", "corpus", "--jobs", "2"]],
 }
+
+# `bench` timings: the JSON `seconds_per_pair` values and the table's s/pair column.
+_TIMINGS = re.compile(r'("seconds_per_pair": )-?\d+\.\d+|^(\S+ +\d+ +\d+ +)\S+', re.M)
 
 # name -> (sha256 of stdout, sha256 of the index file or None).
 DIGESTS = {
+    "bench_jobs2": (
+        "d5a1825394b82bb5390e2912d8463eb984b4caae3f5553e42e1518ffe0b47510",
+        None,
+    ),
+    "bench_json": (
+        "d5a1825394b82bb5390e2912d8463eb984b4caae3f5553e42e1518ffe0b47510",
+        None,
+    ),
+    "bench_text": (
+        "3bbb958df9e088d2e56e3e08d65474fcc683caa8402266dea65b9a382f500350",
+        None,
+    ),
     "compare_beta_half": (
         "957bacfc97b5c1ee6dae99e05806108c28c10e0bec0c6b9286a5316724132e7e",
         None,
@@ -238,9 +258,14 @@ def run_case(workdir: Path, commands: list[list[str]]) -> tuple[str, str | None]
     os.chdir(workdir)
     try:
         for argv in commands:
-            with contextlib.redirect_stdout(out):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
                 code = main(argv)
             assert code == 0, f"{argv} exited {code}"
+            text = printed.getvalue()
+            if argv[0] == "bench":
+                text = _TIMINGS.sub(lambda m: (m[1] or m[2]) + "*", text)
+            out.write(text)
     finally:
         os.chdir(cwd)
     index = workdir / IDX
