@@ -305,30 +305,26 @@ def least_frequent_fingerprint(
 
 
 def document_fingerprints(
-    doc: Document, k: int = STATEMENT_GRAM_LEN, grams: DocumentGrams | None = None
+    doc: Document, grams: DocumentGrams | None = None
 ) -> tuple[SentenceFingerprint, ...]:
     """Fingerprints of every sentence, weighted over the whole document.
 
     Grams are ranked by their integer counts: the weights of `gram_weights`
     all share the document's gram total as denominator, so they order alike.
-    `grams`, when given, must be `document_grams(doc, k)`.
+    `grams`, when given, must be `document_grams(doc, STATEMENT_GRAM_LEN)`.
     """
-    counts, sentences = document_grams(doc, k) if grams is None else grams
+    counts, sentences = document_grams(doc, STATEMENT_GRAM_LEN) if grams is None else grams
     fingerprints = (
         least_frequent_fingerprint(i, sentence, counts) for i, sentence in enumerate(sentences)
     )
     return tuple(fp for fp in fingerprints if fp is not None)
 
 
-def fingerprint_keys(
-    doc: Document, k: int = STATEMENT_GRAM_LEN, grams: DocumentGrams | None = None
-) -> frozenset[str]:
+def fingerprint_keys(doc: Document, grams: DocumentGrams | None = None) -> frozenset[str]:
     """The set of sentence fingerprint keys of a document (`grams` as above)."""
-    return frozenset(fp.key for fp in document_fingerprints(doc, k, grams))
+    return frozenset(fp.key for fp in document_fingerprints(doc, grams))
 
 
-def statement_resemblance(
-    doc_a: Document, doc_b: Document, k: int = STATEMENT_GRAM_LEN
-) -> ResemblanceScore:
+def statement_resemblance(doc_a: Document, doc_b: Document) -> ResemblanceScore:
     """Jaccard similarity of the two documents' sentence fingerprint sets."""
-    return jaccard(fingerprint_keys(doc_a, k), fingerprint_keys(doc_b, k), STATEMENT)
+    return jaccard(fingerprint_keys(doc_a), fingerprint_keys(doc_b), STATEMENT)
