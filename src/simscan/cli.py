@@ -10,29 +10,29 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import json
+import math
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import uuid
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
+from typing import Callable, Sequence
 
 from . import __version__
-from .bench import format_table, run_bench
+from .bench import BenchRow, run_bench
 from .detector import (
-    ALL_FEATURES,
     DEFAULT_FEATURES,
     Detector,
     DetectorConfig,
     FeatureReport,
+    IndexEntry,
     IndexFormatError,
     IndexVersionError,
-    dumps_fixed,
     load_index,
-    report_dict,
     save_index,
 )
 from .features import DEFAULT_GRAM_LEN, DEFAULT_K_TOP
-from .textprep import Document
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,15 +125,13 @@ def _discover(directory: str, recursive: bool) -> list[tuple[str, Path]]:
     return [(p.relative_to(root).as_posix(), p) for p in files]
 
 
-def _build_item(det: Detector, build, item: tuple[str, str]):
-    return build(det, det.document(*item))
+def _corpus(args, build: Callable[[Detector, str, str], object]) -> tuple[Detector, list]:
+    """The detector and `build(det, doc_id, text)` of every corpus file, in id order.
 
-
-def _corpus(args, build) -> tuple[Detector, list]:
-    """The detector and `build(det, doc)` of every corpus document, in id order.
-
-    Documents are built in-process unless at least two files and two jobs
-    allow a pool; the pool never has more workers than files.
+    Files are built in-process unless at least two files and two jobs allow
+    a pool; the pool never has more workers than files.  It gets the files
+    in one contiguous chunk per worker, so the detector is unpickled once
+    per chunk rather than once per file.
     """
     if args.jobs < 1:
         raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
@@ -141,24 +139,66 @@ def _corpus(args, build) -> tuple[Detector, list]:
     files = _discover(args.directory, args.recursive)
     if not files:
         print(f"warning: no .txt files found in {args.directory}", file=sys.stderr)
-    texts = [(doc_id, _read_text(str(p))) for doc_id, p in files]
-    jobs = min(args.jobs, len(texts))
+    dets = [det] * len(files)
+    ids = [doc_id for doc_id, _ in files]
+    texts = [_read_text(str(path)) for _, path in files]
+    jobs = min(args.jobs, len(files))
     if jobs < 2:
-        return det, [_build_item(det, build, item) for item in texts]
+        return det, list(map(build, dets, ids, texts))
+    # Imported here: it loads multiprocessing, which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return det, list(pool.map(partial(_build_item, det, build), texts))
+        chunksize = math.ceil(len(files) / jobs)
+        return det, list(pool.map(build, dets, ids, texts, chunksize=chunksize))
 
 
-def _keep_document(det: Detector, doc: Document) -> Document:
-    return doc
+def _entry(det: Detector, doc_id: str, text: str) -> IndexEntry:
+    return det.entry(det.document(doc_id, text))
+
+
+def report_dict(report: FeatureReport) -> dict:
+    """A JSON-ready view of a report with a stable key layout."""
+    return {
+        "ref_id": report.ref_id,
+        "susp_id": report.susp_id,
+        "scores": {
+            name: {"value": score.value, "detail": dict(score.detail), "flags": list(score.flags)}
+            for name, score in report.scores.items()
+        },
+        "skipped": sorted(report.skipped),
+        "combined": report.combined,
+    }
+
+
+_FLOAT_TAG = uuid.uuid4().hex
+
+
+def _tag_floats(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return f"@{_FLOAT_TAG}:{obj:.12f}@"
+    if isinstance(obj, dict):
+        return {key: _tag_floats(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tag_floats(item) for item in obj]
+    return obj
+
+
+def dumps_fixed(obj) -> str:
+    """json.dumps, indented by two spaces, with every float as 12 fractional digits.
+
+    Fixed-point rendering keeps report bytes identical across platforms
+    regardless of repr shortest-float behavior.
+    """
+    tagged = json.dumps(_tag_floats(obj), indent=2)
+    return re.sub(f'"@{_FLOAT_TAG}:(-?\\d+\\.\\d{{12}})@"', r"\1", tagged)
 
 
 def _format_report_text(report: FeatureReport) -> str:
     lines = [f"ref:  {report.ref_id}", f"susp: {report.susp_id}"]
-    for name in ALL_FEATURES:
-        if name not in report.scores:
-            continue
-        score = report.scores[name]
+    for name, score in report.scores.items():
         flags = f"  [{','.join(score.flags)}]" if score.flags else ""
         lines.append(f"{name:<16} {score.value:.12f}{flags}")
     if report.skipped:
@@ -167,20 +207,46 @@ def _format_report_text(report: FeatureReport) -> str:
     return "\n".join(lines)
 
 
+def _ranking_text(ranked: list[tuple[str, FeatureReport]]) -> str:
+    lines = []
+    for rank, (doc_id, report) in enumerate(ranked, start=1):
+        values = " ".join(
+            f"{name}={score.value:.12f}"
+            for name, score in report.scores.items()
+            if not score.not_applicable
+        )
+        lines.append(f"{rank:>3}. {doc_id}  combined={report.combined:.12f}  {values}")
+    return "\n".join(lines) or "no candidates"
+
+
+def format_table(rows: Sequence[BenchRow]) -> str:
+    """Fixed-width text table of benchmark rows."""
+    header = f"{'scheme':<16} {'docs':>5} {'pairs':>6} {'s/pair':>12} {'bytes/doc':>12}"
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        lines.append(
+            f"{row.scheme:<16} {row.docs:>5} {row.pairs:>6} "
+            f"{row.seconds_per_pair:>12.6f} {row.bytes_per_doc:>12.1f}"
+        )
+    return "\n".join(lines)
+
+
+def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> int:
+    """Print `payload()` as JSON or `text()`, as `--format` asks."""
+    print(dumps_fixed(payload()) if args.format == "json" else text())
+    return EXIT_OK
+
+
 def cmd_compare(args) -> int:
     det = _detector(args)
     ref = det.document(args.reference, _read_text(args.reference))
     susp = det.document(args.suspect, _read_text(args.suspect))
     report = det.analyze_pair(ref, susp)
-    if args.format == "json":
-        print(dumps_fixed(report_dict(report), indent=2))
-    else:
-        print(_format_report_text(report))
-    return EXIT_OK
+    return _emit(args, lambda: report_dict(report), lambda: _format_report_text(report))
 
 
 def cmd_index(args) -> int:
-    det, entries = _corpus(args, Detector.entry)
+    det, entries = _corpus(args, _entry)
     index = det.index_from_entries(entries)
     try:
         save_index(index, args.out)
@@ -204,33 +270,17 @@ def cmd_scan(args) -> int:
         raise _CliError(EXIT_IO, f"malformed index {args.index}: {exc}") from None
     except IndexVersionError as exc:
         raise _CliError(EXIT_INDEX, str(exc)) from None
-    if args.format == "json":
-        payload = {
-            "susp_id": susp.id,
-            "results": [report_dict(report) for _, report in ranked],
-        }
-        print(dumps_fixed(payload, indent=2))
-    else:
-        if not ranked:
-            print("no candidates")
-        for rank, (doc_id, report) in enumerate(ranked, start=1):
-            values = " ".join(
-                f"{name}={report.scores[name].value:.12f}"
-                for name in ALL_FEATURES
-                if name in report.scores and not report.scores[name].not_applicable
-            )
-            print(f"{rank:>3}. {doc_id}  combined={report.combined:.12f}  {values}")
-    return EXIT_OK
+    return _emit(
+        args,
+        lambda: {"susp_id": susp.id, "results": [report_dict(report) for _, report in ranked]},
+        lambda: _ranking_text(ranked),
+    )
 
 
 def cmd_bench(args) -> int:
-    det, docs = _corpus(args, _keep_document)
+    det, docs = _corpus(args, Detector.document)
     rows = run_bench(docs, det)
-    if args.format == "json":
-        print(dumps_fixed([asdict(row) for row in rows], indent=2))
-    else:
-        print(format_table(rows))
-    return EXIT_OK
+    return _emit(args, lambda: [asdict(row) for row in rows], lambda: format_table(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,6 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--phrases", default=None, help="cue phrase file, one per line")
     common.add_argument("--format", choices=("json", "text"), default="json")
 
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("directory")
+    corpus.add_argument("--recursive", action="store_true", help="descend into subdirectories")
+    corpus.add_argument("--jobs", type=int, default=1, help="worker processes")
+
     parser = _ArgumentParser(
         prog="simscan", description="Fingerprint-based text similarity scanner."
     )
@@ -265,11 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suspect")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("index", parents=[common], help="index a directory of .txt files")
-    p.add_argument("directory")
+    p = sub.add_parser("index", parents=[common, corpus], help="index a directory of .txt files")
     p.add_argument("out", help="index file to write")
-    p.add_argument("--recursive", action="store_true", help="descend into subdirectories")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("scan", parents=[common], help="rank indexed documents for a suspect")
@@ -278,10 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10, help="result cap")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("bench", parents=[common], help="time the schemes on a corpus")
-    p.add_argument("directory")
-    p.add_argument("--recursive", action="store_true", help="descend into subdirectories")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p = sub.add_parser("bench", parents=[common, corpus], help="time the schemes on a corpus")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -19,7 +19,6 @@ import heapq
 import json
 import math
 import os
-import re
 import uuid
 from dataclasses import dataclass, field
 from operator import itemgetter, lt
@@ -323,8 +322,13 @@ class Detector:
     def _report(
         ref_id: str, susp_id: str, outcomes: Mapping[str, Outcome], combined: float
     ) -> FeatureReport:
-        """The report builder: one score per outcome, no new intersections."""
-        scores = {name: outcome_score(name, outcome) for name, outcome in outcomes.items()}
+        """The report builder: one score per outcome, no new intersections.
+
+        The scores follow `ALL_FEATURES`, the order every report lists them in.
+        """
+        scores = {
+            name: outcome_score(name, outcomes[name]) for name in ALL_FEATURES if name in outcomes
+        }
         return FeatureReport(ref_id, susp_id, scores, combined)
 
     def _score(
@@ -514,47 +518,3 @@ def load_index(path: str | Path) -> CorpusIndex:
             entries[entry.doc_id] = entry
     return CorpusIndex(config=config, entries=entries)
 
-
-def report_dict(report: FeatureReport) -> dict:
-    """A JSON-ready view of a report with a stable key layout."""
-    ordered = [name for name in ALL_FEATURES if name in report.scores]
-    scores = {}
-    for name in ordered:
-        score = report.scores[name]
-        scores[name] = {
-            "value": score.value,
-            "detail": dict(score.detail),
-            "flags": list(score.flags),
-        }
-    return {
-        "ref_id": report.ref_id,
-        "susp_id": report.susp_id,
-        "scores": scores,
-        "skipped": sorted(report.skipped),
-        "combined": report.combined,
-    }
-
-
-_FLOAT_TAG = uuid.uuid4().hex
-
-
-def _tag_floats(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return f"@{_FLOAT_TAG}:{obj:.12f}@"
-    if isinstance(obj, dict):
-        return {key: _tag_floats(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tag_floats(item) for item in obj]
-    return obj
-
-
-def dumps_fixed(obj, indent: int | None = None) -> str:
-    """json.dumps with every float rendered as 12 fractional digits.
-
-    Fixed-point rendering keeps report bytes identical across platforms
-    regardless of repr shortest-float behavior.
-    """
-    tagged = json.dumps(_tag_floats(obj), indent=indent)
-    return re.sub(f'"@{_FLOAT_TAG}:(-?\\d+\\.\\d{{12}})@"', r"\1", tagged)

@@ -1,7 +1,9 @@
 """CLI surface: exit codes, output schema, stream separation."""
 
 import argparse
+import concurrent.futures
 import json
+import os
 import re
 import subprocess
 import sys
@@ -420,9 +422,10 @@ def test_compare_long_y_word(workspace, capsys):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and chunks, maps in-process."""
 
     sizes: list = []
+    chunksizes: list = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
@@ -435,14 +438,17 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         # what a real pool would send to its workers must pickle
-        return map(pickle.loads(pickle.dumps(fn)), items)
+        fn = pickle.loads(pickle.dumps(fn))
+        return [fn(*pickle.loads(pickle.dumps(item))) for item in zip(*iterables)]
 
 
 def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(simscan.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     corpus = str(workspace / "corpus")
     serial = workspace / "serial.jsonl"
     pooled = workspace / "pooled.jsonl"
@@ -450,13 +456,18 @@ def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch):
     code, _, _ = run(["index", corpus, str(pooled), "--jobs", "64"], capsys)
     assert code == EXIT_OK and _RecordingPool.sizes == [3]
     assert pooled.read_bytes() == serial.read_bytes()
+    # two workers share three files as one chunk of two and one of one
+    code, _, _ = run(["index", corpus, str(pooled), "--jobs", "2"], capsys)
+    assert code == EXIT_OK and _RecordingPool.sizes == [3, 2]
+    assert _RecordingPool.chunksizes == [1, 2]
+    assert pooled.read_bytes() == serial.read_bytes()
 
     single = workspace / "single"
     single.mkdir()
     (single / "only.txt").write_text(S1, encoding="utf-8")
     code, _, _ = run(["index", str(single), str(pooled), "--jobs", "5"], capsys)
     code_bench, _, _ = run(["bench", str(single), "--jobs", "5"], capsys)
-    assert code == code_bench == EXIT_OK and _RecordingPool.sizes == [3]
+    assert code == code_bench == EXIT_OK and _RecordingPool.sizes == [3, 2]
 
 
 def test_bench_jobs_match_serial(workspace, capsys):
@@ -548,6 +559,23 @@ def test_module_entry_point(workspace):
         text=True,
     )
     assert proc.returncode == 1
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only `--jobs` above 1 needs a pool; every other run skips its imports."""
+    code = (
+        "import sys, simscan.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_version_flag(capsys):

@@ -17,11 +17,10 @@ from simscan.detector import (
     DetectorConfig,
     IndexFormatError,
     IndexVersionError,
-    dumps_fixed,
     load_index,
-    report_dict,
     save_index,
 )
+from simscan.cli import dumps_fixed, report_dict
 from simscan.features import (
     first_sentence_similarity,
     query_phrase_similarity,
@@ -666,5 +665,8 @@ def test_report_dict_layout(detector):
 
 def test_dumps_fixed_formats_floats():
     out = dumps_fixed({"x": 1.0, "y": [0.5, 2], "z": "s", "b": True})
-    assert out == '{"x": 1.000000000000, "y": [0.500000000000, 2], "z": "s", "b": true}'
+    assert out == (
+        '{\n  "x": 1.000000000000,\n  "y": [\n    0.500000000000,\n    2\n  ],\n'
+        '  "z": "s",\n  "b": true\n}'
+    )
     assert json.loads(out) == {"x": 1.0, "y": [0.5, 2], "z": "s", "b": True}

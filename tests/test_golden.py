@@ -4,8 +4,8 @@ Each case runs `simscan.cli.main` on the corpus below, in a fresh working
 directory, and compares the sha256 of everything the case printed (and of
 the index file it wrote, if any) with the digests in `DIGESTS`.  A changed
 digest is a change of behaviour.  `bench` prints wall times, so its output
-is hashed with every seconds-per-pair figure masked, and nothing else.  After an intended one, print the new
-digests with
+is hashed with every seconds-per-pair figure masked, and nothing else.
+After an intended change, print the new digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
