@@ -2,9 +2,9 @@
 
 Four subcommands: `compare` two files, `index` a directory of .txt files,
 `scan` a suspect file against a saved index, and `bench` the schemes on a
-corpus.  Reports go to stdout, diagnostics to stderr.  Exit codes: 0
-success, 1 usage error, 2 I/O error, 3 index version/config mismatch, 4
-internal error.
+corpus.  Every report is rendered here, as JSON or as text.  Reports go
+to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
+2 I/O error, 3 index version/config mismatch, 4 internal error.
 """
 
 from __future__ import annotations
