@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import uuid
 from pathlib import Path
 
 import pickle
@@ -23,6 +24,7 @@ from simscan.cli import (
     EXIT_OK,
     EXIT_USAGE,
     build_parser,
+    dumps_fixed,
     main,
 )
 from simscan.detector import Detector, DetectorConfig
@@ -576,6 +578,46 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _tagged_dumps_fixed(obj) -> str:
+    """The writer `dumps_fixed` replaced: floats tagged as strings, then a regex."""
+    tag = uuid.uuid4().hex
+
+    def tag_floats(obj):
+        if isinstance(obj, bool):
+            return obj
+        if isinstance(obj, float):
+            return f"@{tag}:{obj:.12f}@"
+        if isinstance(obj, dict):
+            return {key: tag_floats(value) for key, value in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [tag_floats(item) for item in obj]
+        return obj
+
+    tagged = json.dumps(tag_floats(obj), indent=2)
+    return re.sub(f'"@{tag}:(-?\\d+\\.\\d{{12}})@"', r"\1", tagged)
+
+
+json_strings = st.text(st.sampled_from('a "\\\n\u00ef\u65e5\U0001f600')) | st.text()
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | json_strings
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(json_values)
+def test_dumps_fixed_matches_tagged_writer(obj):
+    assert dumps_fixed(obj) == _tagged_dumps_fixed(obj)
 
 
 def test_version_flag(capsys):

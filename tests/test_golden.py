@@ -67,6 +67,10 @@ CORPUS = {
 
 PHRASES = "# cue phrases\nthe delta grows...\nmost copied\n\n"
 
+# A file beside `corpus/`, so that no index or scan case sees it, whose name
+# needs JSON escaping: a non-ASCII letter, a double quote and a backslash.
+ESCAPED = 'na\u00efve "quoted" back\\slash.txt'
+
 C = "corpus/"
 IDX = "out.idx"
 
@@ -75,6 +79,10 @@ CASES = {
     "compare_near": [["compare", C + "alpha.txt", C + "alpha_near.txt"]],
     "compare_empty_suspect": [["compare", C + "alpha.txt", C + "empty.txt"]],
     "compare_empty_reference": [["compare", C + "empty.txt", C + "alpha.txt"]],
+    "compare_escaped_id": [
+        ["compare", C + "alpha.txt", ESCAPED],
+        ["compare", ESCAPED, C + "alpha.txt"],
+    ],
     "compare_cueless": [["compare", C + "cueless.txt", C + "beta.txt"]],
     "compare_short_first": [["compare", C + "short_first.txt", C + "beta.txt"]],
     "compare_unicode": [["compare", C + "unicode.txt", C + "unicode_near.txt"]],
@@ -172,6 +180,10 @@ DIGESTS = {
         "55e35845561f7dbc5b085c435a9de58f6ffcc10008113b22abc47c86c0a1b83d",
         None,
     ),
+    "compare_escaped_id": (
+        "5ad8b589ef6c0417b078546825cc36a4d4df14e9b6acc4ecd88a84134310f309",
+        None,
+    ),
     "compare_k3": (
         "9d7629f85858c90e0dea28362144cd203ec336bfc652f5a045fec8c1c1ae9376",
         None,
@@ -253,6 +265,7 @@ def run_case(workdir: Path, commands: list[list[str]]) -> tuple[str, str | None]
     for name, text in CORPUS.items():
         (workdir / "corpus" / name).write_text(text, encoding="utf-8")
     (workdir / "phrases.txt").write_text(PHRASES, encoding="utf-8")
+    (workdir / ESCAPED).write_text(CORPUS["alpha_near.txt"], encoding="utf-8")
     out = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
