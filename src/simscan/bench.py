@@ -71,11 +71,10 @@ def _row(scheme: str, docs: int, artifacts: list, compare, total_bytes: int) -> 
     )
 
 
-def run_bench(docs: Sequence[Document], detector: Detector | None = None) -> list[BenchRow]:
+def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
     """One row per scheme; empty corpus yields an empty table."""
     if not docs:
         return []
-    detector = detector or Detector()
     k = detector.config.k_char
     n = len(docs)
     rows = []
@@ -90,22 +89,23 @@ def run_bench(docs: Sequence[Document], detector: Detector | None = None) -> lis
         _row(TRIGRAM, n, trigrams, lambda a, b: jaccard(a, b, TRIGRAM), tri_bytes)
     )
 
-    refs = [(d, cue_sentences(d, detector.phrases)) for d in docs]
-    entries = [detector.entry(d, cues) for d, cues in refs]
-    profiles = [(e, ref, detector._suspect(ref[0])) for e, ref in zip(entries, refs)]
+    # Each document's (entry, (doc, cues), suspect): it is scored as either side.
+    profiles = []
+    for doc in docs:
+        cues = cue_sentences(doc, detector.phrases)
+        profiles.append((detector.entry(doc, cues), (doc, cues), detector._suspect(doc)))
 
     # `_suspect` already holds each document's statement fingerprint keys.
-    keys = [suspect[0] for _, _, suspect in profiles]
+    keys = [suspect.keys for _, _, suspect in profiles]
     key_bytes = sum(len(key.encode("utf-8")) for ks in keys for key in ks)
     rows.append(
         _row(STATEMENT, n, keys, lambda a, b: jaccard(a, b, STATEMENT), key_bytes)
     )
 
-    entry_bytes = sum(len(dumps_record(e.record(k)).encode("utf-8")) for e in entries)
+    entry_bytes = sum(len(dumps_record(e.record(k)).encode("utf-8")) for e, _, _ in profiles)
 
     def score_pair(ref, susp):
-        (entry, reference, _), (_, (susp_doc, _), suspect) = ref, susp
-        return detector._score(entry, susp_doc, suspect, reference)
+        return detector._score(ref[0], susp[2], ref[1])
 
     rows.append(_row(FEATURES_SCHEME, n, profiles, score_pair, entry_bytes))
     return rows

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
-import uuid
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -171,29 +169,32 @@ def report_dict(report: FeatureReport) -> dict:
     }
 
 
-_FLOAT_TAG = uuid.uuid4().hex
-
-
-def _tag_floats(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return f"@{_FLOAT_TAG}:{obj:.12f}@"
-    if isinstance(obj, dict):
-        return {key: _tag_floats(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tag_floats(item) for item in obj]
-    return obj
-
-
 def dumps_fixed(obj) -> str:
     """json.dumps, indented by two spaces, with every float as 12 fractional digits.
 
     Fixed-point rendering keeps report bytes identical across platforms
     regardless of repr shortest-float behavior.
     """
-    tagged = json.dumps(_tag_floats(obj), indent=2)
-    return re.sub(f'"@{_FLOAT_TAG}:(-?\\d+\\.\\d{{12}})@"', r"\1", tagged)
+    return _dumps(obj, "")
+
+
+def _dumps(obj, indent: str) -> str:
+    """`dumps_fixed` of a value on a line indented by `indent`.
+
+    It recurses into itself, not into `dumps_fixed`, so that a wrapper of
+    that name sees one call per payload.
+    """
+    if isinstance(obj, float):
+        return f"{obj:.12f}"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in obj.items())
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (_dumps(item, inner) for item in obj)
+        return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
+    return json.dumps(obj)
 
 
 def _format_report_text(report: FeatureReport) -> str:

@@ -19,11 +19,10 @@ import heapq
 import json
 import math
 import os
-import uuid
 from dataclasses import dataclass, field
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .features import (
     DEFAULT_GRAM_LEN,
@@ -177,6 +176,15 @@ class IndexEntry:
         }
 
 
+class Suspect(NamedTuple):
+    """A suspect document with the sets every reference is scored against."""
+
+    doc: Document
+    keys: frozenset[str]
+    keywords: frozenset[str]
+    grams: frozenset[str]
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
     """Entries keyed by document id plus the config snapshot they assume."""
@@ -209,6 +217,8 @@ class Detector:
         self.stopwords = load_stopwords(self.config.stopword_path)
         self.phrases = load_query_phrases(self.config.phrase_path)
         self._prep = Preprocessor(self.stopwords)
+        # Each enabled feature with its weight, in `features` order.
+        self._weights = tuple((name, self.config.weight(name)) for name in self.config.features)
 
     def document(self, doc_id: str, raw_text: str) -> Document:
         return self._prep.document(doc_id, raw_text)
@@ -233,7 +243,7 @@ class Detector:
         and for lcs_f.
         """
         cues = cue_sentences(ref, self.phrases)
-        return self._score(self.entry(ref, cues), susp, self._suspect(susp), (ref, cues))
+        return self._score(self.entry(ref, cues), self._suspect(susp), (ref, cues))
 
     def entry(self, doc: Document, cues: tuple[int, ...] | None = None) -> IndexEntry:
         """The persisted artifacts of one document.
@@ -254,10 +264,11 @@ class Detector:
             ).hexdigest(),
         )
 
-    def _suspect(self, susp: Document) -> tuple[frozenset[str], ...]:
-        """The suspect's fingerprint keys, keywords and full-text gram set."""
+    def _suspect(self, susp: Document) -> Suspect:
+        """The suspect with its fingerprint keys, keywords and full-text gram set."""
         statement, grams = self._grams(susp)
-        return (
+        return Suspect(
+            susp,
             fingerprint_keys(susp, grams=statement),
             top_keywords(susp, self.config.k_top).terms,
             frozenset(grams.counts),
@@ -273,15 +284,10 @@ class Detector:
             return statement, statement
         return statement, document_grams(doc, self.config.k_char)
 
-    def _weights(self) -> tuple[tuple[str, float], ...]:
-        """Each enabled feature with its weight, in `features` order."""
-        return tuple((name, self.config.weight(name)) for name in self.config.features)
-
     def _outcomes(
         self,
         entry: IndexEntry,
-        suspect: tuple[frozenset[str], ...],
-        susp: Document | None = None,
+        suspect: Suspect,
         ref: tuple[Document, tuple[int, ...]] | None = None,
         gram_count: Callable[..., Counts] = overlap,
     ) -> dict[str, Outcome]:
@@ -294,7 +300,7 @@ class Detector:
         """
         cfg = self.config
         ref_doc, cues = ref or (None, None)
-        keys, keywords, grams = suspect
+        susp, keys, keywords, grams = suspect
         ref_empty = entry.token_digest == _EMPTY_DIGEST
         ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
         outcomes = {STATEMENT: overlap(entry.fingerprints, keys)}
@@ -304,7 +310,7 @@ class Detector:
             elif name in ref_grams:
                 outcomes[name] = gram_outcome(name, ref_grams[name], grams, ref_empty, gram_count)
             elif name in INDEX_UNAVAILABLE and ref is None:
-                outcomes[name] = NOT_APPLICABLE
+                outcomes[name] = NOT_APPLICABLE[name]
             elif name == LCS_F:
                 outcomes[name] = lcs_similarity(ref_doc, susp, cfg.beta, cues)
             elif name == FULL_CHAR:
@@ -334,15 +340,13 @@ class Detector:
     def _score(
         self,
         entry: IndexEntry,
-        susp: Document,
-        suspect: tuple[frozenset[str], ...],
+        suspect: Suspect,
         ref: tuple[Document, tuple[int, ...]] | None = None,
     ) -> FeatureReport:
-        """Score a reference entry against a suspect and its `_suspect` sets."""
-        outcomes = self._outcomes(entry, suspect, susp, ref)
-        return self._report(
-            entry.doc_id, susp.id, outcomes, _combine(outcomes, self._weights())
-        )
+        """Score a reference entry against a `_suspect`."""
+        outcomes = self._outcomes(entry, suspect, ref)
+        combined = _combine(outcomes, self._weights)
+        return self._report(entry.doc_id, suspect.doc.id, outcomes, combined)
 
     def index_from_entries(self, entries: Iterable[IndexEntry]) -> CorpusIndex:
         """Assemble an index from precomputed entries."""
@@ -369,7 +373,8 @@ class Detector:
         score are skipped; the list equals the full ranking cut to `top_n`.
         """
         snapshot = self.config_snapshot()
-        if dict(index.config) != snapshot:
+        # Compared as written, so a 4.0 or a true never stands in for a 4 or a 1.
+        if dumps_record(dict(index.config)) != dumps_record(snapshot):
             raise IndexVersionError(
                 f"index config {dict(index.config)!r} does not match "
                 f"detector config {snapshot!r}"
@@ -377,7 +382,7 @@ class Detector:
         if top_n is not None and top_n < 0:
             raise ValueError(f"top_n must be >= 0, got {top_n}")
         suspect = self._suspect(susp)
-        weights = self._weights()
+        weights = self._weights
         n = len(index.entries) if top_n is None else top_n
         # An entry's bound is its combined score with each gram feature's
         # intersection replaced by min(|A|, |B|); applicability is the same.
@@ -421,7 +426,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     in one step, so a failed write leaves any previous index intact.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     header = {"schema": INDEX_SCHEMA, "config": dict(index.config)}
     k = index.config["k_char"]
     try:

@@ -158,9 +158,9 @@ def gram_outcome(
     not applicable, so the combiner drops it instead of counting a zero.
     """
     if ref_empty:
-        return DEGENERATE
+        return DEGENERATE[method]
     if method == QUERY_PHRASE and not ref_grams:
-        return NOT_APPLICABLE
+        return NOT_APPLICABLE[method]
     return count(ref_grams, susp_grams)
 
 
@@ -242,7 +242,7 @@ def lcs_similarity(
     """
     key_indices = key_sentence_indices(ref, cues)
     if not key_indices or not susp.sentences:
-        return ResemblanceScore(0.0, LCS_F, degenerate=True)
+        return DEGENERATE[LCS_F]
     pairs = (
         (lcs_fmeasure(ref.sentences[ki].tokens, s.tokens, beta), ki, s.index)
         for ki in key_indices

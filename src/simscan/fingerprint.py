@@ -190,12 +190,12 @@ def full_resemblance(a: GramMultiset, b: GramMultiset) -> ResemblanceScore:
 
 # (|A o B|, |A|, |B|) of two sets.
 Counts = tuple[int, int, int]
-# The outcome of scoring one feature, before it becomes a ResemblanceScore:
-# the counts of a Jaccard score, one of the two flags below for a zero score
-# carrying only that flag, or an already built score.
-Outcome = Counts | str | ResemblanceScore
-DEGENERATE = "degenerate"
-NOT_APPLICABLE = "not_applicable"
+# The outcome of scoring one feature: the counts of a Jaccard score, whose
+# ResemblanceScore is built only if a report needs it, or a built score.
+Outcome = Counts | ResemblanceScore
+# Each feature's zero score carrying only that flag, built once.
+DEGENERATE = {name: ResemblanceScore(0.0, name, degenerate=True) for name in ALL_FEATURES}
+NOT_APPLICABLE = {name: ResemblanceScore(0.0, name, not_applicable=True) for name in ALL_FEATURES}
 
 
 def overlap(a: Collection[str], b: AbstractSet[str]) -> Counts:
@@ -225,8 +225,6 @@ def outcome_value(outcome: Outcome) -> tuple[float, bool]:
     """The value an outcome scores and whether it is applicable."""
     if type(outcome) is tuple:
         return jaccard_value(*outcome), True
-    if type(outcome) is str:
-        return 0.0, outcome != NOT_APPLICABLE
     return outcome.value, not outcome.not_applicable
 
 
@@ -243,13 +241,6 @@ def outcome_score(method: str, outcome: Outcome) -> ResemblanceScore:
         }
         return ResemblanceScore(
             jaccard_value(*outcome), method, detail, degenerate=union == 0
-        )
-    if type(outcome) is str:
-        return ResemblanceScore(
-            0.0,
-            method,
-            degenerate=outcome == DEGENERATE,
-            not_applicable=outcome == NOT_APPLICABLE,
         )
     return outcome
 

@@ -313,6 +313,26 @@ def test_scan_rejects_hand_edited_index(workspace, capsys):
         assert err.count("\n") == 1, name
 
 
+def test_scan_refuses_header_values_of_the_wrong_type(workspace, capsys):
+    """`save_index` writes k_char and k_top as integers; 4.0 or true is a mismatch."""
+    suspect = str(workspace / "S1.txt")
+    edits = {
+        "k_char-float": ("4", {"k_char": 4.0}),
+        "k_top-float": ("4", {"k_top": 10.0}),
+        "k_char-true": ("1", {"k_char": True}),
+    }
+    for name, (k, edit) in edits.items():
+        path = workspace / f"{name}.jsonl"
+        run(["index", str(workspace / "corpus"), str(path), "--k", k], capsys)
+        header, *records = path.read_text().splitlines()
+        head = json.loads(header)
+        head["config"].update(edit)
+        path.write_text("\n".join([json.dumps(head), *records]) + "\n")
+        code, out, err = run(["scan", suspect, str(path), "--k", k], capsys)
+        assert code == EXIT_INDEX and out == "", name
+        assert "does not match" in err and err.count("\n") == 1, name
+
+
 def test_internal_error_is_one_line(workspace, capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom\nsecond line")
@@ -564,11 +584,14 @@ def test_module_entry_point(workspace):
 
 
 def test_cli_import_loads_no_process_pool():
-    """Only `--jobs` above 1 needs a pool; every other run skips its imports."""
+    """Only `--jobs` above 1 needs a pool; every other run skips its imports.
+
+    Nothing needs `uuid` at all.
+    """
     code = (
         "import sys, simscan.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'uuid')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

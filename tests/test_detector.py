@@ -542,7 +542,7 @@ def test_combined_in_unit_interval(cfg, ref_text, susp_text):
 def full_ranking(det, susp, index):
     """Brute force: every entry scored with `_score`, by (-combined, id)."""
     suspect = det._suspect(susp)
-    reports = [(e.doc_id, det._score(e, susp, suspect)) for e in index.entries.values()]
+    reports = [(e.doc_id, det._score(e, suspect)) for e in index.entries.values()]
     return sorted(reports, key=lambda item: (-item[1].combined, item[0]))
 
 
@@ -595,8 +595,8 @@ def test_rank_skips_gram_intersections_that_cannot_reach_the_top(monkeypatch):
     original = Detector._suspect
 
     def counting(self, doc):
-        keys, keywords, grams = original(self, doc)
-        return keys, keywords, CountingGrams(grams)
+        suspect = original(self, doc)
+        return suspect._replace(grams=CountingGrams(suspect.grams))
 
     monkeypatch.setattr(Detector, "_suspect", counting)
     ranked = det.rank_candidates(susp, index, top_n=1)
@@ -610,6 +610,7 @@ def test_suspect_equals_separate_computations(text, k):
     det = Detector(DetectorConfig(k_char=k))
     doc = det.document("s", text)
     assert det._suspect(doc) == (
+        doc,
         fingerprint_keys(doc),
         top_keywords(doc, det.config.k_top).terms,
         char_kgrams(doc.normalized_text, k).gram_set(),
