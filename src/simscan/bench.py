@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .detector import Detector, dumps_record
-from .features import cue_sentences
 from .fingerprint import (
     FULL_CHAR,
     STATEMENT,
@@ -48,7 +47,8 @@ class BenchRow:
     bytes_per_doc: float
 
 
-def _timed_pairs(artifacts: list, compare: Callable) -> tuple[int, float]:
+def _row(scheme: str, docs: int, artifacts: list, compare, total_bytes: int) -> BenchRow:
+    """Time `compare(a, b)` over every ordered pair of distinct artifacts."""
     pairs = 0
     start = time.perf_counter()
     for i, a in enumerate(artifacts):
@@ -57,11 +57,7 @@ def _timed_pairs(artifacts: list, compare: Callable) -> tuple[int, float]:
                 continue
             compare(a, b)
             pairs += 1
-    return pairs, time.perf_counter() - start
-
-
-def _row(scheme: str, docs: int, artifacts: list, compare, total_bytes: int) -> BenchRow:
-    pairs, elapsed = _timed_pairs(artifacts, compare)
+    elapsed = time.perf_counter() - start
     return BenchRow(
         scheme=scheme,
         docs=docs,
@@ -89,23 +85,20 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
         _row(TRIGRAM, n, trigrams, lambda a, b: jaccard(a, b, TRIGRAM), tri_bytes)
     )
 
-    # Each document's (entry, (doc, cues), suspect): it is scored as either side.
-    profiles = []
-    for doc in docs:
-        cues = cue_sentences(doc, detector.phrases)
-        profiles.append((detector.entry(doc, cues), (doc, cues), detector._suspect(doc)))
+    # Each document as a reference and as a suspect: it is scored as either side.
+    profiles = [(detector._reference(doc), detector._suspect(doc)) for doc in docs]
 
     # `_suspect` already holds each document's statement fingerprint keys.
-    keys = [suspect.keys for _, _, suspect in profiles]
+    keys = [suspect.keys for _, suspect in profiles]
     key_bytes = sum(len(key.encode("utf-8")) for ks in keys for key in ks)
     rows.append(
         _row(STATEMENT, n, keys, lambda a, b: jaccard(a, b, STATEMENT), key_bytes)
     )
 
-    entry_bytes = sum(len(dumps_record(e.record(k)).encode("utf-8")) for e, _, _ in profiles)
+    entry_bytes = sum(len(dumps_record(r.entry.record(k)).encode("utf-8")) for r, _ in profiles)
 
-    def score_pair(ref, susp):
-        return detector._score(ref[0], susp[2], ref[1])
+    def score_pair(a, b):  # a's reference against b's suspect
+        return detector._score(a[0], b[1])
 
     rows.append(_row(FEATURES_SCHEME, n, profiles, score_pair, entry_bytes))
     return rows

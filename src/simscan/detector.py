@@ -1,11 +1,11 @@
 """Pair analysis, corpus indexing, and candidate ranking.
 
 A Detector bundles a configuration with its loaded stopword and phrase
-lists.  Every reference is scored through its IndexEntry, the derived
-artifacts build_index persists (statement fingerprint keys, keywords,
-first-sentence grams, cue-phrase grams, token digest): analyze_pair builds
-the entry in memory, rank_candidates reads it from an index, and both
-score it with the same value pass and report builder.
+lists.  Every reference is scored as a Reference around its IndexEntry,
+the derived artifacts build_index persists (statement fingerprint keys,
+keywords, first-sentence grams, cue-phrase grams, token digest):
+analyze_pair builds it in memory beside the document, rank_candidates
+reads the entry from an index, and both score it with one value pass.
 
 The index stores derived artifacts only, never raw text, so features
 needing full token streams (lcs_f, full_char, trigram_jaccard) are skipped
@@ -176,6 +176,14 @@ class IndexEntry:
         }
 
 
+class Reference(NamedTuple):
+    """A reference's entry, with its document and cue sentences when in memory."""
+
+    entry: IndexEntry
+    doc: Document | None = None
+    cues: tuple[int, ...] = ()
+
+
 class Suspect(NamedTuple):
     """A suspect document with the sets every reference is scored against."""
 
@@ -237,13 +245,13 @@ class Detector:
         }
 
     def analyze_pair(self, ref: Document, susp: Document) -> FeatureReport:
-        """Score every enabled feature (plus statement) for one pair.
+        """Score every enabled feature (plus statement) for one pair."""
+        return self._score(self._reference(ref), self._suspect(susp))
 
-        The reference's cue-phrase sentences are found once, for its entry
-        and for lcs_f.
-        """
-        cues = cue_sentences(ref, self.phrases)
-        return self._score(self.entry(ref, cues), self._suspect(susp), (ref, cues))
+    def _reference(self, doc: Document) -> Reference:
+        """The reference with its entry; its cue sentences are found once, for both."""
+        cues = cue_sentences(doc, self.phrases)
+        return Reference(self.entry(doc, cues), doc, cues)
 
     def entry(self, doc: Document, cues: tuple[int, ...] | None = None) -> IndexEntry:
         """The persisted artifacts of one document.
@@ -252,11 +260,11 @@ class Detector:
         """
         if cues is None:
             cues = cue_sentences(doc, self.phrases)
-        statement, grams = self._grams(doc)
+        grams, keys, keywords = self._artifacts(doc)
         return IndexEntry(
             doc_id=doc.id,
-            fingerprints=tuple(sorted(fingerprint_keys(doc, grams=statement))),
-            keywords=tuple(sorted(top_keywords(doc, self.config.k_top).terms)),
+            fingerprints=tuple(sorted(keys)),
+            keywords=tuple(sorted(keywords)),
             first_grams=tuple(sorted(sentence_grams(grams.sentences, first_sentence(doc)))),
             query_grams=tuple(sorted(sentence_grams(grams.sentences, cues))),
             token_digest=hashlib.sha256(
@@ -266,40 +274,33 @@ class Detector:
 
     def _suspect(self, susp: Document) -> Suspect:
         """The suspect with its fingerprint keys, keywords and full-text gram set."""
-        statement, grams = self._grams(susp)
-        return Suspect(
-            susp,
-            fingerprint_keys(susp, grams=statement),
-            top_keywords(susp, self.config.k_top).terms,
-            frozenset(grams.counts),
-        )
+        grams, keys, keywords = self._artifacts(susp)
+        return Suspect(susp, keys, keywords, frozenset(grams.counts))
 
-    def _grams(self, doc: Document) -> tuple[DocumentGrams, DocumentGrams]:
-        """The document's statement grams and its `k_char` grams.
+    def _artifacts(self, doc: Document) -> tuple[DocumentGrams, frozenset[str], frozenset[str]]:
+        """The document's `k_char` grams, fingerprint keys and keywords.
 
-        When `k_char` is the statement gram length, one pass gives both.
+        The keys come from the statement grams; when `k_char` is the
+        statement gram length, one gram pass gives both.
         """
+        k = self.config.k_char
         statement = document_grams(doc, STATEMENT_GRAM_LEN)
-        if self.config.k_char == STATEMENT_GRAM_LEN:
-            return statement, statement
-        return statement, document_grams(doc, self.config.k_char)
+        grams = statement if k == STATEMENT_GRAM_LEN else document_grams(doc, k)
+        keys = fingerprint_keys(doc, grams=statement)
+        return grams, keys, top_keywords(doc, self.config.k_top).terms
 
     def _outcomes(
-        self,
-        entry: IndexEntry,
-        suspect: Suspect,
-        ref: tuple[Document, tuple[int, ...]] | None = None,
-        gram_count: Callable[..., Counts] = overlap,
+        self, ref: Reference, suspect: Suspect, gram_count: Callable[..., Counts] = overlap
     ) -> dict[str, Outcome]:
         """The value pass: statement's and every enabled feature's outcome.
 
-        The token-stream features need both documents: `ref` is the
-        reference with its `cue_sentences`, and without it they are not
-        applicable.  `gram_count` counts the key-sentence gram features
-        (`overlap_bound` gives their upper bounds instead).
+        The token-stream features need both documents, so they are not
+        applicable to a reference without one.  `gram_count` counts the
+        key-sentence gram features (`overlap_bound` gives their upper
+        bounds instead).
         """
         cfg = self.config
-        ref_doc, cues = ref or (None, None)
+        entry, ref_doc, cues = ref
         susp, keys, keywords, grams = suspect
         ref_empty = entry.token_digest == _EMPTY_DIGEST
         ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
@@ -309,7 +310,7 @@ class Detector:
                 outcomes[name] = overlap(entry.keywords, keywords)
             elif name in ref_grams:
                 outcomes[name] = gram_outcome(name, ref_grams[name], grams, ref_empty, gram_count)
-            elif name in INDEX_UNAVAILABLE and ref is None:
+            elif name in INDEX_UNAVAILABLE and ref_doc is None:
                 outcomes[name] = NOT_APPLICABLE[name]
             elif name == LCS_F:
                 outcomes[name] = lcs_similarity(ref_doc, susp, cfg.beta, cues)
@@ -337,16 +338,11 @@ class Detector:
         }
         return FeatureReport(ref_id, susp_id, scores, combined)
 
-    def _score(
-        self,
-        entry: IndexEntry,
-        suspect: Suspect,
-        ref: tuple[Document, tuple[int, ...]] | None = None,
-    ) -> FeatureReport:
-        """Score a reference entry against a `_suspect`."""
-        outcomes = self._outcomes(entry, suspect, ref)
+    def _score(self, ref: Reference, suspect: Suspect) -> FeatureReport:
+        """Score a `Reference` against a `_suspect`."""
+        outcomes = self._outcomes(ref, suspect)
         combined = _combine(outcomes, self._weights)
-        return self._report(entry.doc_id, suspect.doc.id, outcomes, combined)
+        return self._report(ref.entry.doc_id, suspect.doc.id, outcomes, combined)
 
     def index_from_entries(self, entries: Iterable[IndexEntry]) -> CorpusIndex:
         """Assemble an index from precomputed entries."""
@@ -392,7 +388,7 @@ class Detector:
         # algorithm) until a bound falls strictly below the n-th best
         # combined so far: no later entry can reach or tie it.
         bounds = sorted(
-            (-_combine(self._outcomes(entry, suspect, gram_count=overlap_bound), weights), doc_id)
+            (-_combine(self._outcomes(Reference(entry), suspect, overlap_bound), weights), doc_id)
             for doc_id, entry in index.entries.items()
         )
         best: list[float] = []  # min-heap of the n best combined scores so far
@@ -400,7 +396,7 @@ class Detector:
         for neg_bound, doc_id in bounds:
             if len(best) == n and (n == 0 or -neg_bound < best[0]):
                 break
-            outcomes = self._outcomes(index.entries[doc_id], suspect)
+            outcomes = self._outcomes(Reference(index.entries[doc_id]), suspect)
             combined = _combine(outcomes, weights)
             scored.append((-combined, doc_id, outcomes))
             if len(best) < n:

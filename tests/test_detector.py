@@ -17,6 +17,7 @@ from simscan.detector import (
     DetectorConfig,
     IndexFormatError,
     IndexVersionError,
+    Reference,
     load_index,
     save_index,
 )
@@ -542,7 +543,7 @@ def test_combined_in_unit_interval(cfg, ref_text, susp_text):
 def full_ranking(det, susp, index):
     """Brute force: every entry scored with `_score`, by (-combined, id)."""
     suspect = det._suspect(susp)
-    reports = [(e.doc_id, det._score(e, suspect)) for e in index.entries.values()]
+    reports = [(e.doc_id, det._score(Reference(e), suspect)) for e in index.entries.values()]
     return sorted(reports, key=lambda item: (-item[1].combined, item[0]))
 
 
