@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -234,7 +235,8 @@ def format_table(rows: Sequence[BenchRow]) -> str:
 
 def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> int:
     """Print `payload()` as JSON or `text()`, as `--format` asks."""
-    print(dumps_fixed(payload()) if args.format == "json" else text())
+    # Flushed, so that a closed stdout fails inside `main`, not at exit.
+    print(dumps_fixed(payload()) if args.format == "json" else text(), flush=True)
     return EXIT_OK
 
 
@@ -253,7 +255,7 @@ def cmd_index(args) -> int:
         save_index(index, args.out)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc.strerror or exc}") from None
-    print(f"indexed {len(index.entries)} documents -> {args.out}")
+    print(f"indexed {len(index.entries)} documents -> {args.out}", flush=True)
     return EXIT_OK
 
 
@@ -336,6 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so no later flush can fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # no stdout, or one without a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -347,6 +360,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"simscan: error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError as exc:
+        _discard_stdout()
+        print(f"simscan: error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO
     except Exception as exc:
         # A bug, not bad input: one line, never a traceback.
         print(f"simscan: error: internal error: {exc!r}", file=sys.stderr)

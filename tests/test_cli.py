@@ -2,6 +2,8 @@
 
 import argparse
 import concurrent.futures
+import errno
+import io
 import json
 import os
 import re
@@ -125,16 +127,17 @@ def test_usage_errors_exit_1(workspace, capsys):
     assert main(["compare", ref, ref, "--k", "zero"]) == EXIT_USAGE
     assert main(["compare", ref, ref, "--k", "0"]) == EXIT_USAGE
     capsys.readouterr()
-    for flags in (
-        ["--weights", "statement=nan"],
-        ["--weights", "statement=inf"],
-        ["--weights", "statement=1e308,lcs_f=1e308"],
-        ["--beta", "nan"],
-        ["--beta", "inf"],
+    for args in (
+        ["compare", ref, ref, "--weights", "statement=nan"],
+        ["compare", ref, ref, "--weights", "statement=inf"],
+        ["compare", ref, ref, "--weights", "statement=1e308,lcs_f=1e308"],
+        ["compare", ref, ref, "--beta", "nan"],
+        ["compare", ref, ref, "--beta", "inf"],
+        ["scan", ref, str(workspace / "idx.jsonl"), "--top", "-1"],
     ):
-        code, out, err = run(["compare", ref, ref, *flags], capsys)
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("simscan: error:") and err.count("\n") == 1
+        code, out, err = run(args, capsys)
+        assert code == EXIT_USAGE and out == "", args
+        assert err.startswith("simscan: error:") and err.count("\n") == 1, args
 
 
 def test_weight_names_are_stripped_like_feature_names(workspace, capsys):
@@ -214,10 +217,26 @@ def test_io_errors_exit_2(workspace, capsys):
 
     undecodable = workspace / "bad_list.txt"
     undecodable.write_bytes(b"\xff\xfe bad")
-    for flag in ("--stopwords", "--phrases"):
-        code, out, err = run(["compare", ref, ref, flag, str(undecodable)], capsys)
-        assert code == EXIT_IO and out == ""
-        assert err.startswith("simscan: error:") and err.count("\n") == 1
+    good = workspace / "good"
+    good.mkdir()
+    (good / "a.txt").write_text(CORPUS["a.txt"], encoding="utf-8")
+    out_dir = workspace / "out_dir"
+    out_dir.mkdir()
+    cases = [
+        ["compare", ref, ref, flag, str(path)]
+        for flag in ("--stopwords", "--phrases")
+        for path in (undecodable, workspace / "missing_list.txt")
+    ]
+    cases += [
+        ["index", ref, str(workspace / "idx.jsonl")],  # a file, not a directory
+        ["bench", ref],
+        ["index", str(good), str(out_dir)],  # the output path is a directory
+    ]
+    for args in cases:
+        code, out, err = run(args, capsys)
+        assert code == EXIT_IO and out == "", args
+        assert err.startswith("simscan: error:") and err.count("\n") == 1, args
+    assert out_dir.is_dir() and not list(workspace.glob("*.tmp"))
 
 
 def test_index_and_scan_roundtrip(workspace, capsys):
@@ -299,14 +318,19 @@ def test_scan_rejects_hand_edited_index(workspace, capsys):
         "k": ({}, {"k": 99}),
         "schema-true": ({"schema": True}, {}),
         "schema-float": ({"schema": 1.0}, {}),
+        "id-number": ({}, {"id": 7}),
+        "digest-list": ({}, {"token_digest": [record["token_digest"]]}),
     }
+    contents = {
+        name: [json.dumps({**header, **head_edit}), json.dumps({**record, **record_edit})]
+        for name, (head_edit, record_edit) in edits.items()
+    }
+    contents["not-an-object"] = [json.dumps(header), "[1, 2]"]
+    contents["no-schema"] = [json.dumps({"config": header["config"]}), json.dumps(record)]
     suspect = str(workspace / "S1.txt")
-    for name, (head_edit, record_edit) in edits.items():
+    for name, lines in contents.items():
         path = workspace / f"{name}.jsonl"
-        path.write_text(
-            json.dumps({**header, **head_edit}) + "\n"
-            + json.dumps({**record, **record_edit}) + "\n"
-        )
+        path.write_text("\n".join(lines) + "\n")
         code, out, err = run(["scan", suspect, str(path)], capsys)
         assert code == EXIT_IO and out == "", name
         assert err.startswith("simscan: error: malformed index"), name
@@ -343,6 +367,45 @@ def test_internal_error_is_one_line(workspace, capsys, monkeypatch):
     assert code == EXIT_INTERNAL and out == ""
     assert err.startswith("simscan: error: internal error: RuntimeError(")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_2(workspace, fmt, unbuffered):
+    """A reader that closed the pipe early is an output error, not a bug."""
+    ref = str(workspace / "S1.txt")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1]),
+        "PYTHONUNBUFFERED": unbuffered,
+    }
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simscan", "compare", ref, ref, "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr.startswith("simscan: error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_closed_stdout_without_a_descriptor_exits_2(workspace, capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    ref = str(workspace / "S1.txt")
+    assert main(["compare", ref, ref]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("simscan: error:") and err.count("\n") == 1
 
 
 int_flag = st.integers(-3, 10**6)
