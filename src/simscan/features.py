@@ -80,14 +80,15 @@ class LcsResult:
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     """Cue phrases from a file, or the built-in six when no path is given.
 
-    Blank lines and `#` comments are skipped; phrases are lowercased and a
-    trailing "..." is dropped.  A phrase left empty is skipped too, since
-    the empty string would open every sentence.
+    Blank lines and `#` comments are skipped; phrases are lowercased, a
+    trailing "..." is dropped and whitespace runs become one space.  A
+    phrase left empty is skipped too, since the empty string would open
+    every sentence.
     """
     if path is None:
         return DEFAULT_QUERY_PHRASES
     with open(path, encoding="utf-8") as fh:
-        phrases = [line.removesuffix("...").rstrip() for line in list_entries(fh)]
+        phrases = [" ".join(line.removesuffix("...").split()) for line in list_entries(fh)]
     return tuple(phrase.lower() for phrase in phrases if phrase)
 
 
@@ -117,8 +118,12 @@ def first_sentence(doc: Document) -> tuple[int, ...]:
 def cue_sentences(
     doc: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
 ) -> tuple[int, ...]:
-    """Indices of the sentences whose lowercased raw text contains a cue phrase."""
-    lowered = (sentence.text.lower() for sentence in doc.sentences)
+    """Indices of the sentences whose lowercased raw text contains a cue phrase.
+
+    Whitespace runs in the text count as one space, so a line break or a
+    double space inside a phrase does not hide it.
+    """
+    lowered = (" ".join(sentence.text.lower().split()) for sentence in doc.sentences)
     return tuple(
         i for i, text in enumerate(lowered) if any(phrase in text for phrase in phrases)
     )

@@ -185,6 +185,20 @@ def test_phrase_left_empty_matches_no_sentence(tmp_path):
     assert "query_phrase" in reports[1].skipped
 
 
+@pytest.mark.parametrize("gap", ["\n", "  ", "\t \r\n"])
+def test_cue_phrase_matches_across_whitespace_runs(detector, gap):
+    """A hard-wrapped or double-spaced cue phrase is still a cue."""
+    text = "Players kick balls every day. In conclusion, the keeper saved the penalty kick."
+    plain = detector.document("r", text)
+    wrapped = detector.document("r", text.replace("In conclusion,", f"In{gap}conclusion,"))
+    susp = detector.document("s", "In conclusion, the keeper saved the penalty kick.")
+    assert detector.entry(plain).query_grams
+    assert detector.entry(wrapped) == detector.entry(plain)
+    report = detector.analyze_pair(plain, susp)
+    assert "query_phrase" not in report.skipped
+    assert detector.analyze_pair(wrapped, susp) == report
+
+
 def test_build_index_rejects_duplicate_ids(detector):
     doc = detector.document("same", "words here.")
     with pytest.raises(ValueError, match="same"):

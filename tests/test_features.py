@@ -42,6 +42,12 @@ def test_phrase_file_parsing(tmp_path):
     assert load_query_phrases(path) == ("as shown above", "in short,")
 
 
+def test_phrase_file_whitespace_runs_are_one_space(tmp_path):
+    path = tmp_path / "phrases.txt"
+    path.write_text("In   short,\nwe\tfind \t that ...\n", encoding="utf-8")
+    assert load_query_phrases(path) == ("in short,", "we find that")
+
+
 def test_top_keywords_by_frequency_then_alphabet():
     doc = bare.document("d", "ball ball ball ball ball kick kick kick player player.")
     assert top_keywords(doc, 2).terms == {"ball", "kick"}
