@@ -1,4 +1,5 @@
-"""Every name a package module imports is used, exported or marked `# noqa`."""
+"""Every name a package module imports is used, exported or marked `# noqa`,
+and every private module- or class-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,63 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads\n"
     assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) for each module- or class-level name with one leading underscore."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield name, node
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names that no code outside their own definition refers to."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    refs = []  # (path, line, name) of every loaded name, attribute and import
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((path, node.lineno, node.name))
+    dead = []
+    for path, tree in trees.items():
+        for name, node in private_definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and not (p == path and line in own) for p, line, n in refs):
+                dead.append(f"{path}:{node.lineno}: {name}")
+    return dead
+
+
+def test_no_dead_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []
+
+
+def test_check_flags_a_dead_private_name():
+    defining = (
+        "def _used():\n    return 1\n"
+        "def _recursive():\n    return _recursive()\n"
+        "class C:\n    _attr = 1\n    def _method(self):\n        return self._attr\n"
+        "_CONST = _used()\n"
+        "_IMPORTED = 2\n"
+    )
+    importing = "from m import _IMPORTED\n"
+    assert dead_private_names({"m.py": defining, "n.py": importing}) == [
+        "m.py:3: _recursive",
+        "m.py:9: _CONST",
+        "m.py:7: _method",
+    ]
