@@ -96,10 +96,8 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
     )
 
     entry_bytes = sum(len(dumps_record(r.entry.record(k)).encode("utf-8")) for r, _ in profiles)
-
-    def score_pair(a, b):  # a's reference against b's suspect
-        return detector._score(a[0], b[1])
-
-    rows.append(_row(FEATURES_SCHEME, n, profiles, score_pair, entry_bytes))
+    rows.append(
+        _row(FEATURES_SCHEME, n, profiles, lambda a, b: detector._score(a[0], b[1]), entry_bytes)
+    )
     return rows
 

@@ -10,6 +10,7 @@ to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -338,17 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at the null device, so no later flush can fail."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, ValueError):  # no stdout, or one without a descriptor
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -361,7 +351,9 @@ def main(argv=None) -> int:
         print(f"simscan: error: {exc}", file=sys.stderr)
         return exc.code
     except BrokenPipeError as exc:
-        _discard_stdout()
+        # Stdout's descriptor now leads nowhere, so the final flush cannot fail again.
+        with open(os.devnull, "w") as devnull, contextlib.suppress(AttributeError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # unless stdout has none
         print(f"simscan: error: cannot write output: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:

@@ -278,11 +278,7 @@ class Detector:
         return Suspect(susp, keys, keywords, frozenset(grams.counts))
 
     def _artifacts(self, doc: Document) -> tuple[DocumentGrams, frozenset[str], frozenset[str]]:
-        """The document's `k_char` grams, fingerprint keys and keywords.
-
-        The keys come from the statement grams; when `k_char` is the
-        statement gram length, one gram pass gives both.
-        """
+        """The `k_char` grams, fingerprint keys and keywords; one gram pass if `k_char` is 4."""
         k = self.config.k_char
         statement = document_grams(doc, STATEMENT_GRAM_LEN)
         grams = statement if k == STATEMENT_GRAM_LEN else document_grams(doc, k)
@@ -294,10 +290,9 @@ class Detector:
     ) -> dict[str, Outcome]:
         """The value pass: statement's and every enabled feature's outcome.
 
-        The token-stream features need both documents, so they are not
-        applicable to a reference without one.  `gram_count` counts the
-        key-sentence gram features (`overlap_bound` gives their upper
-        bounds instead).
+        The token-stream features are not applicable to a reference without
+        its document.  `gram_count` counts the key-sentence gram features
+        (`overlap_bound` gives their upper bounds instead).
         """
         cfg = self.config
         entry, ref_doc, cues = ref

@@ -80,10 +80,9 @@ class LcsResult:
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     """Cue phrases from a file, or the built-in six when no path is given.
 
-    Blank lines and `#` comments are skipped; phrases are lowercased, a
-    trailing "..." is dropped and whitespace runs become one space.  A
-    phrase left empty is skipped too, since the empty string would open
-    every sentence.
+    Blank lines and `#` comments are skipped; phrases are lowercased, lose a
+    trailing "..." and have each whitespace run cut to one space.  A phrase
+    left empty is skipped too, since the empty string would open every sentence.
     """
     if path is None:
         return DEFAULT_QUERY_PHRASES
@@ -118,11 +117,7 @@ def first_sentence(doc: Document) -> tuple[int, ...]:
 def cue_sentences(
     doc: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
 ) -> tuple[int, ...]:
-    """Indices of the sentences whose lowercased raw text contains a cue phrase.
-
-    Whitespace runs in the text count as one space, so a line break or a
-    double space inside a phrase does not hide it.
-    """
+    """Indices of the sentences whose lowercased, space-collapsed text contains a cue phrase."""
     lowered = (" ".join(sentence.text.lower().split()) for sentence in doc.sentences)
     return tuple(
         i for i, text in enumerate(lowered) if any(phrase in text for phrase in phrases)
