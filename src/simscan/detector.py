@@ -249,7 +249,7 @@ class Detector:
         return self._score(self._reference(ref), self._suspect(susp))
 
     def _reference(self, doc: Document) -> Reference:
-        """The reference with its entry; its cue sentences are found once, for both."""
+        """The document as a reference: its cue sentences are found once, for entry and lcs_f."""
         cues = cue_sentences(doc, self.phrases)
         return Reference(self.entry(doc, cues), doc, cues)
 
