@@ -101,3 +101,14 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
     )
     return rows
 
+
+def format_table(rows: Sequence[BenchRow]) -> str:
+    """Fixed-width text table of benchmark rows."""
+    header = f"{'scheme':<16} {'docs':>5} {'pairs':>6} {'s/pair':>12} {'bytes/doc':>12}"
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        lines.append(
+            f"{row.scheme:<16} {row.docs:>5} {row.pairs:>6} "
+            f"{row.seconds_per_pair:>12.6f} {row.bytes_per_doc:>12.1f}"
+        )
+    return "\n".join(lines)

@@ -2,9 +2,10 @@
 
 Four subcommands: `compare` two files, `index` a directory of .txt files,
 `scan` a suspect file against a saved index, and `bench` the schemes on a
-corpus.  Every report is rendered here, as JSON or as text.  Reports go
-to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
-2 I/O error, 3 index version/config mismatch, 4 internal error.
+corpus.  Every report but the `bench` table is rendered here, as JSON or
+as text.  Reports go to stdout, diagnostics to stderr.  Exit codes:
+0 success, 1 usage error, 2 I/O error, 3 index version/config mismatch,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import __version__
-from .bench import BenchRow, run_bench
 from .detector import (
     DEFAULT_FEATURES,
     Detector,
@@ -138,7 +138,7 @@ def _corpus(args, build: Callable[[Detector, str, str], object]) -> tuple[Detect
     det = _detector(args)
     files = _discover(args.directory, args.recursive)
     if not files:
-        print(f"warning: no .txt files found in {args.directory}", file=sys.stderr)
+        _diagnose(f"warning: no .txt files found in {args.directory}")
     dets = [det] * len(files)
     ids = [doc_id for doc_id, _ in files]
     texts = [_read_text(str(path)) for _, path in files]
@@ -222,18 +222,6 @@ def _ranking_text(ranked: list[tuple[str, FeatureReport]]) -> str:
     return "\n".join(lines) or "no candidates"
 
 
-def format_table(rows: Sequence[BenchRow]) -> str:
-    """Fixed-width text table of benchmark rows."""
-    header = f"{'scheme':<16} {'docs':>5} {'pairs':>6} {'s/pair':>12} {'bytes/doc':>12}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.scheme:<16} {row.docs:>5} {row.pairs:>6} "
-            f"{row.seconds_per_pair:>12.6f} {row.bytes_per_doc:>12.1f}"
-        )
-    return "\n".join(lines)
-
-
 def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> int:
     """Print `payload()` as JSON or `text()`, as `--format` asks."""
     # Flushed, so that a closed stdout fails inside `main`, not at exit.
@@ -282,6 +270,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # Imported here: only this command needs it.
+    from .bench import format_table, run_bench
+
     det, docs = _corpus(args, Detector.document)
     rows = run_bench(docs, det)
     return _emit(args, lambda: [asdict(row) for row in rows], lambda: format_table(rows))
@@ -339,6 +330,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard(stream) -> None:
+    """Point the stream's descriptor at os.devnull, so the final flush cannot fail again."""
+    with open(os.devnull, "w") as devnull, contextlib.suppress(AttributeError, ValueError):
+        os.dup2(devnull.fileno(), stream.fileno())  # unless the stream has none
+
+
+def _diagnose(line: str) -> None:
+    """Print one diagnostic line to stderr, or nothing if stderr cannot take it."""
+    if sys.stderr is None:  # started with descriptor 2 closed; print would use stdout
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -348,18 +355,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CliError as exc:
-        print(f"simscan: error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
     except BrokenPipeError as exc:
-        # Stdout's descriptor now leads nowhere, so the final flush cannot fail again.
-        with open(os.devnull, "w") as devnull, contextlib.suppress(AttributeError, ValueError):
-            os.dup2(devnull.fileno(), sys.stdout.fileno())  # unless stdout has none
-        print(f"simscan: error: cannot write output: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
+        _discard(sys.stdout)
+        code, message = EXIT_IO, f"cannot write output: {exc.strerror}"
     except Exception as exc:
         # A bug, not bad input: one line, never a traceback.
-        print(f"simscan: error: internal error: {exc!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"internal error: {exc!r}"
+    _diagnose(f"simscan: error: {message}")
+    return code
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ from .fingerprint import (
     TOP_KEYWORD,
     TRIGRAM,
     Counts,
-    DocumentGrams,
+    GramMultiset,
     Outcome,
     ResemblanceScore,
     char_kgrams,
@@ -275,9 +275,9 @@ class Detector:
     def _suspect(self, susp: Document) -> Suspect:
         """The suspect with its fingerprint keys, keywords and full-text gram set."""
         grams, keys, keywords = self._artifacts(susp)
-        return Suspect(susp, keys, keywords, frozenset(grams.counts))
+        return Suspect(susp, keys, keywords, grams.gram_set())
 
-    def _artifacts(self, doc: Document) -> tuple[DocumentGrams, frozenset[str], frozenset[str]]:
+    def _artifacts(self, doc: Document) -> tuple[GramMultiset, frozenset[str], frozenset[str]]:
         """The `k_char` grams, fingerprint keys and keywords; one gram pass if `k_char` is 4."""
         k = self.config.k_char
         statement = document_grams(doc, STATEMENT_GRAM_LEN)

@@ -194,8 +194,8 @@ def query_phrase_similarity(
 
 
 def check_beta(beta: float | str) -> None:
-    """Reject a beta that is neither "paper" nor a finite number >= 0."""
-    if beta != "paper" and (isinstance(beta, str) or not 0 <= beta < math.inf):
+    """Reject a beta that is neither "paper" nor a finite number >= 0 (a bool is not)."""
+    if beta != "paper" and (isinstance(beta, (str, bool)) or not 0 <= beta < math.inf):
         raise ValueError(f"beta must be 'paper' or a finite number >= 0, got {beta!r}")
 
 
@@ -210,7 +210,7 @@ def lcs_fmeasure(
     Where P/R is undefined (either of those two cases) "paper" reports b = 1.
     """
     check_beta(beta)
-    b = 1.0 if beta == "paper" else beta
+    b = 1.0 if beta == "paper" else float(beta) + 0.0  # reported as a float; -0.0 + 0.0 is +0.0
     m = len(ref_tokens)
     n = len(susp_tokens)
     if m == 0 or n == 0:

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Mapping
 
 from .textprep import Document
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Method tags carried by every ResemblanceScore.
 FULL_CHAR = "full_char"
@@ -78,6 +80,8 @@ class GramMultiset:
     k: int
     # A plain dict, not a Counter: looking up a missing gram raises KeyError.
     counts: Mapping[str, int]
+    # Each sentence's grams in order, as `document_grams` cuts them.
+    sentences: tuple[list[str], ...] = ()
 
     @property
     def total(self) -> int:
@@ -89,19 +93,6 @@ class GramMultiset:
 
     def gram_set(self) -> frozenset[str]:
         return frozenset(self.counts)
-
-
-@dataclass(frozen=True)
-class GramWeights:
-    """Relative gram frequencies x_i = m_i / sum(m_j), kept as exact rationals."""
-
-    weights: Mapping[str, Fraction]
-
-    def __getitem__(self, gram: str) -> Fraction:
-        return self.weights[gram]
-
-    def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -122,13 +113,6 @@ class SentenceFingerprint:
         return "".join(self.grams)
 
 
-class DocumentGrams(NamedTuple):
-    """One document's k-grams: their counts, and each sentence's in order."""
-
-    counts: dict[str, int]
-    sentences: tuple[list[str], ...]
-
-
 def _kgram_list(text: str, k: int) -> list[str]:
     """The k-character windows of the space-stripped text, in order."""
     if k < 1:
@@ -146,7 +130,7 @@ def char_kgrams(text: str, k: int) -> GramMultiset:
     return GramMultiset(k, dict(Counter(_kgram_list(text, k))))
 
 
-def document_grams(doc: Document, k: int) -> DocumentGrams:
+def document_grams(doc: Document, k: int) -> GramMultiset:
     """The k-grams of the document's text, counted and cut into sentences.
 
     The text's gram list is built once.  A sentence's grams are the slice
@@ -164,7 +148,7 @@ def document_grams(doc: Document, k: int) -> DocumentGrams:
         # would otherwise wrap around to the end of the list.
         sentences.append(grams[start : max(start, end - k + 1)])
         start = end
-    return DocumentGrams(dict(Counter(grams)), tuple(sentences))
+    return GramMultiset(k, dict(Counter(grams)), tuple(sentences))
 
 
 def word_trigrams(text: str) -> frozenset[str]:
@@ -255,20 +239,21 @@ def jaccard(
     return outcome_score(method, overlap(a, b))
 
 
-def gram_weights(multiset: GramMultiset) -> GramWeights:
-    """Weight each gram by its share of all occurrences; weights sum to 1."""
-    if multiset.total == 0:
-        raise ValueError("cannot weight an empty multiset")
+def gram_weights(multiset: GramMultiset) -> dict[str, Fraction]:
+    """Each gram's exact share x_i = m_i / sum(m_j) of all occurrences; they sum to 1."""
+    # Imported here: no command needs exact weights, so `import simscan.cli` skips it.
+    from fractions import Fraction
+
     total = multiset.total
-    return GramWeights(
-        {gram: Fraction(count, total) for gram, count in multiset.counts.items()}
-    )
+    if total == 0:
+        raise ValueError("cannot weight an empty multiset")
+    return {gram: Fraction(count, total) for gram, count in multiset.counts.items()}
 
 
 def least_frequent_fingerprint(
     sentence_index: int,
     grams: Iterable[str],
-    freqs: GramWeights | Mapping[str, int],
+    freqs: Mapping[str, int] | Mapping[str, Fraction],
 ) -> SentenceFingerprint | None:
     """Fingerprint a sentence by its three least frequent grams.
 
@@ -296,7 +281,7 @@ def least_frequent_fingerprint(
 
 
 def document_fingerprints(
-    doc: Document, grams: DocumentGrams | None = None
+    doc: Document, grams: GramMultiset | None = None
 ) -> tuple[SentenceFingerprint, ...]:
     """Fingerprints of every sentence, weighted over the whole document.
 
@@ -304,14 +289,15 @@ def document_fingerprints(
     all share the document's gram total as denominator, so they order alike.
     `grams`, when given, must be `document_grams(doc, STATEMENT_GRAM_LEN)`.
     """
-    counts, sentences = document_grams(doc, STATEMENT_GRAM_LEN) if grams is None else grams
+    grams = document_grams(doc, STATEMENT_GRAM_LEN) if grams is None else grams
     fingerprints = (
-        least_frequent_fingerprint(i, sentence, counts) for i, sentence in enumerate(sentences)
+        least_frequent_fingerprint(i, sentence, grams.counts)
+        for i, sentence in enumerate(grams.sentences)
     )
     return tuple(fp for fp in fingerprints if fp is not None)
 
 
-def fingerprint_keys(doc: Document, grams: DocumentGrams | None = None) -> frozenset[str]:
+def fingerprint_keys(doc: Document, grams: GramMultiset | None = None) -> frozenset[str]:
     """The set of sentence fingerprint keys of a document (`grams` as above)."""
     return frozenset(fp.key for fp in document_fingerprints(doc, grams))
 

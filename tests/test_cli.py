@@ -28,8 +28,9 @@ from simscan.cli import (
     build_parser,
     dumps_fixed,
     main,
+    report_dict,
 )
-from simscan.detector import Detector, DetectorConfig
+from simscan.detector import Detector, DetectorConfig, load_index
 
 S1 = "Player kicked the ball.\n"
 S2 = "Player kick the ball.\n"
@@ -180,6 +181,21 @@ def test_paper_beta_reports_one_without_common_words(tmp_path, capsys):
     assert code == EXIT_OK
     assert json.loads(out)["scores"]["lcs_f"]["detail"]["lcs_length"] == 0
     assert '"beta": 1.000000000000' in out
+
+
+def test_negative_zero_beta_reports_as_zero(workspace, capsys):
+    ref, susp = str(workspace / "S1.txt"), str(workspace / "S2.txt")
+    zero = run(["compare", ref, susp, "--beta", "0"], capsys)
+    assert zero[0] == EXIT_OK and '"beta": 0.000000000000' in zero[1]
+    assert run(["compare", ref, susp, "--beta", "-0"], capsys) == zero
+
+
+def test_int_beta_reports_as_float():
+    det = Detector(DetectorConfig(beta=2))
+    a, b = det.document("a", S1), det.document("b", S2)
+    rendered = dumps_fixed(report_dict(det.analyze_pair(a, b)))
+    det = Detector(DetectorConfig(beta=2.0))
+    assert dumps_fixed(report_dict(det.analyze_pair(a, b))) == rendered
 
 
 def test_readme_lists_every_shared_option():
@@ -406,6 +422,43 @@ def test_closed_stdout_without_a_descriptor_exits_2(workspace, capsys, monkeypat
     assert main(["compare", ref, ref]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("simscan: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("at_start", [False, True], ids=["reader-closed", "no-descriptor"])
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["compare", "S1.txt", "missing.txt"], EXIT_IO),
+        (["scan", "S1.txt", "missing.idx"], EXIT_IO),
+        (["index", "empty", "out.idx"], EXIT_OK),
+    ],
+    ids=["compare", "scan", "index"],
+)
+def test_unwritable_stderr_keeps_exit_code_and_stdout(workspace, args, code, at_start):
+    """A diagnostic that cannot be written changes neither the exit code nor stdout.
+
+    Stderr is a pipe whose reader has closed it, or descriptor 2 is closed
+    before Python starts; then sys.stderr is None, and print(file=None)
+    would write the diagnostic to stdout.
+    """
+    (workspace / "empty").mkdir()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"preexec_fn": lambda: os.close(2)} if at_start else {"stderr": write_end}
+    env = {**os.environ, "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simscan", *args],
+            cwd=workspace, stdout=subprocess.PIPE, text=True, env=env, **streams,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    if code == EXIT_OK:
+        assert proc.stdout == "indexed 0 documents -> out.idx\n"
+        assert load_index(workspace / "out.idx").entries == {}
+    else:
+        assert proc.stdout == ""
 
 
 int_flag = st.integers(-3, 10**6)
@@ -649,12 +702,14 @@ def test_module_entry_point(workspace):
 def test_cli_import_loads_no_process_pool():
     """Only `--jobs` above 1 needs a pool; every other run skips its imports.
 
-    Nothing needs `uuid` at all.
+    Nothing needs `uuid` at all, no command needs `fractions`, and only
+    `bench` needs `simscan.bench`.
     """
     code = (
         "import sys, simscan.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'uuid')))"
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'uuid', 'fractions') "
+        "or m == 'simscan.bench'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

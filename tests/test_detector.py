@@ -57,6 +57,8 @@ def test_config_defaults_and_validation():
     with pytest.raises(ValueError):
         DetectorConfig(beta=-2.0)
     with pytest.raises(ValueError):
+        DetectorConfig(beta=True)
+    with pytest.raises(ValueError):
         DetectorConfig(features=())
     with pytest.raises(ValueError):
         DetectorConfig(features=("nope",))

@@ -144,10 +144,14 @@ def test_extract_query_phrase_no_hits():
 
 
 def per_phrase_hits(doc, phrases):
-    """The per-phrase cue scan `cue_sentences` replaced, as an oracle."""
+    """The per-phrase cue scan `cue_sentences` replaced, as an oracle.
+
+    Like `cue_sentences`, it searches the lowercased text with each
+    whitespace run collapsed to one space.
+    """
     hits = []
     for sentence in doc.sentences:
-        lowered = sentence.text.lower()
+        lowered = " ".join(sentence.text.lower().split())
         for phrase in phrases:
             if phrase in lowered:
                 hits.append(sentence.index)

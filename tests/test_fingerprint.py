@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from simscan.fingerprint import (
     ALL_FEATURES,
     STATEMENT_GRAM_COUNT,
+    GramMultiset,
     ResemblanceScore,
     SentenceFingerprint,
     char_kgrams,
@@ -175,16 +176,17 @@ def test_score_validation():
 
 def test_gram_weights_exact_fractions():
     weights = gram_weights(char_kgrams("aaab", 2))
+    assert type(weights) is dict
     assert weights["aa"] == Fraction(2, 3)
     assert weights["ab"] == Fraction(1, 3)
-    assert weights.total_weight() == Fraction(1)
+    assert sum(weights.values()) == Fraction(1)
 
 
 @given(texts.filter(lambda t: len(t.replace(" ", "")) >= 4))
 def test_gram_weights_sum_to_exactly_one(text):
     ms = char_kgrams(text, 4)
     weights = gram_weights(ms)
-    assert weights.total_weight() == 1
+    assert sum(weights.values()) == 1
     for gram, count in ms.counts.items():
         assert weights[gram] == Fraction(count, ms.total)
 
@@ -277,12 +279,16 @@ def test_document_fingerprints_match_exact_weight_ranking(text):
 @given(st.one_of(gram_texts, st.text(max_size=60)), small_k)
 def test_document_grams_counts_text_and_cuts_sentences(text, k):
     doc = Preprocessor(frozenset()).document("d", text)
-    counts, sentences = document_grams(doc, k)
-    assert counts == char_kgrams(doc.normalized_text, k).counts
-    assert len(sentences) == len(doc.sentences)
-    for sentence, grams in zip(doc.sentences, sentences):
+    grams = document_grams(doc, k)
+    text_grams = char_kgrams(doc.normalized_text, k)
+    assert type(grams) is GramMultiset and grams.k == k
+    assert grams.counts == text_grams.counts
+    assert grams.total == text_grams.total and grams.distinct == text_grams.distinct
+    assert grams.gram_set() == text_grams.gram_set()
+    assert len(grams.sentences) == len(doc.sentences)
+    for sentence, sentence_grams in zip(doc.sentences, grams.sentences):
         stripped = "".join(sentence.tokens)
-        assert grams == [stripped[i : i + k] for i in range(len(stripped) - k + 1)]
+        assert sentence_grams == [stripped[i : i + k] for i in range(len(stripped) - k + 1)]
 
 
 def test_statement_resemblance_self_and_disjoint():
