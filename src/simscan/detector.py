@@ -69,7 +69,7 @@ from .features import (  # noqa: F401
     top_keyword_similarity,
 )
 from .fingerprint import statement_resemblance  # noqa: F401
-from .textprep import Document, Preprocessor, load_stopwords
+from .textprep import Document, StemMemo, document, load_stopwords
 
 # Features that need raw token streams and so cannot be scored from an index.
 INDEX_UNAVAILABLE = frozenset({LCS_F, FULL_CHAR, TRIGRAM})
@@ -77,6 +77,11 @@ INDEX_UNAVAILABLE = frozenset({LCS_F, FULL_CHAR, TRIGRAM})
 INDEX_SCHEMA = 1
 
 _EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
+
+
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: what `k_char`, `k_top` and `top_n` must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class IndexVersionError(Exception):
@@ -104,10 +109,10 @@ class DetectorConfig:
     phrase_path: str | None = None
 
     def __post_init__(self):
-        if self.k_char < 1:
-            raise ValueError(f"k_char must be >= 1, got {self.k_char}")
-        if self.k_top < 1:
-            raise ValueError(f"k_top must be >= 1, got {self.k_top}")
+        for name in ("k_char", "k_top"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         check_beta(self.beta)
         if not self.features:
             raise ValueError("at least one feature must be enabled")
@@ -119,6 +124,8 @@ class DetectorConfig:
         for name, weight in self.feature_weights.items():
             if name not in ALL_FEATURES:
                 raise ValueError(f"weight for unknown feature: {name!r}")
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise ValueError(f"weight for {name} must be a number, got {weight!r}")
             if not math.isfinite(weight):
                 raise ValueError(f"weight for {name} must be finite, got {weight}")
             if weight < 0:
@@ -224,12 +231,12 @@ class Detector:
         self.config = config or DetectorConfig()
         self.stopwords = load_stopwords(self.config.stopword_path)
         self.phrases = load_query_phrases(self.config.phrase_path)
-        self._prep = Preprocessor(self.stopwords)
+        self._stems = StemMemo()  # kept for the detector's lifetime; the vocabulary bounds it
         # Each enabled feature with its weight, in `features` order.
         self._weights = tuple((name, self.config.weight(name)) for name in self.config.features)
 
     def document(self, doc_id: str, raw_text: str) -> Document:
-        return self._prep.document(doc_id, raw_text)
+        return document(doc_id, raw_text, self.stopwords, self._stems)
 
     def config_snapshot(self) -> dict:
         """The parameters an index depends on, with list digests."""
@@ -370,8 +377,8 @@ class Detector:
                 f"index config {dict(index.config)!r} does not match "
                 f"detector config {snapshot!r}"
             )
-        if top_n is not None and top_n < 0:
-            raise ValueError(f"top_n must be >= 0, got {top_n}")
+        if top_n is not None and (not _is_int(top_n) or top_n < 0):
+            raise ValueError(f"top_n must be None or an int >= 0, got {top_n!r}")
         suspect = self._suspect(susp)
         weights = self._weights
         n = len(index.entries) if top_n is None else top_n

@@ -63,32 +63,23 @@ class KeywordSet:
             raise ValueError(f"{len(self.terms)} terms exceed cap {self.k_top}")
 
 
-@dataclass(frozen=True)
-class LcsResult:
-    """LCS length plus the recall/precision/F values derived from it."""
-
-    lcs_length: int
-    m: int
-    n: int
-    r_lcs: float
-    p_lcs: float
-    beta: float
-    f_lcs: float
-    degenerate: bool = False
-
-
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
     """Cue phrases from a file, or the built-in six when no path is given.
 
-    Blank lines and `#` comments are skipped; phrases are lowercased, lose a
-    trailing "..." and have each whitespace run cut to one space.  A phrase
-    left empty is skipped too, since the empty string would open every sentence.
+    Blank lines and `#` comments are skipped; phrases lose a trailing "..."
+    and are put in `_cue_form`.  A phrase left empty is skipped too, since the
+    empty string would open every sentence.
     """
     if path is None:
         return DEFAULT_QUERY_PHRASES
     with open(path, encoding="utf-8") as fh:
-        phrases = [" ".join(line.removesuffix("...").split()) for line in list_entries(fh)]
-    return tuple(phrase.lower() for phrase in phrases if phrase)
+        phrases = [_cue_form(line.removesuffix("...")) for line in list_entries(fh)]
+    return tuple(phrase for phrase in phrases if phrase)
+
+
+def _cue_form(text: str) -> str:
+    """Text lowercased, with each whitespace run cut to one space: the form cues match in."""
+    return " ".join(text.lower().split())
 
 
 def top_keywords(doc: Document, k_top: int = DEFAULT_K_TOP) -> KeywordSet:
@@ -117,11 +108,13 @@ def first_sentence(doc: Document) -> tuple[int, ...]:
 def cue_sentences(
     doc: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
 ) -> tuple[int, ...]:
-    """Indices of the sentences whose lowercased, space-collapsed text contains a cue phrase."""
-    lowered = (" ".join(sentence.text.lower().split()) for sentence in doc.sentences)
-    return tuple(
-        i for i, text in enumerate(lowered) if any(phrase in text for phrase in phrases)
-    )
+    """Indices of the sentences that contain a cue phrase, both in `_cue_form`.
+
+    A phrase that is empty in that form is skipped.
+    """
+    cues = [cue for cue in map(_cue_form, phrases) if cue]
+    texts = (_cue_form(sentence.text) for sentence in doc.sentences)
+    return tuple(i for i, text in enumerate(texts) if any(cue in text for cue in cues))
 
 
 def key_sentence_indices(
@@ -201,30 +194,30 @@ def check_beta(beta: float | str) -> None:
 
 def lcs_fmeasure(
     ref_tokens: Sequence[str], susp_tokens: Sequence[str], beta: float | str = 1.0
-) -> LcsResult:
-    """F-measure of the longest common word subsequence.
+) -> ResemblanceScore:
+    """F-measure of the longest common word subsequence, as the lcs_f score.
 
     With recall R = LCS/m and precision P = LCS/n the score is
     (1+b)RP / (R + bP), where b is `beta` or, for beta="paper", P/R.
     Empty inputs are degenerate; LCS = 0 scores 0; equal sequences score 1.
     Where P/R is undefined (either of those two cases) "paper" reports b = 1.
+    The detail holds lcs_length, m, n, r_lcs, p_lcs and beta.
     """
     check_beta(beta)
     b = 1.0 if beta == "paper" else float(beta) + 0.0  # reported as a float; -0.0 + 0.0 is +0.0
     m = len(ref_tokens)
     n = len(susp_tokens)
-    if m == 0 or n == 0:
-        return LcsResult(0, m, n, 0.0, 0.0, b, 0.0, degenerate=True)
-    length = lcs_length(ref_tokens, susp_tokens)
-    r = length / m
-    p = length / n
-    if length == 0:
-        return LcsResult(0, m, n, r, p, b, 0.0)
-    if beta == "paper":
-        b = p / r
-    # F lies between R and P; with a huge b, rounding can carry it past 1.
-    f = min((1.0 + b) * r * p / (r + b * p), 1.0)
-    return LcsResult(length, m, n, r, p, b, f)
+    length = lcs_length(ref_tokens, susp_tokens) if m and n else 0
+    r = length / m if m else 0.0
+    p = length / n if n else 0.0
+    f = 0.0
+    if length:
+        if beta == "paper":
+            b = p / r
+        # F lies between R and P; with a huge b, rounding can carry it past 1.
+        f = min((1.0 + b) * r * p / (r + b * p), 1.0)
+    detail = {"lcs_length": length, "m": m, "n": n, "r_lcs": r, "p_lcs": p, "beta": b}
+    return ResemblanceScore(f, LCS_F, detail, degenerate=not (m and n))
 
 
 def lcs_similarity(
@@ -248,15 +241,6 @@ def lcs_similarity(
         for ki in key_indices
         for s in susp.sentences
     )
-    best, ref_sentence, susp_sentence = max(pairs, key=lambda pair: pair[0].f_lcs)
-    detail = {
-        "lcs_length": best.lcs_length,
-        "m": best.m,
-        "n": best.n,
-        "r_lcs": best.r_lcs,
-        "p_lcs": best.p_lcs,
-        "beta": best.beta,
-        "ref_sentence": ref_sentence,
-        "susp_sentence": susp_sentence,
-    }
-    return ResemblanceScore(best.f_lcs, LCS_F, detail, degenerate=best.degenerate)
+    best, ref_sentence, susp_sentence = max(pairs, key=lambda pair: pair[0].value)
+    detail = {**best.detail, "ref_sentence": ref_sentence, "susp_sentence": susp_sentence}
+    return ResemblanceScore(best.value, LCS_F, detail, degenerate=best.degenerate)

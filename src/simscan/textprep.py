@@ -24,8 +24,8 @@ from .porter import stem
 __all__ = [
     "Document",
     "Sentence",
-    "Preprocessor",
     "StemMemo",
+    "document",
     "load_stopwords",
     "normalize",
     "split_sentences",
@@ -99,7 +99,7 @@ def split_sentences(
     text yields none.  Segments without a single word (all punctuation)
     are dropped, so a document has sentences exactly when it has tokens.
     Each distinct content token is stemmed once, through `stems` if given
-    (a memo kept across calls, from `Preprocessor`).
+    (a memo kept across calls, such as a `Detector`'s).
     """
     if stopwords is None:
         stopwords = load_stopwords()
@@ -122,24 +122,19 @@ def split_sentences(
     return sentences
 
 
-class Preprocessor:
-    """Builds `Document` objects against one fixed stopword list.
-
-    Stems are memoized for the preprocessor's lifetime; the vocabulary
-    bounds the memo.
-    """
-
-    def __init__(self, stopwords: frozenset[str] | None = None):
-        self.stopwords = stopwords if stopwords is not None else load_stopwords()
-        self._stems = StemMemo()
-
-    def document(self, doc_id: str, raw_text: str) -> Document:
-        sentences = tuple(split_sentences(raw_text, self.stopwords, self._stems))
-        return Document(
-            id=doc_id,
-            normalized_text=" ".join(s.normalized for s in sentences),
-            sentences=sentences,
-        )
+def document(
+    doc_id: str,
+    raw_text: str,
+    stopwords: frozenset[str] | None = None,
+    stems: StemMemo | None = None,
+) -> Document:
+    """A `Document` of `raw_text`'s sentences, built as `split_sentences` builds them."""
+    sentences = tuple(split_sentences(raw_text, stopwords, stems))
+    return Document(
+        id=doc_id,
+        normalized_text=" ".join(s.normalized for s in sentences),
+        sentences=sentences,
+    )
 
 
 def list_entries(lines: Iterable[str]) -> Iterator[str]:

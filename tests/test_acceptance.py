@@ -101,10 +101,10 @@ def test_criterion_4():
     s3 = normalize("The ball kick player.").split()
     r12 = lcs_fmeasure(s1, s2, 1.0)
     r13 = lcs_fmeasure(s1, s3, 1.0)
-    assert r12.lcs_length == 3
-    assert abs(r12.f_lcs - 0.75) <= 1e-12
-    assert r13.lcs_length == 2
-    assert abs(r13.f_lcs - 0.5) <= 1e-12
+    assert r12.detail["lcs_length"] == 3
+    assert abs(r12.value - 0.75) <= 1e-12
+    assert r13.detail["lcs_length"] == 2
+    assert abs(r13.value - 0.5) <= 1e-12
 
 
 @_report(5, "gram weights: 1000 random multisets sum to 1; exact rationals")

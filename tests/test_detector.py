@@ -82,6 +82,17 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(ValueError, match="finite"):
             DetectorConfig(**non_finite)
+    # Counts must be ints and weights numbers; a bool is neither.
+    for wrong_type in (
+        {"k_char": 4.0},
+        {"k_char": True},
+        {"k_top": 2.5},
+        {"k_top": True},
+        {"feature_weights": {"statement": "1"}},
+        {"feature_weights": {"statement": True}},
+    ):
+        with pytest.raises(ValueError):
+            DetectorConfig(**wrong_type)
 
 
 def test_self_pair_combines_to_one(detector):
@@ -440,8 +451,9 @@ def test_rank_top_n_cap(detector, corpus_docs):
     susp = detector.document("s", CORPUS["a"])
     assert len(detector.rank_candidates(susp, index, top_n=1)) == 1
     assert len(detector.rank_candidates(susp, index, top_n=0)) == 0
-    with pytest.raises(ValueError):
-        detector.rank_candidates(susp, index, top_n=-1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            detector.rank_candidates(susp, index, top_n=bad)
 
 
 def test_rank_rejects_mismatched_config(detector, corpus_docs):

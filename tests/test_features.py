@@ -16,10 +16,7 @@ from simscan.features import (
     top_keyword_similarity,
     top_keywords,
 )
-from simscan.textprep import Preprocessor
-
-pre = Preprocessor()
-bare = Preprocessor(frozenset())
+from simscan.textprep import document
 
 tokens = st.lists(st.sampled_from(["a", "b", "c"]), max_size=12)
 
@@ -49,75 +46,76 @@ def test_phrase_file_whitespace_runs_are_one_space(tmp_path):
 
 
 def test_top_keywords_by_frequency_then_alphabet():
-    doc = bare.document("d", "ball ball ball ball ball kick kick kick player player.")
+    doc = document("d", "ball ball ball ball ball kick kick kick player player.", frozenset())
     assert top_keywords(doc, 2).terms == {"ball", "kick"}
     # all equal frequency: alphabetical order decides
-    tie = bare.document("t", "delta alpha charlie.")
+    tie = document("t", "delta alpha charlie.", frozenset())
     assert top_keywords(tie, 1).terms == {"alpha"}
 
 
 def test_top_keywords_uses_stemmed_content_terms():
-    doc = pre.document("d", "The players played plays. The play!")
+    doc = document("d", "The players played plays. The play!")
     assert top_keywords(doc, 1).terms == {"plai"}
 
 
 def test_top_keywords_fewer_terms_than_cap():
-    doc = bare.document("d", "just two.")
+    doc = document("d", "just two.", frozenset())
     assert top_keywords(doc, 10).terms == {"just", "two"}
-    assert top_keywords(bare.document("e", ""), 3).terms == frozenset()
+    assert top_keywords(document("e", "", frozenset()), 3).terms == frozenset()
 
 
 def test_top_keywords_rejects_bad_cap():
     with pytest.raises(ValueError):
-        top_keywords(bare.document("d", "x y."), 0)
+        top_keywords(document("d", "x y.", frozenset()), 0)
 
 
 def test_top_keyword_similarity_worked_jaccard():
     # keyword sets {ball, kick} and {ball, goal}: intersection 1, union 3
-    a = bare.document("a", "ball ball kick.")
-    b = bare.document("b", "ball ball goal.")
+    a = document("a", "ball ball kick.", frozenset())
+    b = document("b", "ball ball goal.", frozenset())
     score = top_keyword_similarity(a, b, 2)
     assert score.value == pytest.approx(1 / 3)
 
 
 def test_top_keyword_similarity_identity_and_disjoint():
-    a = bare.document("a", "ball kick player.")
-    b = bare.document("b", "goal net referee.")
+    a = document("a", "ball kick player.", frozenset())
+    b = document("b", "goal net referee.", frozenset())
     assert top_keyword_similarity(a, a).value == 1.0
     assert top_keyword_similarity(a, b).value == 0.0
 
 
 def test_top_keyword_similarity_empty_degenerate():
-    a = bare.document("a", "")
+    a = document("a", "", frozenset())
     score = top_keyword_similarity(a, a)
     assert score.value == 0.0 and score.degenerate
 
 
 def test_first_sentence_single_sentence_self_is_one():
-    doc = bare.document("d", "the quick brown fox jumps.")
+    doc = document("d", "the quick brown fox jumps.", frozenset())
     assert first_sentence_similarity(doc, doc).value == 1.0
 
 
 def test_first_sentence_self_is_subset_ratio_for_multi_sentence():
-    doc = bare.document("d", "the quick brown fox. pack my box with jugs.")
+    doc = document("d", "the quick brown fox. pack my box with jugs.", frozenset())
     score = first_sentence_similarity(doc, doc)
     assert score.value == score.detail["size_a"] / score.detail["size_b"]
     assert 0 < score.value < 1
 
 
 def test_first_sentence_disjoint_is_zero():
-    a = bare.document("a", "aaaa bbbb.")
-    b = bare.document("b", "cccc dddd.")
+    a = document("a", "aaaa bbbb.", frozenset())
+    b = document("b", "cccc dddd.", frozenset())
     assert first_sentence_similarity(a, b).value == 0.0
 
 
 def test_first_sentence_empty_ref_degenerate():
-    score = first_sentence_similarity(bare.document("e", ""), bare.document("b", "x."))
+    empty, susp = document("e", "", frozenset()), document("b", "x.", frozenset())
+    score = first_sentence_similarity(empty, susp)
     assert score.value == 0.0 and score.degenerate
 
 
 def test_extract_query_phrase_sentences_finds_default_cues():
-    doc = pre.document(
+    doc = document(
         "d",
         "We conclude that the main cause of the social ills is the family problem. "
         "In conclusion, it cannot be denied that teachers play an important role.",
@@ -126,7 +124,7 @@ def test_extract_query_phrase_sentences_finds_default_cues():
 
 
 def test_extract_query_phrase_case_insensitive_and_ordered():
-    doc = pre.document(
+    doc = document(
         "d",
         "Filler first sentence here. WE CONCLUDE THAT it works. "
         "More filler. The survey shows that people agree.",
@@ -135,25 +133,36 @@ def test_extract_query_phrase_case_insensitive_and_ordered():
 
 
 def test_extract_query_phrase_one_hit_per_sentence():
-    doc = pre.document("d", "In general, we conclude that both cues appear.")
+    doc = document("d", "In general, we conclude that both cues appear.")
     assert cue_sentences(doc) == (0,)
 
 
+def test_cue_phrases_match_in_cue_form():
+    doc = document("d", "Filler first. In conclusion, it works. In general, no.")
+    assert cue_sentences(doc, ("in conclusion,",)) == (1,)
+    for phrase in ("in  conclusion,", "in\tconclusion,", "In conclusion,", " IN \n conclusion, "):
+        assert cue_sentences(doc, (phrase,)) == (1,)
+        ref = document("r", "In conclusion, it works.")
+        assert not query_phrase_similarity(ref, ref, phrases=(phrase,)).not_applicable
+    assert cue_sentences(doc, ("", " \t")) == ()
+
+
 def test_extract_query_phrase_no_hits():
-    assert cue_sentences(pre.document("d", "Nothing here.")) == ()
+    assert cue_sentences(document("d", "Nothing here.")) == ()
 
 
 def per_phrase_hits(doc, phrases):
     """The per-phrase cue scan `cue_sentences` replaced, as an oracle.
 
-    Like `cue_sentences`, it searches the lowercased text with each
-    whitespace run collapsed to one space.
+    Like `cue_sentences`, it lowercases the text and each phrase, collapses
+    each whitespace run to one space, and skips a phrase left empty.
     """
     hits = []
     for sentence in doc.sentences:
         lowered = " ".join(sentence.text.lower().split())
         for phrase in phrases:
-            if phrase in lowered:
+            phrase = " ".join(phrase.lower().split())
+            if phrase and phrase in lowered:
                 hits.append(sentence.index)
                 break
     return tuple(hits)
@@ -188,34 +197,34 @@ phrase_lists = st.one_of(
 
 @given(cue_texts, phrase_lists)
 def test_cue_sentences_match_per_phrase_scan(text, phrases):
-    doc = bare.document("d", text)
+    doc = document("d", text, frozenset())
     assert cue_sentences(doc, phrases) == per_phrase_hits(doc, phrases)
 
 
 def test_query_phrase_half_overlap_fixture():
     # k=1 grams of "we conclude that bd" are 12 distinct letters; the
     # suspect "conclud" covers 6 of them and adds none.
-    ref = pre.document("r", "We conclude that bd.")
-    susp = pre.document("s", "conclud")
+    ref = document("r", "We conclude that bd.")
+    susp = document("s", "conclud")
     score = query_phrase_similarity(ref, susp, k=1)
     assert score.value == 0.5
 
 
 def test_query_phrase_identity_on_query_sentence():
-    ref = pre.document("r", "We conclude that balls roll.")
-    susp = pre.document("s", "We conclude that balls roll.")
+    ref = document("r", "We conclude that balls roll.")
+    susp = document("s", "We conclude that balls roll.")
     assert query_phrase_similarity(ref, susp).value == 1.0
 
 
 def test_query_phrase_no_hits_not_applicable():
-    ref = pre.document("r", "No cues in this text at all.")
-    score = query_phrase_similarity(ref, pre.document("s", "x."))
+    ref = document("r", "No cues in this text at all.")
+    score = query_phrase_similarity(ref, document("s", "x."))
     assert score.value == 0.0
     assert score.not_applicable and not score.degenerate
 
 
 def test_query_phrase_empty_ref_degenerate():
-    score = query_phrase_similarity(pre.document("r", ""), pre.document("s", "x."))
+    score = query_phrase_similarity(document("r", ""), document("s", "x."))
     assert score.degenerate and not score.not_applicable
 
 
@@ -224,23 +233,23 @@ def test_lcs_fmeasure_worked_examples():
     s2 = "player kick the ball".split()
     s3 = "the ball kick player".split()
     r12 = lcs_fmeasure(s1, s2, 1.0)
-    assert r12.lcs_length == 3
-    assert r12.f_lcs == 0.75
+    assert r12.detail["lcs_length"] == 3
+    assert r12.value == 0.75
     r13 = lcs_fmeasure(s1, s3, 1.0)
-    assert r13.lcs_length == 2
-    assert r13.f_lcs == 0.5
+    assert r13.detail["lcs_length"] == 2
+    assert r13.value == 0.5
 
 
 def test_lcs_fmeasure_identity_and_zero():
     s = "a b c".split()
-    assert lcs_fmeasure(s, s).f_lcs == 1.0
+    assert lcs_fmeasure(s, s).value == 1.0
     zero = lcs_fmeasure(s, ["x"])
-    assert zero.lcs_length == 0 and zero.f_lcs == 0.0
+    assert zero.detail["lcs_length"] == 0 and zero.value == 0.0
 
 
 def test_lcs_fmeasure_empty_degenerate():
     res = lcs_fmeasure([], ["a"])
-    assert res.degenerate and res.f_lcs == 0.0
+    assert res.degenerate and res.value == 0.0
     assert lcs_fmeasure(["a"], []).degenerate
 
 
@@ -251,24 +260,26 @@ def test_lcs_fmeasure_rejects_bad_mode_and_beta():
 
 
 def test_lcs_fmeasure_paper_beta_is_one_without_common_words():
-    assert lcs_fmeasure(["a"], ["b"], "paper").beta == 1.0
-    assert lcs_fmeasure([], ["b"], "paper").beta == 1.0
-    assert lcs_fmeasure(["a", "b"], ["a"], "paper").beta == 2.0
+    assert lcs_fmeasure(["a"], ["b"], "paper").detail["beta"] == 1.0
+    assert lcs_fmeasure([], ["b"], "paper").detail["beta"] == 1.0
+    assert lcs_fmeasure(["a", "b"], ["a"], "paper").detail["beta"] == 2.0
 
 
 @given(tokens, tokens)
 def test_lcs_fmeasure_paper_mode_matches_closed_form(xs, ys):
     # substituting beta = P/R turns the F formula into RP(R+P)/(R^2+P^2)
     res = lcs_fmeasure(xs, ys, "paper")
-    r, p = res.r_lcs, res.p_lcs
-    if res.lcs_length == 0:
-        assert res.f_lcs == 0.0
+    r, p = res.detail["r_lcs"], res.detail["p_lcs"]
+    if res.detail["lcs_length"] == 0:
+        assert res.value == 0.0
     else:
         closed = r * p * (r + p) / (r * r + p * p)
-        assert res.f_lcs == pytest.approx(closed, abs=1e-9)
+        assert res.value == pytest.approx(closed, abs=1e-9)
 
 
-betas = st.one_of(st.just("paper"), st.floats(min_value=0.0, max_value=8.0))
+betas = st.one_of(
+    st.just("paper"), st.floats(min_value=0.0, max_value=8.0), st.integers(min_value=0, max_value=8)
+)
 
 
 # With R = 1 and P = 0.75, F tends to 1 from below as beta grows; unclamped
@@ -277,22 +288,34 @@ betas = st.one_of(st.just("paper"), st.floats(min_value=0.0, max_value=8.0))
 @given(tokens, tokens, betas)
 def test_lcs_fmeasure_bounded(xs, ys, beta):
     res = lcs_fmeasure(xs, ys, beta)
-    assert 0.0 <= res.f_lcs <= 1.0
-    assert res.lcs_length <= min(res.m, res.n)
+    assert res.method == "lcs_f"
+    assert list(res.detail) == ["lcs_length", "m", "n", "r_lcs", "p_lcs", "beta"]
+    assert 0.0 <= res.value <= 1.0
+    length = res.detail["lcs_length"]
+    assert length <= min(res.detail["m"], res.detail["n"])
+    assert (res.detail["m"], res.detail["n"]) == (len(xs), len(ys))
+    assert res.detail["r_lcs"] == (length / len(xs) if xs else 0.0)
+    assert res.detail["p_lcs"] == (length / len(ys) if ys else 0.0)
+    if beta != "paper":
+        assert res.detail["beta"] == float(beta)
+        assert type(res.detail["beta"]) is float
+    assert res.degenerate == (not xs or not ys)
+    if res.degenerate:
+        assert res.detail["r_lcs"] == res.detail["p_lcs"] == 0.0
 
 
 def test_key_sentence_indices():
-    doc = pre.document(
+    doc = document(
         "d",
         "Opening line of the text. Filler. We conclude that it holds. End.",
     )
     assert key_sentence_indices(doc) == (0, 2)
-    assert key_sentence_indices(pre.document("e", "")) == ()
+    assert key_sentence_indices(document("e", "")) == ()
 
 
 def test_lcs_similarity_picks_best_pair():
-    ref = pre.document("r", "Player kicked the ball.")
-    susp = pre.document(
+    ref = document("r", "Player kicked the ball.")
+    susp = document(
         "s", "Unrelated words entirely here. Player kick the ball."
     )
     score = lcs_similarity(ref, susp)
@@ -302,16 +325,16 @@ def test_lcs_similarity_picks_best_pair():
 
 
 def test_lcs_similarity_uses_query_sentences_too():
-    ref = pre.document(
+    ref = document(
         "r", "Totally different opening words. We conclude that players kick balls."
     )
-    susp = pre.document("s", "We conclude that players kick balls.")
+    susp = document("s", "We conclude that players kick balls.")
     assert lcs_similarity(ref, susp).value == 1.0
 
 
 def test_lcs_similarity_empty_inputs_degenerate():
-    ref = pre.document("r", "Some words here.")
-    empty = pre.document("e", "")
+    ref = document("r", "Some words here.")
+    empty = document("e", "")
     assert lcs_similarity(ref, empty).degenerate
     assert lcs_similarity(empty, ref).degenerate
 
@@ -328,28 +351,28 @@ doc_texts = st.lists(sentence_texts, max_size=4).map(" ".join)
 
 @given(doc_texts, doc_texts, betas)
 def test_lcs_similarity_matches_brute_force_first_maximum(ref_text, susp_text, beta):
-    ref = bare.document("r", ref_text)
-    susp = bare.document("s", susp_text)
+    ref = document("r", ref_text, frozenset())
+    susp = document("s", susp_text, frozenset())
     best = None
     for ki in key_sentence_indices(ref):
         for sentence in susp.sentences:
             result = lcs_fmeasure(ref.sentences[ki].tokens, sentence.tokens, beta)
-            if best is None or result.f_lcs > best[0].f_lcs:
+            if best is None or result.value > best[0].value:
                 best = (result, ki, sentence.index)
     score = lcs_similarity(ref, susp, beta)
     if best is None:
         assert score.value == 0.0 and score.degenerate and not score.detail
         return
     result, ki, si = best
-    assert score.value == result.f_lcs
+    assert score.value == result.value
     assert score.degenerate == result.degenerate
     assert dict(score.detail) == {
-        "lcs_length": result.lcs_length,
-        "m": result.m,
-        "n": result.n,
-        "r_lcs": result.r_lcs,
-        "p_lcs": result.p_lcs,
-        "beta": result.beta,
+        "lcs_length": result.detail["lcs_length"],
+        "m": result.detail["m"],
+        "n": result.detail["n"],
+        "r_lcs": result.detail["r_lcs"],
+        "p_lcs": result.detail["p_lcs"],
+        "beta": result.detail["beta"],
         "ref_sentence": ki,
         "susp_sentence": si,
     }

@@ -26,7 +26,7 @@ from simscan.fingerprint import (
     statement_resemblance,
     word_trigrams,
 )
-from simscan.textprep import Preprocessor, split_sentences
+from simscan.textprep import document, split_sentences
 
 texts = st.text(alphabet="abc d", max_size=40)
 small_k = st.integers(min_value=1, max_value=6)
@@ -200,10 +200,10 @@ def test_least_frequent_fingerprint_picks_rarest_grams():
     # Sentence grams all tie except occe/ccer/cerg, which appear nowhere
     # else in the document, so they are the three least frequent and the
     # key is their concatenation.
-    pre = Preprocessor(frozenset())
-    doc = pre.document(
+    doc = document(
         "s",
         "Soccer game is fantastic. Soccx ergam gameis eisfan fanta ntast astic.",
+        frozenset(),
     )
     fps = document_fingerprints(doc)
     by_index = {fp.sentence_index: fp for fp in fps}
@@ -242,8 +242,7 @@ def test_sentence_fingerprint_validation():
 
 
 def test_document_fingerprints_key_length():
-    pre = Preprocessor(frozenset())
-    doc = pre.document("d", "The quick brown fox jumps. Pack my box with jugs.")
+    doc = document("d", "The quick brown fox jumps. Pack my box with jugs.", frozenset())
     fps = document_fingerprints(doc)
     assert len(fps) == 2
     for fp in fps:
@@ -262,7 +261,7 @@ gram_texts = st.lists(
 def test_document_fingerprints_match_exact_weight_ranking(text):
     # Oracle: rank every sentence's grams by exact Fraction weights over the
     # whole document; the integer-count ranking must pick the same keys.
-    doc = Preprocessor(frozenset()).document("d", text)
+    doc = document("d", text, frozenset())
     multiset = char_kgrams(doc.normalized_text, 4)
     expected = ()
     if multiset.total:
@@ -278,7 +277,7 @@ def test_document_fingerprints_match_exact_weight_ranking(text):
 @example(text="ball. ball.", k=6)
 @given(st.one_of(gram_texts, st.text(max_size=60)), small_k)
 def test_document_grams_counts_text_and_cuts_sentences(text, k):
-    doc = Preprocessor(frozenset()).document("d", text)
+    doc = document("d", text, frozenset())
     grams = document_grams(doc, k)
     text_grams = char_kgrams(doc.normalized_text, k)
     assert type(grams) is GramMultiset and grams.k == k
@@ -292,9 +291,8 @@ def test_document_grams_counts_text_and_cuts_sentences(text, k):
 
 
 def test_statement_resemblance_self_and_disjoint():
-    pre = Preprocessor(frozenset())
-    a = pre.document("a", "The quick brown fox jumps over the lazy dog.")
-    b = pre.document("b", "zulu xray victor whisky quebec papa tango.")
+    a = document("a", "The quick brown fox jumps over the lazy dog.", frozenset())
+    b = document("b", "zulu xray victor whisky quebec papa tango.", frozenset())
     assert statement_resemblance(a, a).value == 1.0
     assert statement_resemblance(a, b).value == 0.0
 
@@ -302,11 +300,10 @@ def test_statement_resemblance_self_and_disjoint():
 def test_statement_resemblance_extra_sentence_ratio():
     # Disjoint alphabets keep each sentence's key away from the other's,
     # so adding one sentence adds exactly one fingerprint to the set.
-    pre = Preprocessor(frozenset())
     base = "The quick brown fox jumps over the lazy dog."
     extra = " Zulu xray victor whisky quebec papa."
-    a = pre.document("a", base)
-    b = pre.document("b", base + extra)
+    a = document("a", base, frozenset())
+    b = document("b", base + extra, frozenset())
     n = len(fingerprint_keys(a))
     score = statement_resemblance(a, b)
     assert score.value == pytest.approx(n / (n + 1))
@@ -314,17 +311,15 @@ def test_statement_resemblance_extra_sentence_ratio():
 
 
 def test_statement_resemblance_empty_docs_degenerate():
-    pre = Preprocessor(frozenset())
-    a = pre.document("a", "")
-    b = pre.document("b", "!!!")
+    a = document("a", "", frozenset())
+    b = document("b", "!!!", frozenset())
     score = statement_resemblance(a, b)
     assert score.value == 0.0
     assert score.degenerate
 
 
 def test_fingerprint_keys_are_sorted_set():
-    pre = Preprocessor(frozenset())
-    doc = pre.document("d", "The quick brown fox jumps. Pack my box with jugs.")
+    doc = document("d", "The quick brown fox jumps. Pack my box with jugs.", frozenset())
     keys = fingerprint_keys(doc)
     assert keys == {fp.key for fp in document_fingerprints(doc)}
 

@@ -1,5 +1,6 @@
 """Every name a package module imports is used, exported or marked `# noqa`,
-and every private module- or class-level name is used somewhere in the package."""
+every name in a module's `__all__` is bound in that module, and every private
+module- or class-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,16 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "simscan"
+
+
+def exports(tree: ast.Module) -> set[str]:
+    """The names in the module's `__all__`; none without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,12 +35,7 @@ def unused_imports(source: str) -> list[str]:
             bound = alias.asname or alias.name.split(".")[0]
             imported[bound] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
+    exported = exports(tree)
     return [
         f"line {line}: {name}"
         for name, line in sorted(imported.items(), key=lambda item: item[1])
@@ -45,6 +51,36 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads\n"
     assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
+
+
+def stale_exports(source: str) -> list[str]:
+    """Names in `__all__` that no top-level definition, assignment or import binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.add(node.target.id)
+    return sorted(exports(tree) - bound)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_stale_exports(path):
+    assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_flags_a_stale_export():
+    source = (
+        "import os\nfrom json import dumps as d\nX = 1\nY: int = 2\n"
+        "def f():\n    gone = 3\nclass C:\n    pass\n"
+        "__all__ = ['os', 'd', 'X', 'Y', 'f', 'C', 'gone', 'dumps']\n"
+    )
+    assert stale_exports(source) == ["dumps", "gone"]
 
 
 def private_definitions(tree: ast.Module):

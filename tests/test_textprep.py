@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import simscan.textprep
 from simscan.features import load_query_phrases
 from simscan.textprep import (
-    Preprocessor,
+    StemMemo,
+    document,
     load_stopwords,
     normalize,
     split_sentences,
@@ -115,8 +116,7 @@ def test_stopword_check_precedes_stemming():
 
 
 def test_document_concatenates_sentences():
-    pre = Preprocessor(frozenset({"the"}))
-    doc = pre.document("d", "The quick fox. The lazy dog!")
+    doc = document("d", "The quick fox. The lazy dog!", frozenset({"the"}))
     assert doc.normalized_text == "the quick fox the lazy dog"
     tokens = tuple(t for s in doc.sentences for t in s.tokens)
     assert tokens == ("the", "quick", "fox", "the", "lazy", "dog")
@@ -126,8 +126,7 @@ def test_document_concatenates_sentences():
 
 @given(st.text(max_size=300))
 def test_document_tokens_match_normalized_text(text):
-    pre = Preprocessor(frozenset())
-    doc = pre.document("d", text)
+    doc = document("d", text, frozenset())
     assert " ".join(t for s in doc.sentences for t in s.tokens) == doc.normalized_text
     assert doc.normalized_text == normalize(text)
 
@@ -179,9 +178,9 @@ WORDY_TEXT = st.text(alphabet="abeilnorstuy .!", max_size=120)
 @given(st.lists(st.one_of(WORDY_TEXT, st.text(max_size=60)), max_size=6))
 def test_long_lived_preprocessor_equals_fresh_ones(texts):
     stop = frozenset({"a", "the", "is"})
-    shared = Preprocessor(stop)
+    stems = StemMemo()
     for i, text in enumerate(texts):
-        assert shared.document(f"d{i}", text) == Preprocessor(stop).document(f"d{i}", text)
+        assert document(f"d{i}", text, stop, stems) == document(f"d{i}", text, stop)
 
 
 def test_preprocessor_stems_each_token_once(monkeypatch):
@@ -193,9 +192,9 @@ def test_preprocessor_stems_each_token_once(monkeypatch):
         return real(token)
 
     monkeypatch.setattr(simscan.textprep, "stem", counting)
-    prep = Preprocessor(frozenset({"the"}))
-    first = prep.document("a", "The players kicked the balls.")
-    second = prep.document("b", "Players kicked balls. The goals!")
+    stop, stems = frozenset({"the"}), StemMemo()
+    first = document("a", "The players kicked the balls.", stop, stems)
+    second = document("b", "Players kicked balls. The goals!", stop, stems)
     assert sorted(calls) == ["balls", "goals", "kicked", "players"]
     assert first.content_tokens == ("player", "kick", "ball")
     assert second.content_tokens == ("player", "kick", "ball", "goal")
