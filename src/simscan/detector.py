@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .features import (
     DEFAULT_GRAM_LEN,
     DEFAULT_K_TOP,
+    _is_int,
     check_beta,
     cue_sentences,
     first_sentence,
@@ -77,11 +78,6 @@ INDEX_UNAVAILABLE = frozenset({LCS_F, FULL_CHAR, TRIGRAM})
 INDEX_SCHEMA = 1
 
 _EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
-
-
-def _is_int(value: object) -> bool:
-    """An int that is not a bool: what `k_char`, `k_top` and `top_n` must be."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class IndexVersionError(Exception):

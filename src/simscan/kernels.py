@@ -7,7 +7,10 @@ of ``xs`` owns one bit of a Python int, so one row of the DP table is a
 single big-int update and sequences of any length need no native code.
 
 Tokens may be any hashable values, so word and character sequences are
-handled alike.  ``lcs_length_ids_py`` is the classic two-row DP over
+handled alike.  ``match_masks`` builds the kernel's table of ``xs``: one
+bit mask per distinct token.  A caller that matches one sequence against
+many, as ``features.lcs_similarity`` does with each key sentence, builds it
+once and passes it to every ``lcs_length`` call.  ``lcs_length_ids_py`` is the classic two-row DP over
 ``encode_pair`` ids; the tests and the benchmark check the bit-parallel
 kernel against it.
 """
@@ -57,11 +60,25 @@ def encode_pair(
     return encoded[0], encoded[1]
 
 
-def lcs_length(xs: Sequence[Hashable], ys: Sequence[Hashable]) -> int:
-    """Length of the longest common subsequence of two token sequences."""
+def match_masks(xs: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Each token of `xs` mapped to the int whose bit i is set where `xs[i]` is that token."""
     masks: dict[Hashable, int] = {}
     for i, token in enumerate(xs):
         masks[token] = masks.get(token, 0) | (1 << i)
+    return masks
+
+
+def lcs_length(
+    xs: Sequence[Hashable],
+    ys: Sequence[Hashable],
+    masks: dict[Hashable, int] | None = None,
+) -> int:
+    """Length of the longest common subsequence of two token sequences.
+
+    `masks` must be `match_masks(xs)`; it is built here when not given.
+    """
+    if masks is None:
+        masks = match_masks(xs)
     full = (1 << len(xs)) - 1
     # Zero bits of v mark the matched positions of xs; carries above bit
     # len(xs) never flow back down, so they are masked off once at the end.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from simscan import features
 from simscan.features import (
     DEFAULT_QUERY_PHRASES,
     cue_sentences,
@@ -16,7 +17,7 @@ from simscan.features import (
     top_keyword_similarity,
     top_keywords,
 )
-from simscan.textprep import document
+from simscan.textprep import Document, Sentence, document
 
 tokens = st.lists(st.sampled_from(["a", "b", "c"]), max_size=12)
 
@@ -51,6 +52,13 @@ def test_top_keywords_by_frequency_then_alphabet():
     # all equal frequency: alphabetical order decides
     tie = document("t", "delta alpha charlie.", frozenset())
     assert top_keywords(tie, 1).terms == {"alpha"}
+
+
+def test_top_keywords_rejects_a_k_top_that_is_not_an_int_from_1():
+    doc = document("d", "ball kick goal net.")
+    for k_top in (2.5, True, 0):
+        with pytest.raises(ValueError, match="k_top must be an int >= 1"):
+            top_keywords(doc, k_top)
 
 
 def test_top_keywords_uses_stemmed_content_terms():
@@ -339,31 +347,49 @@ def test_lcs_similarity_empty_inputs_degenerate():
     assert lcs_similarity(empty, ref).degenerate
 
 
-# Sentences over three words, some opened by a cue phrase; ties are common.
-sentence_words = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5)
-sentence_texts = st.builds(
-    lambda cue, words: cue + " ".join(words) + ".",
-    st.sampled_from(["", "we find that "]),
-    sentence_words,
-)
-doc_texts = st.lists(sentence_texts, max_size=4).map(" ".join)
+def hand_built(doc_id: str, token_lists) -> Document:
+    """A Document of these token tuples; unlike `document`'s, a sentence may be empty."""
+    sentences = tuple(Sentence(i, " ".join(t), tuple(t), tuple(t)) for i, t in enumerate(token_lists))
+    return Document(doc_id, " ".join(s.normalized for s in sentences), sentences)
 
 
-@given(doc_texts, doc_texts, betas)
-def test_lcs_similarity_matches_brute_force_first_maximum(ref_text, susp_text, beta):
-    ref = document("r", ref_text, frozenset())
-    susp = document("s", susp_text, frozenset())
+# Sentences of up to five tokens over three words, empty ones included; ties
+# are common.  Cue picks beyond the reference's last sentence are dropped.
+sentence_lists = st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=5), max_size=4)
+cue_picks = st.sets(st.integers(min_value=0, max_value=3))
+lcs_betas = st.one_of(st.sampled_from((0, 0.5, 1, 2, "paper")), betas)
+
+
+# Key sentence and suspect sentences of equal length that tie on F: the first wins.
+@example([["a", "b"]], set(), [["a", "c"], ["c", "b"]], 1)
+@example([["a", "b"]], set(), [["a", "c"], ["c", "b"]], "paper")
+# The bound skips the second pair of the first example.  In the second, the
+# exact match follows a pair of F 6/7; a bound taken at LCS = min(m, n) - 1
+# (F 2/3) would skip it too.
+@example([["a", "b"]], set(), [["a", "b"], ["a"]], 1)
+@example([["a", "b", "c"]], set(), [["a", "b"], ["a", "b", "c"]], 0.5)
+# Empty sentences on either side score 0 and can still win, as degenerate.
+@example([[], ["a"]], {1}, [[], ["a"]], 2)
+@example([[]], set(), [[]], 0)
+# Unclamped, F rounds to 1.0000000000000002 here.
+@example([["a", "b", "c"]], set(), [["a", "b", "c", "a"]], 1.5582952287322294e16)
+@given(sentence_lists, cue_picks, sentence_lists, lcs_betas)
+def test_lcs_similarity_matches_brute_force_first_maximum(ref_lists, picks, susp_lists, beta):
+    ref = hand_built("r", ref_lists)
+    susp = hand_built("s", susp_lists)
+    cues = sorted(i for i in picks if i < len(ref_lists))
     best = None
-    for ki in key_sentence_indices(ref):
+    for ki in key_sentence_indices(ref, cues):
         for sentence in susp.sentences:
             result = lcs_fmeasure(ref.sentences[ki].tokens, sentence.tokens, beta)
             if best is None or result.value > best[0].value:
                 best = (result, ki, sentence.index)
-    score = lcs_similarity(ref, susp, beta)
+    score = lcs_similarity(ref, susp, beta, cues)
     if best is None:
         assert score.value == 0.0 and score.degenerate and not score.detail
         return
     result, ki, si = best
+    assert 0.0 <= score.value <= 1.0
     assert score.value == result.value
     assert score.degenerate == result.degenerate
     assert dict(score.detail) == {
@@ -376,3 +402,28 @@ def test_lcs_similarity_matches_brute_force_first_maximum(ref_text, susp_text, b
         "ref_sentence": ki,
         "susp_sentence": si,
     }
+
+
+def test_lcs_similarity_calls_the_kernel_positionally_on_fewer_pairs(monkeypatch):
+    # The benchmark's tracer wraps `features.lcs_length` with a wrapper that
+    # takes positional arguments only; the scan must still call through it.
+    ref = document("r", "Players kick the ball hard. We find that the goal came late in the game.")
+    susp = document(
+        "s",
+        "Some other words open it. Players kick the ball hard. Then a short one. "
+        "We find that the goal came late in the game. It ends here.",
+    )
+    unwrapped = lcs_similarity(ref, susp)
+    calls = []
+    kernel = features.lcs_length
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(features, "lcs_length", counted)
+    score = lcs_similarity(ref, susp)
+    assert calls
+    assert len(calls) < len(key_sentence_indices(ref)) * len(susp.sentences)
+    assert score.value == unwrapped.value == 1.0
+    assert score.detail == unwrapped.detail

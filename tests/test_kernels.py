@@ -1,5 +1,5 @@
-"""LCS kernel: agreement with the DP and exhaustive oracles, encoding, and
-algebraic properties."""
+"""LCS kernel: agreement with the DP and exhaustive oracles, reused match
+masks, encoding, and algebraic properties."""
 
 from itertools import combinations
 
@@ -78,6 +78,33 @@ def test_identity(xs):
 def test_appending_common_token_adds_one(xs, ys, token):
     base = kernels.lcs_length(xs, ys)
     assert kernels.lcs_length(xs + [token], ys + [token]) == base + 1
+
+
+# One sequence and several to match it against, all over the same alphabet.
+one_against_many = st.one_of(
+    *(st.tuples(seq, st.lists(seq, min_size=1, max_size=3)) for seq in (ids, long_ids, words))
+)
+
+
+@given(one_against_many)
+def test_one_mask_table_serves_many_sequences(case):
+    xs, yss = case
+    masks = kernels.match_masks(xs)
+    for ys in yss:
+        length = kernels.lcs_length(xs, ys, masks)
+        assert length == kernels.lcs_length(xs, ys)
+        assert length == kernels.lcs_length_ids_py(*kernels.encode_pair(xs, ys))
+    assert masks == kernels.match_masks(xs)
+
+
+@given(st.one_of(ids, long_ids, words))
+def test_match_masks_set_bit_i_where_the_token_is_xs_i(xs):
+    masks = kernels.match_masks(xs)
+    assert set(masks) == set(xs)
+    for token, mask in masks.items():
+        assert mask >= 0
+        assert all(bool(mask >> i & 1) == (x == token) for i, x in enumerate(xs))
+        assert mask >> len(xs) == 0
 
 
 def test_encode_pair_shares_ids():
