@@ -229,9 +229,14 @@ def lcs_fmeasure(
     check_beta(beta)
     m = len(ref_tokens)
     n = len(susp_tokens)
-    length = lcs_length(ref_tokens, susp_tokens) if m and n else 0
+    return _lcs_score(lcs_length(ref_tokens, susp_tokens) if m and n else 0, m, n, beta)
+
+
+def _lcs_score(length: int, m: int, n: int, beta: float | str, **where: int) -> ResemblanceScore:
+    """The lcs_f score of an LCS of `length` between m and n tokens; `where`
+    (the sentence indices) ends the detail."""
     r, p, b, f = _lcs_f(length, m, n, beta)
-    detail = {"lcs_length": length, "m": m, "n": n, "r_lcs": r, "p_lcs": p, "beta": b}
+    detail = {"lcs_length": length, "m": m, "n": n, "r_lcs": r, "p_lcs": p, "beta": b, **where}
     return ResemblanceScore(f, LCS_F, detail, degenerate=not (m and n))
 
 
@@ -246,7 +251,8 @@ def lcs_similarity(
     Key sentences of the reference (first sentence plus the cue-phrase
     sentences `cues`, as `key_sentence_indices` takes them) are compared
     against every suspect sentence; the maximum F wins.  The first maximal
-    pair in scan order is reported in the detail, as `lcs_fmeasure` gives it.
+    pair in scan order is reported: its detail is `lcs_fmeasure`'s, built
+    from the length the scan found, plus `ref_sentence` and `susp_sentence`.
 
     Each key sentence's `match_masks` are built once for all suspect
     sentences.  A pair is skipped when its F at LCS = min(m, n), the most
@@ -271,8 +277,6 @@ def lcs_similarity(
             length = lcs_length(xs, ys, masks) if m and n else 0
             f = _lcs_f(length, m, n, beta)[3]
             if f > best_f:
-                best_f, best = f, (ki, sentence)
-    ki, sentence = best
-    score = lcs_fmeasure(ref.sentences[ki].tokens, sentence.tokens, beta)
-    detail = {**score.detail, "ref_sentence": ki, "susp_sentence": sentence.index}
-    return ResemblanceScore(score.value, LCS_F, detail, degenerate=score.degenerate)
+                best_f, best = f, (length, m, n, ki, sentence.index)
+    length, m, n, ki, si = best
+    return _lcs_score(length, m, n, beta, ref_sentence=ki, susp_sentence=si)

@@ -118,7 +118,8 @@ def _kgram_list(text: str, k: int) -> list[str]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     stripped = text.replace(" ", "")
-    return [stripped[i : i + k] for i in range(len(stripped) - k + 1)]
+    # Tuple i holds the k characters of stripped[i : i + k]; zip stops after the last full one.
+    return list(map("".join, zip(*(stripped[j:] for j in range(k)))))
 
 
 def char_kgrams(text: str, k: int) -> GramMultiset:

@@ -4,23 +4,29 @@ Self-contained ASCII implementation.  Tokens shorter than three letters and
 tokens containing anything but ASCII letters are returned unchanged; the
 preprocessing pipeline only feeds in lowercase word tokens.
 
-Steps 1a, 2, 3 and 4 are tables from suffix to replacement, in Porter's
-order; row order carries no meaning.  Each step follows Porter's rule that
-"the longest matching S1 is obeyed": `_replace_suffix` looks the word's
-suffixes up in the table at the lengths the table holds, longest first,
-and the first hit alone decides the step, whether or not the step's
+Each word's consonant/vowel pattern is computed once, by one
+`bytes.translate` (plus a pass over its y runs, if it has any).  A letter's
+class depends only on the letters before it, so when a suffix comes off,
+the pattern is cut with the word; no replacement holds a y, so a
+replacement's pattern is fixed and stored with it.
+
+Steps 1a, 2, 3 and 4 are tables keyed by a suffix's last letter, as in
+Porter's C reference implementation, which switches on that letter.  Each
+key holds the step's suffixes that end in it, longest first, so the first
+suffix the word ends with is the longest matching one.  It alone decides
+the step ("the longest matching S1 is obeyed"), whether or not the step's
 condition on the remaining stem holds.
 """
 
 from __future__ import annotations
 
 import re
-import string
 
-# Lowercase vowels are "v"; y is decided by _pattern; every other letter a
-# stem can hold is a consonant.
-_LETTER_CLASS = str.maketrans(
-    {ch: "v" if ch in "aeiou" else "c" for ch in string.ascii_letters if ch != "y"}
+# Lowercase vowels are "v", y is left for _pattern to decide, and every
+# other letter (an uppercase vowel too) is a consonant.
+_CLASSES = bytes(
+    ord("v") if ch in b"aeiou" else ord("y") if ch == ord("y") else ord("c")
+    for ch in range(256)
 )
 
 
@@ -34,67 +40,23 @@ def _y_run(match: re.Match) -> str:
 
 
 def _pattern(word: str) -> str:
-    """One "c" (consonant) or "v" (vowel) per letter of `word`."""
-    pattern = word.translate(_LETTER_CLASS)
+    """One "c" (consonant) or "v" (vowel) per letter of the ASCII `word`."""
+    pattern = word.encode().translate(_CLASSES).decode()
     return re.sub("y+", _y_run, pattern) if "y" in pattern else pattern
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-consonant alternations: [C](VC)^m[V] gives m."""
-    return _pattern(stem).count("vc")
+def _by_last_letter(rows: dict[str, str]) -> dict[str, tuple[tuple[str, str, str], ...]]:
+    """A step's (suffix, replacement, replacement's pattern) rows, keyed by the
+    suffix's last letter, longest suffix first."""
+    table: dict[str, list] = {}
+    for suffix in sorted(rows, key=len, reverse=True):
+        table.setdefault(suffix[-1], []).append((suffix, rows[suffix], _pattern(rows[suffix])))
+    return {letter: tuple(group) for letter, group in table.items()}
 
 
-def _contains_vowel(stem: str) -> bool:
-    return "v" in _pattern(stem)
+_STEP1A = _by_last_letter({"sses": "ss", "ies": "i", "ss": "ss", "s": ""})
 
-
-def _ends_double_consonant(word: str) -> bool:
-    return len(word) >= 2 and word[-1] == word[-2] and _pattern(word)[-1] == "c"
-
-
-def _ends_cvc(word: str) -> bool:
-    """consonant-vowel-consonant ending where the final one is not w, x or y."""
-    return word[-1:] not in "wxy" and _pattern(word).endswith("cvc")
-
-
-class _Suffixes(dict):
-    """A step's table: suffix -> replacement, plus the suffix lengths it holds."""
-
-    def __init__(self, rows: dict[str, str]):
-        super().__init__(rows)
-        self.lengths = sorted({len(suffix) for suffix in rows}, reverse=True)
-
-
-def _replace_suffix(word: str, table: _Suffixes, condition) -> str:
-    """Apply the rule of the longest suffix of `word` that `table` holds.
-
-    The first hit decides the step: when `condition(stem, suffix)` fails,
-    `word` is returned unchanged and no shorter suffix is tried.
-    """
-    for n in table.lengths:
-        suffix = word[-n:]
-        if suffix in table:
-            stem = word[: len(word) - len(suffix)]
-            return stem + table[suffix] if condition(stem, suffix) else word
-    return word
-
-
-def _always(stem: str, suffix: str) -> bool:
-    return True
-
-
-def _m_gt_0(stem: str, suffix: str) -> bool:
-    return _measure(stem) > 0
-
-
-def _step4_condition(stem: str, suffix: str) -> bool:
-    # (m>1), and for ION alone also (*S or *T).
-    return _measure(stem) > 1 and (suffix != "ion" or stem[-1:] in ("s", "t"))
-
-
-_STEP1A = _Suffixes({"sses": "ss", "ies": "i", "ss": "ss", "s": ""})
-
-_STEP2 = _Suffixes({
+_STEP2 = _by_last_letter({
     "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
     "izer": "ize", "abli": "able", "alli": "al", "entli": "ent", "eli": "e",
     "ousli": "ous", "ization": "ize", "ation": "ate", "ator": "ate",
@@ -102,59 +64,18 @@ _STEP2 = _Suffixes({
     "aliti": "al", "iviti": "ive", "biliti": "ble",
 })
 
-_STEP3 = _Suffixes({
+_STEP3 = _by_last_letter({
     "icate": "ic", "ative": "", "alize": "al", "iciti": "ic", "ical": "ic",
     "ful": "", "ness": "",
 })
 
-_STEP4 = _Suffixes(dict.fromkeys((
+_STEP4 = _by_last_letter(dict.fromkeys((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment",
     "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ), ""))
 
-
-def _step1b(word: str) -> str:
-    if word.endswith("eed"):
-        stem = word[:-3]
-        return stem + "ee" if _measure(stem) > 0 else word
-    for suffix in ("ed", "ing"):
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _contains_vowel(stem):
-                return _step1b_cleanup(stem)
-            return word
-    return word
-
-
-def _step1b_cleanup(stem: str) -> str:
-    if stem.endswith(("at", "bl", "iz")):
-        return stem + "e"
-    if _ends_double_consonant(stem) and stem[-1] not in "lsz":
-        return stem[:-1]
-    if _measure(stem) == 1 and _ends_cvc(stem):
-        return stem + "e"
-    return stem
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if word.endswith("l") and _ends_double_consonant(word) and _measure(word) > 1:
-        return word[:-1]
-    return word
+# Steps 2 to 4 with the least measure m their stem needs: [C](VC)^m[V].
+_MEASURED_STEPS = ((_STEP2, 1), (_STEP3, 1), (_STEP4, 2))
 
 
 def stem(token: str) -> str:
@@ -165,12 +86,48 @@ def stem(token: str) -> str:
     """
     if len(token) < 3 or not token.isascii() or not token.isalpha():
         return token
-    word = _replace_suffix(token, _STEP1A, _always)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _replace_suffix(word, _STEP2, _m_gt_0)
-    word = _replace_suffix(word, _STEP3, _m_gt_0)
-    word = _replace_suffix(word, _STEP4, _step4_condition)
-    word = _step5a(word)
-    word = _step5b(word)
+    word, pattern = token, _pattern(token)
+    # The measure m of word[:i] is pattern.count("vc", 0, i).
+    for suffix, new, new_pattern in _STEP1A.get(word[-1], ()):
+        if word.endswith(suffix):
+            i = len(word) - len(suffix)
+            word, pattern = word[:i] + new, pattern[:i] + new_pattern
+            break
+    # Step 1b.
+    if word.endswith("eed"):
+        if pattern.count("vc", 0, len(word) - 3):
+            word, pattern = word[:-1], pattern[:-1]
+    elif word.endswith(("ed", "ing")):
+        i = len(word) - (2 if word[-1] == "d" else 3)
+        if "v" in pattern[:i]:
+            word, pattern = word[:i], pattern[:i]
+            if word.endswith(("at", "bl", "iz")):
+                word, pattern = word + "e", pattern + "v"
+            elif (len(word) > 1 and word[-1] == word[-2] and pattern[-1] == "c"
+                  and word[-1] not in "lsz"):
+                word, pattern = word[:-1], pattern[:-1]
+            elif (pattern.count("vc") == 1 and word[-1] not in "wxy"
+                  and pattern.endswith("cvc")):
+                word, pattern = word + "e", pattern + "v"
+    # Step 1c.
+    if word[-1] == "y" and "v" in pattern[:-1]:
+        word, pattern = word[:-1] + "i", pattern[:-1] + "v"
+    for table, least in _MEASURED_STEPS:
+        for suffix, new, new_pattern in table.get(word[-1], ()):
+            if word.endswith(suffix):
+                i = len(word) - len(suffix)
+                # Step 4 removes ION only after S or T.
+                if pattern.count("vc", 0, i) >= least and (
+                    suffix != "ion" or word[i - 1] in "st"
+                ):
+                    word, pattern = word[:i] + new, pattern[:i] + new_pattern
+                break
+    # Step 5a.
+    if word[-1] == "e":
+        m = pattern.count("vc", 0, len(word) - 1)
+        if m > 1 or m == 1 and (word[-2] in "wxy" or not pattern.endswith("cvc", 0, -1)):
+            word, pattern = word[:-1], pattern[:-1]
+    # Step 5b.
+    if word.endswith("ll") and pattern.count("vc") > 1:
+        word = word[:-1]
     return word

@@ -414,6 +414,16 @@ def test_lcs_similarity_calls_the_kernel_positionally_on_fewer_pairs(monkeypatch
         "We find that the goal came late in the game. It ends here.",
     )
     unwrapped = lcs_similarity(ref, susp)
+    # Replay the scan: the kernel runs once per non-empty pair the bound keeps.
+    kept, best = 0, -1.0
+    for ki in key_sentence_indices(ref):
+        xs = ref.sentences[ki].tokens
+        for sentence in susp.sentences:
+            ys = sentence.tokens
+            if features._lcs_f(min(len(xs), len(ys)), len(xs), len(ys), 1.0)[3] < best:
+                continue
+            kept += bool(xs and ys)
+            best = max(best, lcs_fmeasure(xs, ys).value)
     calls = []
     kernel = features.lcs_length
 
@@ -424,6 +434,7 @@ def test_lcs_similarity_calls_the_kernel_positionally_on_fewer_pairs(monkeypatch
     monkeypatch.setattr(features, "lcs_length", counted)
     score = lcs_similarity(ref, susp)
     assert calls
+    assert len(calls) == kept
     assert len(calls) < len(key_sentence_indices(ref)) * len(susp.sentences)
     assert score.value == unwrapped.value == 1.0
     assert score.detail == unwrapped.detail

@@ -12,6 +12,7 @@ from simscan.fingerprint import (
     GramMultiset,
     ResemblanceScore,
     SentenceFingerprint,
+    _kgram_list,
     char_kgrams,
     document_fingerprints,
     document_grams,
@@ -78,6 +79,34 @@ def test_char_kgrams_matches_naive_enumeration(text, k):
     assert dict(ms.counts) == expected
     assert ms.total == sum(expected.values())
     assert ms.distinct == len(expected)
+
+
+def slice_grams(text: str, k: int) -> list[str]:
+    """Oracle: the k-windows of the space-stripped text, sliced in order."""
+    stripped = text.replace(" ", "")
+    return [stripped[i : i + k] for i in range(len(stripped) - k + 1)]
+
+
+# Sentence slices and the fingerprint tie-break read grams by position, so
+# the order matters, not only the counts.
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        st.text(alphabet="ab é\U0001d518\U0001f600", max_size=12),
+        st.text(alphabet=" ", max_size=10),
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+@example("abc", 4)
+@example("    ", 1)
+@example("a\U0001f600 \u00e9\U0001d518b", 2)
+def test_kgram_list_is_the_slices_in_order(text, k):
+    assert _kgram_list(text, k) == slice_grams(text, k)
+
+
+def test_kgram_list_rejects_k_0():
+    with pytest.raises(ValueError):
+        _kgram_list("abc", 0)
 
 
 def test_word_trigrams_example():

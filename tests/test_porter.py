@@ -1,31 +1,27 @@
-"""Stemmer behavior: known stems, guards, and shape properties."""
+"""Stemmer behavior: known stems, guards, shape properties, and agreement
+with the step-by-step oracle in `porter_oracle`."""
 
 import hashlib
 import time
 
+import porter_oracle
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from test_golden import CORPUS
 
-from simscan.porter import (
-    _STEP1A,
-    _STEP2,
-    _STEP3,
-    _STEP4,
-    _always,
-    _m_gt_0,
-    _pattern,
-    _replace_suffix,
-    _step4_condition,
-    stem,
-)
+from simscan.porter import _STEP1A, _STEP2, _STEP3, _STEP4, _pattern, stem
+from simscan.textprep import normalize
 
+# Each step's table keyed by last letter, beside the oracle's suffix ->
+# replacement table and the condition the oracle tests on the stem.
 STEPS = (
-    (_STEP1A, _always),
-    (_STEP2, _m_gt_0),
-    (_STEP3, _m_gt_0),
-    (_STEP4, _step4_condition),
+    (_STEP1A, porter_oracle._STEP1A, porter_oracle._always),
+    (_STEP2, porter_oracle._STEP2, porter_oracle._m_gt_0),
+    (_STEP3, porter_oracle._STEP3, porter_oracle._m_gt_0),
+    (_STEP4, porter_oracle._STEP4, porter_oracle._step4_condition),
 )
+SUFFIXES = sorted({suffix for _, rows, _ in STEPS for suffix in rows})
 
 # Expected full-pipeline outputs, hand-derived by tracing each word
 # through every step in order (per-step examples alone are misleading:
@@ -175,7 +171,9 @@ def test_letter_classes_match_recursive_rule(word):
     assert _pattern(word) == expected
 
 
-@pytest.mark.parametrize("suffix", ["ed", "eed"])
+# ational, ization and alize are replaced by letters in steps 2 and 3, and
+# step 4 then removes what is left; ement comes off in step 4 alone.
+@pytest.mark.parametrize("suffix", ["ed", "eed", "ational", "ization", "alize", "ement"])
 def test_long_y_run_stems_quickly(suffix):
     word = "y" * 5000 + suffix
     start = time.perf_counter()
@@ -194,17 +192,67 @@ def _longest_suffix_oracle(word, table, condition):
     return stem_ + table[suffix] if condition(stem_, suffix) else word
 
 
+def _table_step(word, table, condition):
+    """A step as `stem` takes it: the first row under the word's last letter
+    that the word ends with decides."""
+    for suffix, replacement, _ in table.get(word[-1:], ()):
+        if word.endswith(suffix):
+            stem_ = word[: len(word) - len(suffix)]
+            return stem_ + replacement if condition(stem_, suffix) else word
+    return word
+
+
 @pytest.mark.parametrize("step", range(len(STEPS)))
 @given(
     head=st.text(alphabet="abceilnorstuvyz", max_size=8),
-    tail=st.lists(st.sampled_from(sorted({s for t, _ in STEPS for s in t})), max_size=2),
+    tail=st.lists(st.sampled_from(SUFFIXES), max_size=2),
 )
 def test_replace_suffix_obeys_longest_match(step, head, tail):
-    table, condition = STEPS[step]
+    table, rows, condition = STEPS[step]
     word = head + "".join(tail)
-    assert _replace_suffix(word, table, condition) == _longest_suffix_oracle(
-        word, table, condition
-    )
+    assert _table_step(word, table, condition) == _longest_suffix_oracle(word, rows, condition)
+
+
+@pytest.mark.parametrize("step", range(len(STEPS)))
+def test_tables_hold_the_oracle_rows_longest_first(step):
+    table, rows, _ = STEPS[step]
+    assert {s: r for group in table.values() for s, r, _ in group} == dict(rows)
+    for letter, group in table.items():
+        assert [len(s) for s, _, _ in group] == sorted((len(s) for s, _, _ in group), reverse=True)
+        for suffix, replacement, replacement_pattern in group:
+            assert suffix[-1] == letter
+            # A replacement's pattern is fixed only because it holds no y.
+            assert "y" not in replacement
+            assert replacement_pattern == _pattern(replacement)
+
+
+# Letters rich in the tables' letters, up to two table suffixes, and an ending.
+ORACLE_WORDS = st.builds(
+    lambda head, middle, ending: head + "".join(middle) + ending,
+    st.text(alphabet="aeiouybcdlmnrstz", max_size=8),
+    st.lists(st.sampled_from(SUFFIXES), max_size=2),
+    st.sampled_from(("", "ed", "ing", "eed", "y", "e", "ll")),
+)
+
+
+@given(ORACLE_WORDS)
+@example("sky")
+@example("syzygy")
+@example("agreed")
+@example("feed")
+@example("hopping")
+@example("filing")
+@example("relational")
+@example("generalization")
+def test_stem_equals_the_step_by_step_oracle(word):
+    assert stem(word) == porter_oracle.stem(word)
+
+
+def test_golden_corpus_words_stem_as_the_oracle_does():
+    words = {word for text in CORPUS.values() for word in normalize(text).split()}
+    assert len(words) > 80
+    for word in sorted(words):
+        assert stem(word) == porter_oracle.stem(word), word
 
 
 # Stems of every table suffix after a spread of roots and endings.  The
@@ -220,9 +268,8 @@ VOCABULARY_SHA256 = "6c5eab45d6b182d3a581bf21b0d25acc412db740dfabbf9185346d40d54
 
 
 def test_stems_of_table_vocabulary_are_pinned():
-    suffixes = {suffix for table, _ in STEPS for suffix in table}
     vocabulary = sorted(
-        {r + s + e for r in VOCABULARY_ROOTS for s in suffixes for e in VOCABULARY_ENDINGS}
+        {r + s + e for r in VOCABULARY_ROOTS for s in SUFFIXES for e in VOCABULARY_ENDINGS}
     )
     assert len(vocabulary) == 6939
     listing = "\n".join(f"{word} {stem(word)}" for word in vocabulary)
