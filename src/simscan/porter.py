@@ -87,7 +87,7 @@ def stem(token: str) -> str:
     if len(token) < 3 or not token.isascii() or not token.isalpha():
         return token
     word, pattern = token, _pattern(token)
-    # The measure m of word[:i] is pattern.count("vc", 0, i).
+    # The measure m of word[:i] is pattern.count("vc", 0, i).  Step 1a.
     for suffix, new, new_pattern in _STEP1A.get(word[-1], ()):
         if word.endswith(suffix):
             i = len(word) - len(suffix)
@@ -112,6 +112,7 @@ def stem(token: str) -> str:
     # Step 1c.
     if word[-1] == "y" and "v" in pattern[:-1]:
         word, pattern = word[:-1] + "i", pattern[:-1] + "v"
+    # Steps 2, 3 and 4.
     for table, least in _MEASURED_STEPS:
         for suffix, new, new_pattern in table.get(word[-1], ()):
             if word.endswith(suffix):
