@@ -81,19 +81,15 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
 
     trigrams = [word_trigrams(d.normalized_text) for d in docs]
     tri_bytes = sum(len(g.encode("utf-8")) for t in trigrams for g in t)
-    rows.append(
-        _row(TRIGRAM, n, trigrams, lambda a, b: jaccard(a, b, TRIGRAM), tri_bytes)
-    )
+    rows.append(_row(TRIGRAM, n, trigrams, jaccard, tri_bytes))
 
     # Each document as a reference and as a suspect: it is scored as either side.
-    profiles = [(detector._reference(doc), detector._suspect(doc)) for doc in docs]
+    profiles = [detector._sides(doc) for doc in docs]
 
     # `_suspect` already holds each document's statement fingerprint keys.
     keys = [suspect.keys for _, suspect in profiles]
     key_bytes = sum(len(key.encode("utf-8")) for ks in keys for key in ks)
-    rows.append(
-        _row(STATEMENT, n, keys, lambda a, b: jaccard(a, b, STATEMENT), key_bytes)
-    )
+    rows.append(_row(STATEMENT, n, keys, jaccard, key_bytes))
 
     entry_bytes = sum(len(dumps_record(r.entry.record(k)).encode("utf-8")) for r, _ in profiles)
     rows.append(

@@ -196,6 +196,10 @@ class Suspect(NamedTuple):
     grams: frozenset[str]
 
 
+# A document's `k_char` grams, fingerprint keys and keywords (`Detector._artifacts`).
+_Artifacts = tuple[GramMultiset, frozenset[str], frozenset[str]]
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
     """Entries keyed by document id plus the config snapshot they assume."""
@@ -256,6 +260,12 @@ class Detector:
         cues = cue_sentences(doc, self.phrases)
         return Reference(self.entry(doc, cues), doc, cues)
 
+    def _sides(self, doc: Document) -> tuple[Reference, Suspect]:
+        """`_reference(doc)` and `_suspect(doc)` from one `_artifacts` pass."""
+        cues = cue_sentences(doc, self.phrases)
+        artifacts = self._artifacts(doc)
+        return Reference(self._entry(doc, cues, artifacts), doc, cues), self._suspect(doc, artifacts)
+
     def entry(self, doc: Document, cues: tuple[int, ...] | None = None) -> IndexEntry:
         """The persisted artifacts of one document.
 
@@ -263,7 +273,11 @@ class Detector:
         """
         if cues is None:
             cues = cue_sentences(doc, self.phrases)
-        grams, keys, keywords = self._artifacts(doc)
+        return self._entry(doc, cues, self._artifacts(doc))
+
+    def _entry(self, doc: Document, cues: tuple[int, ...], artifacts: _Artifacts) -> IndexEntry:
+        """`entry` from the document's cue sentences and `_artifacts`."""
+        grams, keys, keywords = artifacts
         return IndexEntry(
             doc_id=doc.id,
             fingerprints=tuple(sorted(keys)),
@@ -275,12 +289,12 @@ class Detector:
             ).hexdigest(),
         )
 
-    def _suspect(self, susp: Document) -> Suspect:
-        """The suspect with its fingerprint keys, keywords and full-text gram set."""
-        grams, keys, keywords = self._artifacts(susp)
+    def _suspect(self, susp: Document, artifacts: _Artifacts | None = None) -> Suspect:
+        """The suspect with its keys, keywords and gram set, from its `_artifacts` if given."""
+        grams, keys, keywords = self._artifacts(susp) if artifacts is None else artifacts
         return Suspect(susp, keys, keywords, grams.gram_set())
 
-    def _artifacts(self, doc: Document) -> tuple[GramMultiset, frozenset[str], frozenset[str]]:
+    def _artifacts(self, doc: Document) -> _Artifacts:
         """The `k_char` grams, fingerprint keys and keywords; one gram pass if `k_char` is 4."""
         k = self.config.k_char
         statement = document_grams(doc, STATEMENT_GRAM_LEN)
@@ -309,7 +323,7 @@ class Detector:
             elif name in ref_grams:
                 outcomes[name] = gram_outcome(name, ref_grams[name], grams, ref_empty, gram_count)
             elif name in INDEX_UNAVAILABLE and ref_doc is None:
-                outcomes[name] = NOT_APPLICABLE[name]
+                outcomes[name] = NOT_APPLICABLE
             elif name == LCS_F:
                 outcomes[name] = lcs_similarity(ref_doc, susp, cfg.beta, cues)
             elif name == FULL_CHAR:
@@ -331,9 +345,7 @@ class Detector:
 
         The scores follow `ALL_FEATURES`, the order every report lists them in.
         """
-        scores = {
-            name: outcome_score(name, outcomes[name]) for name in ALL_FEATURES if name in outcomes
-        }
+        scores = {name: outcome_score(outcomes[name]) for name in ALL_FEATURES if name in outcomes}
         return FeatureReport(ref_id, susp_id, scores, combined)
 
     def _score(self, ref: Reference, suspect: Suspect) -> FeatureReport:

@@ -22,10 +22,8 @@ from typing import AbstractSet, Callable, Collection, Iterable, Sequence
 from .fingerprint import (
     DEGENERATE,
     FIRST_SENTENCE,
-    LCS_F,
     NOT_APPLICABLE,
     QUERY_PHRASE,
-    TOP_KEYWORD,
     Counts,
     Outcome,
     ResemblanceScore,
@@ -53,14 +51,9 @@ DEFAULT_GRAM_LEN = 4
 
 @dataclass(frozen=True)
 class KeywordSet:
-    """Up to k_top most frequent stemmed content terms of one document."""
+    """The most frequent stemmed content terms of one document."""
 
     terms: frozenset[str]
-    k_top: int
-
-    def __post_init__(self):
-        if len(self.terms) > self.k_top:
-            raise ValueError(f"{len(self.terms)} terms exceed cap {self.k_top}")
 
 
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
@@ -88,7 +81,7 @@ def top_keywords(doc: Document, k_top: int = DEFAULT_K_TOP) -> KeywordSet:
         raise ValueError(f"k_top must be an int >= 1, got {k_top!r}")
     counts = Counter(doc.content_tokens)
     ranked = sorted(counts, key=lambda term: (-counts[term], term))
-    return KeywordSet(terms=frozenset(ranked[:k_top]), k_top=k_top)
+    return KeywordSet(frozenset(ranked[:k_top]))
 
 
 def top_keyword_similarity(
@@ -97,7 +90,7 @@ def top_keyword_similarity(
     """Jaccard overlap of the two documents' keyword sets."""
     a = top_keywords(ref, k_top).terms
     b = top_keywords(susp, k_top).terms
-    return jaccard(a, b, TOP_KEYWORD)
+    return jaccard(a, b)
 
 
 def first_sentence(doc: Document) -> tuple[int, ...]:
@@ -136,7 +129,7 @@ def sentence_grams(sentences: Sequence[Iterable[str]], indices: Iterable[int]) -
 
 
 def gram_outcome(
-    method: str,
+    feature: str,
     ref_grams: Collection[str],
     susp_grams: AbstractSet[str],
     ref_empty: bool,
@@ -151,9 +144,9 @@ def gram_outcome(
     not applicable, so the combiner drops it instead of counting a zero.
     """
     if ref_empty:
-        return DEGENERATE[method]
-    if method == QUERY_PHRASE and not ref_grams:
-        return NOT_APPLICABLE[method]
+        return DEGENERATE
+    if feature == QUERY_PHRASE and not ref_grams:
+        return NOT_APPLICABLE
     return count(ref_grams, susp_grams)
 
 
@@ -167,7 +160,7 @@ def first_sentence_similarity(
     """
     a = sentence_grams(document_grams(ref, k).sentences, first_sentence(ref))
     b = char_kgrams(susp.normalized_text, k).gram_set()
-    return outcome_score(FIRST_SENTENCE, gram_outcome(FIRST_SENTENCE, a, b, not ref.sentences))
+    return outcome_score(gram_outcome(FIRST_SENTENCE, a, b, not ref.sentences))
 
 
 def query_phrase_similarity(
@@ -183,7 +176,7 @@ def query_phrase_similarity(
     """
     a = sentence_grams(document_grams(ref, k).sentences, cue_sentences(ref, phrases))
     b = char_kgrams(susp.normalized_text, k).gram_set()
-    return outcome_score(QUERY_PHRASE, gram_outcome(QUERY_PHRASE, a, b, not ref.sentences))
+    return outcome_score(gram_outcome(QUERY_PHRASE, a, b, not ref.sentences))
 
 
 def _is_int(value: object) -> bool:
@@ -237,7 +230,7 @@ def _lcs_score(length: int, m: int, n: int, beta: float | str, **where: int) -> 
     (the sentence indices) ends the detail."""
     r, p, b, f = _lcs_f(length, m, n, beta)
     detail = {"lcs_length": length, "m": m, "n": n, "r_lcs": r, "p_lcs": p, "beta": b, **where}
-    return ResemblanceScore(f, LCS_F, detail, degenerate=not (m and n))
+    return ResemblanceScore(f, detail, degenerate=not (m and n))
 
 
 def lcs_similarity(
@@ -262,7 +255,7 @@ def lcs_similarity(
     check_beta(beta)
     key_indices = key_sentence_indices(ref, cues)
     if not key_indices or not susp.sentences:
-        return DEGENERATE[LCS_F]
+        return DEGENERATE
     best_f, best = -1.0, None
     for ki in key_indices:
         xs = ref.sentences[ki].tokens

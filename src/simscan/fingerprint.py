@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Mapping
 
 from .textprep import Document
@@ -22,7 +23,7 @@ from .textprep import Document
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Method tags carried by every ResemblanceScore.
+# Feature names; a report files each score under one.
 FULL_CHAR = "full_char"
 TRIGRAM = "trigram_jaccard"
 STATEMENT = "statement"
@@ -44,15 +45,14 @@ STATEMENT_GRAM_COUNT = 3
 
 @dataclass(frozen=True)
 class ResemblanceScore:
-    """A similarity value in [0, 1] tagged with the method that produced it.
+    """A similarity value in [0, 1], named by its key in `FeatureReport.scores`.
 
-    `detail` holds the method's raw counters (set sizes, LCS length, ...).
+    `detail` holds the feature's raw counters (set sizes, LCS length, ...).
     `degenerate` marks scores forced to 0 by empty input; `not_applicable`
     marks features the combiner should skip entirely.
     """
 
     value: float
-    method: str
     detail: Mapping[str, float | int] = field(default_factory=dict)
     degenerate: bool = False
     not_applicable: bool = False
@@ -60,8 +60,6 @@ class ResemblanceScore:
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"score out of range: {self.value!r}")
-        if self.method not in ALL_FEATURES:
-            raise ValueError(f"unknown method: {self.method!r}")
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -169,8 +167,8 @@ def full_resemblance(a: GramMultiset, b: GramMultiset) -> ResemblanceScore:
     common = sum(1 for gram in a.counts if gram in b.counts)
     detail = {"common": common, "distinct_a": a.distinct, "distinct_b": b.distinct}
     if a.distinct == 0:
-        return ResemblanceScore(0.0, FULL_CHAR, detail, degenerate=True)
-    return ResemblanceScore(common / a.distinct, FULL_CHAR, detail)
+        return ResemblanceScore(0.0, detail, degenerate=True)
+    return ResemblanceScore(common / a.distinct, detail)
 
 
 # (|A o B|, |A|, |B|) of two sets.
@@ -178,9 +176,10 @@ Counts = tuple[int, int, int]
 # The outcome of scoring one feature: the counts of a Jaccard score, whose
 # ResemblanceScore is built only if a report needs it, or a built score.
 Outcome = Counts | ResemblanceScore
-# Each feature's zero score carrying only that flag, built once.
-DEGENERATE = {name: ResemblanceScore(0.0, name, degenerate=True) for name in ALL_FEATURES}
-NOT_APPLICABLE = {name: ResemblanceScore(0.0, name, not_applicable=True) for name in ALL_FEATURES}
+# The zero scores carrying only that flag, built once; every feature returns
+# the same instance, so its detail is read-only.
+DEGENERATE = ResemblanceScore(0.0, MappingProxyType({}), degenerate=True)
+NOT_APPLICABLE = ResemblanceScore(0.0, MappingProxyType({}), not_applicable=True)
 
 
 def overlap(a: Collection[str], b: AbstractSet[str]) -> Counts:
@@ -213,7 +212,7 @@ def outcome_value(outcome: Outcome) -> tuple[float, bool]:
     return outcome.value, not outcome.not_applicable
 
 
-def outcome_score(method: str, outcome: Outcome) -> ResemblanceScore:
+def outcome_score(outcome: Outcome) -> ResemblanceScore:
     """The score an outcome reports; two empty sets make a degenerate Jaccard."""
     if type(outcome) is tuple:
         intersection, size_a, size_b = outcome
@@ -224,20 +223,16 @@ def outcome_score(method: str, outcome: Outcome) -> ResemblanceScore:
             "size_a": size_a,
             "size_b": size_b,
         }
-        return ResemblanceScore(
-            jaccard_value(*outcome), method, detail, degenerate=union == 0
-        )
+        return ResemblanceScore(jaccard_value(*outcome), detail, degenerate=union == 0)
     return outcome
 
 
-def jaccard(
-    a: Collection[str], b: AbstractSet[str], method: str = TRIGRAM
-) -> ResemblanceScore:
+def jaccard(a: Collection[str], b: AbstractSet[str]) -> ResemblanceScore:
     """|A o B| / |A u B|; two empty sets score 0 with the degenerate flag.
 
     `a` holds distinct items (a set, or an IndexEntry tuple); `b` is a set.
     """
-    return outcome_score(method, overlap(a, b))
+    return outcome_score(overlap(a, b))
 
 
 def gram_weights(multiset: GramMultiset) -> dict[str, Fraction]:
@@ -305,4 +300,4 @@ def fingerprint_keys(doc: Document, grams: GramMultiset | None = None) -> frozen
 
 def statement_resemblance(doc_a: Document, doc_b: Document) -> ResemblanceScore:
     """Jaccard similarity of the two documents' sentence fingerprint sets."""
-    return jaccard(fingerprint_keys(doc_a), fingerprint_keys(doc_b), STATEMENT)
+    return jaccard(fingerprint_keys(doc_a), fingerprint_keys(doc_b))

@@ -1,5 +1,6 @@
 """The scheme micro-benchmark."""
 
+import simscan.bench
 import simscan.fingerprint
 from simscan.bench import FEATURES_SCHEME, SCHEMES, run_bench
 from simscan.detector import Detector, save_index
@@ -16,7 +17,7 @@ TEXTS = (
 def test_run_bench_builds_each_document_once(monkeypatch):
     det = Detector()
     docs = [det.document(f"d{i}", text) for i, text in enumerate(TEXTS)]
-    calls = {"entry": [], "_suspect": []}
+    calls = {"_artifacts": [], "_entry": [], "_suspect": []}
     for name, ids in calls.items():
         original = getattr(Detector, name)
 
@@ -32,8 +33,8 @@ def test_run_bench_builds_each_document_once(monkeypatch):
         assert sorted(ids) == [doc.id for doc in docs]
 
 
-def test_run_bench_fingerprints_each_document_twice(monkeypatch):
-    """Once for its IndexEntry and once for its suspect-side keys."""
+def test_run_bench_fingerprints_each_document_once(monkeypatch):
+    """One pass serves its IndexEntry and its suspect-side keys."""
     det = Detector()
     docs = [det.document(f"d{i}", text) for i, text in enumerate(TEXTS)]
     ids = []
@@ -45,7 +46,23 @@ def test_run_bench_fingerprints_each_document_twice(monkeypatch):
 
     monkeypatch.setattr(simscan.fingerprint, "document_fingerprints", counted)
     run_bench(docs, det)
-    assert sorted(ids) == sorted(2 * [doc.id for doc in docs])
+    assert sorted(ids) == [doc.id for doc in docs]
+
+
+def test_run_bench_scores_the_reference_and_suspect_that_compare_builds(monkeypatch):
+    det = Detector()
+    texts = TEXTS + ("Caf\u00e9 na\u00efve r\u00e9sum\u00e9. In conclusion, \u00fcber stra\u00dfe.",)
+    docs = [det.document(f"d{i}", text) for i, text in enumerate(texts)]
+    scored = {}
+    original = simscan.bench._row
+
+    def recorded(scheme, n, artifacts, *args):
+        scored[scheme] = artifacts
+        return original(scheme, n, artifacts, *args)
+
+    monkeypatch.setattr(simscan.bench, "_row", recorded)
+    run_bench(docs, det)
+    assert scored[FEATURES_SCHEME] == [(det._reference(doc), det._suspect(doc)) for doc in docs]
 
 
 def test_features_bytes_per_doc_is_the_mean_index_record_length(tmp_path):

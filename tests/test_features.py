@@ -236,6 +236,18 @@ def test_query_phrase_empty_ref_degenerate():
     assert score.degenerate and not score.not_applicable
 
 
+def test_shared_flagged_scores_cannot_be_changed_through_their_detail():
+    # Every feature returns the same degenerate and not-applicable instances.
+    empty, cueless = document("e", ""), document("c", "No cues here.")
+    degenerate = lcs_similarity(empty, cueless)
+    not_applicable = query_phrase_similarity(cueless, empty)
+    for score in (degenerate, not_applicable):
+        with pytest.raises(TypeError):
+            score.detail["lcs_length"] = 1
+    assert query_phrase_similarity(empty, cueless) is degenerate
+    assert degenerate.detail == {} and not_applicable.detail == {}
+
+
 def test_lcs_fmeasure_worked_examples():
     s1 = "player kicked the ball".split()
     s2 = "player kick the ball".split()
@@ -296,7 +308,6 @@ betas = st.one_of(
 @given(tokens, tokens, betas)
 def test_lcs_fmeasure_bounded(xs, ys, beta):
     res = lcs_fmeasure(xs, ys, beta)
-    assert res.method == "lcs_f"
     assert list(res.detail) == ["lcs_length", "m", "n", "r_lcs", "p_lcs", "beta"]
     assert 0.0 <= res.value <= 1.0
     length = res.detail["lcs_length"]

@@ -27,6 +27,7 @@ from simscan.fingerprint import (
     statement_resemblance,
     word_trigrams,
 )
+from simscan.detector import Detector, DetectorConfig
 from simscan.textprep import document, split_sentences
 
 texts = st.text(alphabet="abc d", max_size=40)
@@ -198,9 +199,7 @@ def test_jaccard_empty_inputs_degenerate():
 
 def test_score_validation():
     with pytest.raises(ValueError):
-        ResemblanceScore(1.5, "statement")
-    with pytest.raises(ValueError):
-        ResemblanceScore(0.5, "nope")
+        ResemblanceScore(1.5)
 
 
 def test_gram_weights_exact_fractions():
@@ -355,7 +354,20 @@ def test_fingerprint_keys_are_sorted_set():
 
 @pytest.mark.parametrize("name", ALL_FEATURES)
 def test_every_feature_builds_a_score(name):
-    assert ResemblanceScore(0.5, name).method == name
+    """A report files the feature's score under its name, beside statement's.
+
+    The pair scores a different value on each feature, so a score filed
+    under another feature's name would not equal the combined value.
+    """
+    det = Detector(DetectorConfig(features=(name,)))
+    ref = det.document("r", "The keeper saved the kick. In conclusion, the team won the game.")
+    susp = det.document(
+        "s", "The keeper missed the kick. In conclusion, the other team lost the game badly."
+    )
+    report = det.analyze_pair(ref, susp)
+    assert set(report.scores) == {"statement", name}
+    assert type(report.scores[name]) is ResemblanceScore
+    assert report.combined == report.scores[name].value
 
 
 def test_least_frequent_fingerprint_rejects_gram_missing_from_counts():
