@@ -18,12 +18,9 @@ from .detector import (
 from .features import (
     DEFAULT_QUERY_PHRASES,
     KeywordSet,
-    first_sentence_similarity,
     lcs_fmeasure,
     lcs_similarity,
     load_query_phrases,
-    query_phrase_similarity,
-    top_keyword_similarity,
     top_keywords,
 )
 from .fingerprint import (
@@ -36,7 +33,6 @@ from .fingerprint import (
     gram_weights,
     jaccard,
     least_frequent_fingerprint,
-    statement_resemblance,
     word_trigrams,
 )
 from .kernels import LCS_BACKEND, lcs_length, match_masks
@@ -70,7 +66,6 @@ __all__ = [
     "SentenceFingerprint",
     "char_kgrams",
     "document_fingerprints",
-    "first_sentence_similarity",
     "full_resemblance",
     "gram_weights",
     "jaccard",
@@ -83,12 +78,9 @@ __all__ = [
     "load_stopwords",
     "match_masks",
     "normalize",
-    "query_phrase_similarity",
     "save_index",
     "split_sentences",
-    "statement_resemblance",
     "stem",
-    "top_keyword_similarity",
     "top_keywords",
     "word_trigrams",
 ]

@@ -14,6 +14,7 @@ during scans and the remaining weights renormalize.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import heapq
 import json
@@ -63,14 +64,12 @@ from .fingerprint import (
     overlap_bound,
     word_trigrams,
 )
-# Not called here; bound so that the benchmark's tracer can wrap these names.
-from .features import (  # noqa: F401
-    first_sentence_similarity,
-    query_phrase_similarity,
-    top_keyword_similarity,
-)
-from .fingerprint import statement_resemblance  # noqa: F401
 from .textprep import Document, StemMemo, document, load_stopwords
+
+# Placeholders: perfbench/tracer.py::BOUNDARIES wraps these names, and nothing
+# calls them.  ROADMAP item 1 deletes this binding with the tracer's rebinding.
+(statement_resemblance, top_keyword_similarity,
+ first_sentence_similarity, query_phrase_similarity) = (None,) * 4
 
 # Features that need raw token streams and so cannot be scored from an index.
 INDEX_UNAVAILABLE = frozenset({LCS_F, FULL_CHAR, TRIGRAM})
@@ -432,6 +431,8 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     in one step, so a failed write leaves any previous index intact.
     """
     path = Path(path)
+    if not path.name:  # ".", "/" or "": no name to put a temporary file beside
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     header = {"schema": INDEX_SCHEMA, "config": dict(index.config)}
     k = index.config["k_char"]

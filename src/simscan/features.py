@@ -21,16 +21,11 @@ from typing import AbstractSet, Callable, Collection, Iterable, Sequence
 
 from .fingerprint import (
     DEGENERATE,
-    FIRST_SENTENCE,
     NOT_APPLICABLE,
     QUERY_PHRASE,
     Counts,
     Outcome,
     ResemblanceScore,
-    char_kgrams,
-    document_grams,
-    jaccard,
-    outcome_score,
     overlap,
 )
 from .kernels import lcs_length, match_masks
@@ -82,15 +77,6 @@ def top_keywords(doc: Document, k_top: int = DEFAULT_K_TOP) -> KeywordSet:
     counts = Counter(doc.content_tokens)
     ranked = sorted(counts, key=lambda term: (-counts[term], term))
     return KeywordSet(frozenset(ranked[:k_top]))
-
-
-def top_keyword_similarity(
-    ref: Document, susp: Document, k_top: int = DEFAULT_K_TOP
-) -> ResemblanceScore:
-    """Jaccard overlap of the two documents' keyword sets."""
-    a = top_keywords(ref, k_top).terms
-    b = top_keywords(susp, k_top).terms
-    return jaccard(a, b)
 
 
 def first_sentence(doc: Document) -> tuple[int, ...]:
@@ -148,35 +134,6 @@ def gram_outcome(
     if feature == QUERY_PHRASE and not ref_grams:
         return NOT_APPLICABLE
     return count(ref_grams, susp_grams)
-
-
-def first_sentence_similarity(
-    ref: Document, susp: Document, k: int = DEFAULT_GRAM_LEN
-) -> ResemblanceScore:
-    """Grams of the reference's first sentence against the whole suspect.
-
-    Comparing a multi-sentence document to itself therefore scores below 1:
-    the first sentence's grams are a strict subset of the document's.
-    """
-    a = sentence_grams(document_grams(ref, k).sentences, first_sentence(ref))
-    b = char_kgrams(susp.normalized_text, k).gram_set()
-    return outcome_score(gram_outcome(FIRST_SENTENCE, a, b, not ref.sentences))
-
-
-def query_phrase_similarity(
-    ref: Document,
-    susp: Document,
-    k: int = DEFAULT_GRAM_LEN,
-    phrases: Sequence[str] = DEFAULT_QUERY_PHRASES,
-) -> ResemblanceScore:
-    """Grams of the reference's cue-phrase sentences against the suspect.
-
-    Scored by `gram_outcome`, so a reference without cue-phrase grams
-    makes the feature not applicable.
-    """
-    a = sentence_grams(document_grams(ref, k).sentences, cue_sentences(ref, phrases))
-    b = char_kgrams(susp.normalized_text, k).gram_set()
-    return outcome_score(gram_outcome(QUERY_PHRASE, a, b, not ref.sentences))
 
 
 def _is_int(value: object) -> bool:

@@ -116,8 +116,11 @@ def _kgram_list(text: str, k: int) -> list[str]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     stripped = text.replace(" ", "")
-    # Tuple i holds the k characters of stripped[i : i + k]; zip stops after the last full one.
-    return list(map("".join, zip(*(stripped[j:] for j in range(k)))))
+    n = len(stripped) - k + 1
+    if n < 1:
+        return []
+    # Tuple i holds the k characters of stripped[i : i + k]; zip reads n from each slice.
+    return list(map("".join, zip(*(stripped[j : j + n] for j in range(k)))))
 
 
 def char_kgrams(text: str, k: int) -> GramMultiset:
@@ -297,7 +300,3 @@ def fingerprint_keys(doc: Document, grams: GramMultiset | None = None) -> frozen
     """The set of sentence fingerprint keys of a document (`grams` as above)."""
     return frozenset(fp.key for fp in document_fingerprints(doc, grams))
 
-
-def statement_resemblance(doc_a: Document, doc_b: Document) -> ResemblanceScore:
-    """Jaccard similarity of the two documents' sentence fingerprint sets."""
-    return jaccard(fingerprint_keys(doc_a), fingerprint_keys(doc_b))

@@ -216,7 +216,8 @@ def test_parser_defaults_match_detector_config():
     assert simscan.cli._detector(args).config == DetectorConfig()
 
 
-def test_io_errors_exit_2(workspace, capsys):
+def test_io_errors_exit_2(workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace)
     ref = str(workspace / "S1.txt")
     code, out, err = run(["compare", ref, str(workspace / "missing.txt")], capsys)
     assert code == EXIT_IO
@@ -248,10 +249,14 @@ def test_io_errors_exit_2(workspace, capsys):
         ["bench", ref],
         ["index", str(good), str(out_dir)],  # the output path is a directory
     ]
+    # Output paths with no name to put a temporary file beside.
+    cases += [["index", str(good), out] for out in (".", "/", "")]
     for args in cases:
         code, out, err = run(args, capsys)
         assert code == EXIT_IO and out == "", args
         assert err.startswith("simscan: error:") and err.count("\n") == 1, args
+        if args[:2] == ["index", str(good)]:
+            assert err.startswith("simscan: error: cannot write"), args
     assert out_dir.is_dir() and not list(workspace.glob("*.tmp"))
 
 

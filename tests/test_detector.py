@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, reject, settings
@@ -22,13 +23,8 @@ from simscan.detector import (
     save_index,
 )
 from simscan.cli import dumps_fixed, report_dict
-from simscan.features import (
-    first_sentence_similarity,
-    query_phrase_similarity,
-    top_keyword_similarity,
-    top_keywords,
-)
-from simscan.fingerprint import char_kgrams, fingerprint_keys, statement_resemblance
+from simscan.features import DEFAULT_QUERY_PHRASES, top_keywords
+from simscan.fingerprint import char_kgrams, fingerprint_keys
 
 INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
@@ -511,15 +507,58 @@ def test_rank_scores_equal_analyze_pair(detector, texts, susp_text):
         assert report.combined == only_indexed.analyze_pair(refs[doc_id], susp).combined
 
 
-@given(doc_texts, doc_texts)
-def test_feature_functions_equal_analyze_pair(detector, ref_text, susp_text):
-    ref = detector.document("r", ref_text)
-    susp = detector.document("s", susp_text)
-    scores = detector.analyze_pair(ref, susp).scores
-    assert statement_resemblance(ref, susp) == scores["statement"]
-    assert top_keyword_similarity(ref, susp) == scores["top_keyword"]
-    assert first_sentence_similarity(ref, susp) == scores["first_sentence"]
-    assert query_phrase_similarity(ref, susp) == scores["query_phrase"]
+def oracle_keys(doc):
+    """Each sentence's three least frequent 4-grams over the document, ties by position."""
+    counts = char_kgrams(doc.normalized_text, 4).counts
+    keys = set()
+    for sentence in doc.sentences:
+        own = list(char_kgrams(" ".join(sentence.tokens), 4).counts)  # first-occurrence order
+        if len(own) >= 3:
+            keys.add("".join(sorted(own, key=counts.__getitem__)[:3]))
+    return keys
+
+
+def oracle_keywords(doc, k_top):
+    counts = Counter(doc.content_tokens)
+    return set(sorted(counts, key=lambda term: (-counts[term], term))[:k_top])
+
+
+def oracle_grams(sentences, k):
+    return set().union(*(char_kgrams(" ".join(s.tokens), k).gram_set() for s in sentences))
+
+
+def oracle_jaccard(a, b):
+    """(value, detail, flags) of the Jaccard of two sets."""
+    intersection, union = len(a & b), len(a | b)
+    detail = {"intersection": intersection, "union": union, "size_a": len(a), "size_b": len(b)}
+    return (intersection / union if union else 0.0), detail, () if union else ("degenerate_input",)
+
+
+@given(doc_texts, doc_texts, st.sampled_from([4, 1, 3, 6]), st.sampled_from([10, 1, 2]))
+def test_index_available_scores_equal_a_brute_force_oracle(ref_text, susp_text, k, k_top):
+    det = Detector(DetectorConfig(k_char=k, k_top=k_top))
+    ref = det.document("r", ref_text)
+    susp = det.document("s", susp_text)
+    cues = [
+        s for s in ref.sentences
+        if any(p in " ".join(s.text.lower().split()) for p in DEFAULT_QUERY_PHRASES)
+    ]
+    cue_grams = oracle_grams(cues, k)
+    susp_grams = char_kgrams(susp.normalized_text, k).gram_set()
+    expected = {
+        "statement": oracle_jaccard(oracle_keys(ref), oracle_keys(susp)),
+        "top_keyword": oracle_jaccard(oracle_keywords(ref, k_top), oracle_keywords(susp, k_top)),
+        "first_sentence": oracle_jaccard(oracle_grams(ref.sentences[:1], k), susp_grams),
+        "query_phrase": oracle_jaccard(cue_grams, susp_grams),
+    }
+    if not ref.sentences:
+        expected["first_sentence"] = expected["query_phrase"] = (0.0, {}, ("degenerate_input",))
+    elif not cue_grams:
+        expected["query_phrase"] = (0.0, {}, ("not_applicable",))
+    scores = det.analyze_pair(ref, susp).scores
+    for name in INDEX_AVAILABLE:
+        score = scores[name]
+        assert (score.value, dict(score.detail), score.flags) == expected[name], name
 
 
 def gram_union(sentences, k):

@@ -5,21 +5,25 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simscan import features
+from simscan.detector import Detector, DetectorConfig
 from simscan.features import (
     DEFAULT_QUERY_PHRASES,
     cue_sentences,
-    first_sentence_similarity,
     key_sentence_indices,
     lcs_fmeasure,
     lcs_similarity,
     load_query_phrases,
-    query_phrase_similarity,
-    top_keyword_similarity,
     top_keywords,
 )
 from simscan.textprep import Document, Sentence, document
 
 tokens = st.lists(st.sampled_from(["a", "b", "c"]), max_size=12)
+
+
+def feature_score(name, ref, susp, **config):
+    """The pair's `name` score from a one-feature `Detector`, as compare and scan score it."""
+    det = Detector(DetectorConfig(features=(name,), **config))
+    return det.analyze_pair(ref, susp).scores[name]
 
 
 def test_default_phrase_list():
@@ -81,31 +85,31 @@ def test_top_keyword_similarity_worked_jaccard():
     # keyword sets {ball, kick} and {ball, goal}: intersection 1, union 3
     a = document("a", "ball ball kick.", frozenset())
     b = document("b", "ball ball goal.", frozenset())
-    score = top_keyword_similarity(a, b, 2)
+    score = feature_score("top_keyword", a, b, k_top=2)
     assert score.value == pytest.approx(1 / 3)
 
 
 def test_top_keyword_similarity_identity_and_disjoint():
     a = document("a", "ball kick player.", frozenset())
     b = document("b", "goal net referee.", frozenset())
-    assert top_keyword_similarity(a, a).value == 1.0
-    assert top_keyword_similarity(a, b).value == 0.0
+    assert feature_score("top_keyword", a, a).value == 1.0
+    assert feature_score("top_keyword", a, b).value == 0.0
 
 
 def test_top_keyword_similarity_empty_degenerate():
     a = document("a", "", frozenset())
-    score = top_keyword_similarity(a, a)
+    score = feature_score("top_keyword", a, a)
     assert score.value == 0.0 and score.degenerate
 
 
 def test_first_sentence_single_sentence_self_is_one():
     doc = document("d", "the quick brown fox jumps.", frozenset())
-    assert first_sentence_similarity(doc, doc).value == 1.0
+    assert feature_score("first_sentence", doc, doc).value == 1.0
 
 
 def test_first_sentence_self_is_subset_ratio_for_multi_sentence():
     doc = document("d", "the quick brown fox. pack my box with jugs.", frozenset())
-    score = first_sentence_similarity(doc, doc)
+    score = feature_score("first_sentence", doc, doc)
     assert score.value == score.detail["size_a"] / score.detail["size_b"]
     assert 0 < score.value < 1
 
@@ -113,12 +117,12 @@ def test_first_sentence_self_is_subset_ratio_for_multi_sentence():
 def test_first_sentence_disjoint_is_zero():
     a = document("a", "aaaa bbbb.", frozenset())
     b = document("b", "cccc dddd.", frozenset())
-    assert first_sentence_similarity(a, b).value == 0.0
+    assert feature_score("first_sentence", a, b).value == 0.0
 
 
 def test_first_sentence_empty_ref_degenerate():
     empty, susp = document("e", "", frozenset()), document("b", "x.", frozenset())
-    score = first_sentence_similarity(empty, susp)
+    score = feature_score("first_sentence", empty, susp)
     assert score.value == 0.0 and score.degenerate
 
 
@@ -145,13 +149,18 @@ def test_extract_query_phrase_one_hit_per_sentence():
     assert cue_sentences(doc) == (0,)
 
 
-def test_cue_phrases_match_in_cue_form():
+def test_cue_phrases_match_in_cue_form(tmp_path):
     doc = document("d", "Filler first. In conclusion, it works. In general, no.")
     assert cue_sentences(doc, ("in conclusion,",)) == (1,)
+    ref = document("r", "In conclusion, it works.")
     for phrase in ("in  conclusion,", "in\tconclusion,", "In conclusion,", " IN \n conclusion, "):
         assert cue_sentences(doc, (phrase,)) == (1,)
-        ref = document("r", "In conclusion, it works.")
-        assert not query_phrase_similarity(ref, ref, phrases=(phrase,)).not_applicable
+        if "\n" in phrase:  # a phrase file holds one phrase per line
+            continue
+        path = tmp_path / "phrases.txt"
+        path.write_text(phrase + "\n", encoding="utf-8")
+        score = feature_score("query_phrase", ref, ref, phrase_path=str(path))
+        assert not score.not_applicable
     assert cue_sentences(doc, ("", " \t")) == ()
 
 
@@ -214,25 +223,25 @@ def test_query_phrase_half_overlap_fixture():
     # suspect "conclud" covers 6 of them and adds none.
     ref = document("r", "We conclude that bd.")
     susp = document("s", "conclud")
-    score = query_phrase_similarity(ref, susp, k=1)
+    score = feature_score("query_phrase", ref, susp, k_char=1)
     assert score.value == 0.5
 
 
 def test_query_phrase_identity_on_query_sentence():
     ref = document("r", "We conclude that balls roll.")
     susp = document("s", "We conclude that balls roll.")
-    assert query_phrase_similarity(ref, susp).value == 1.0
+    assert feature_score("query_phrase", ref, susp).value == 1.0
 
 
 def test_query_phrase_no_hits_not_applicable():
     ref = document("r", "No cues in this text at all.")
-    score = query_phrase_similarity(ref, document("s", "x."))
+    score = feature_score("query_phrase", ref, document("s", "x."))
     assert score.value == 0.0
     assert score.not_applicable and not score.degenerate
 
 
 def test_query_phrase_empty_ref_degenerate():
-    score = query_phrase_similarity(document("r", ""), document("s", "x."))
+    score = feature_score("query_phrase", document("r", ""), document("s", "x."))
     assert score.degenerate and not score.not_applicable
 
 
@@ -240,11 +249,11 @@ def test_shared_flagged_scores_cannot_be_changed_through_their_detail():
     # Every feature returns the same degenerate and not-applicable instances.
     empty, cueless = document("e", ""), document("c", "No cues here.")
     degenerate = lcs_similarity(empty, cueless)
-    not_applicable = query_phrase_similarity(cueless, empty)
+    not_applicable = feature_score("query_phrase", cueless, empty)
     for score in (degenerate, not_applicable):
         with pytest.raises(TypeError):
             score.detail["lcs_length"] = 1
-    assert query_phrase_similarity(empty, cueless) is degenerate
+    assert feature_score("query_phrase", empty, cueless) is degenerate
     assert degenerate.detail == {} and not_applicable.detail == {}
 
 

@@ -1,5 +1,6 @@
 """Gram extraction, resemblance measures, weights, and sentence keys."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from simscan.fingerprint import (
     least_frequent_fingerprint,
     overlap,
     overlap_bound,
-    statement_resemblance,
     word_trigrams,
 )
 from simscan.detector import Detector, DetectorConfig
@@ -73,7 +73,10 @@ def test_char_kgrams_rejects_bad_k():
         char_kgrams("abc", 0)
 
 
-@given(texts, small_k)
+@given(texts, st.one_of(small_k, st.integers(min_value=30, max_value=60)))
+@example("abc", 4)
+@example("ab c", 4)
+@example("", 60)
 def test_char_kgrams_matches_naive_enumeration(text, k):
     ms = char_kgrams(text, k)
     expected = naive_grams(text, k)
@@ -103,6 +106,19 @@ def slice_grams(text: str, k: int) -> list[str]:
 @example("a\U0001f600 \u00e9\U0001d518b", 2)
 def test_kgram_list_is_the_slices_in_order(text, k):
     assert _kgram_list(text, k) == slice_grams(text, k)
+
+
+def test_kgram_list_memory_is_linear_when_k_nears_the_text_length():
+    # Slicing each of the k suffixes whole would copy about k * L characters.
+    tracemalloc.start()
+    try:
+        grams = _kgram_list("ab" * 10_000, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grams == ["ab" * 10_000]
+    assert peak < 5_000_000
+    assert _kgram_list("ab" * 10_000, 20_001) == []
 
 
 def test_kgram_list_rejects_k_0():
@@ -318,11 +334,17 @@ def test_document_grams_counts_text_and_cuts_sentences(text, k):
         assert sentence_grams == [stripped[i : i + k] for i in range(len(stripped) - k + 1)]
 
 
+def statement_score(doc_a, doc_b):
+    """The pair's statement score from a statement-only `Detector`."""
+    det = Detector(DetectorConfig(features=("statement",)))
+    return det.analyze_pair(doc_a, doc_b).scores["statement"]
+
+
 def test_statement_resemblance_self_and_disjoint():
     a = document("a", "The quick brown fox jumps over the lazy dog.", frozenset())
     b = document("b", "zulu xray victor whisky quebec papa tango.", frozenset())
-    assert statement_resemblance(a, a).value == 1.0
-    assert statement_resemblance(a, b).value == 0.0
+    assert statement_score(a, a).value == 1.0
+    assert statement_score(a, b).value == 0.0
 
 
 def test_statement_resemblance_extra_sentence_ratio():
@@ -333,15 +355,15 @@ def test_statement_resemblance_extra_sentence_ratio():
     a = document("a", base, frozenset())
     b = document("b", base + extra, frozenset())
     n = len(fingerprint_keys(a))
-    score = statement_resemblance(a, b)
+    score = statement_score(a, b)
     assert score.value == pytest.approx(n / (n + 1))
-    assert statement_resemblance(b, a).value == pytest.approx(n / (n + 1))
+    assert statement_score(b, a).value == pytest.approx(n / (n + 1))
 
 
 def test_statement_resemblance_empty_docs_degenerate():
     a = document("a", "", frozenset())
     b = document("b", "!!!", frozenset())
-    score = statement_resemblance(a, b)
+    score = statement_score(a, b)
     assert score.value == 0.0
     assert score.degenerate
 
