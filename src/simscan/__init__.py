@@ -30,9 +30,7 @@ from .fingerprint import (
     char_kgrams,
     document_fingerprints,
     full_resemblance,
-    gram_weights,
     jaccard,
-    least_frequent_fingerprint,
     word_trigrams,
 )
 from .kernels import LCS_BACKEND, lcs_length, match_masks
@@ -67,12 +65,10 @@ __all__ = [
     "char_kgrams",
     "document_fingerprints",
     "full_resemblance",
-    "gram_weights",
     "jaccard",
     "lcs_fmeasure",
     "lcs_length",
     "lcs_similarity",
-    "least_frequent_fingerprint",
     "load_index",
     "load_query_phrases",
     "load_stopwords",

@@ -16,12 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Mapping
+from typing import AbstractSet, Collection, Mapping, NamedTuple
 
 from .textprep import Document
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Feature names; a report files each score under one.
 FULL_CHAR = "full_char"
@@ -93,22 +90,11 @@ class GramMultiset:
         return frozenset(self.counts)
 
 
-@dataclass(frozen=True)
-class SentenceFingerprint:
-    """The concatenated least-frequent grams identifying one sentence."""
+class SentenceFingerprint(NamedTuple):
+    """One sentence's key: its least frequent grams, concatenated."""
 
     sentence_index: int
-    grams: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.grams) != STATEMENT_GRAM_COUNT:
-            raise ValueError(f"expected {STATEMENT_GRAM_COUNT} grams, got {len(self.grams)}")
-        if len({len(g) for g in self.grams}) != 1:
-            raise ValueError("grams must share one length")
-
-    @property
-    def key(self) -> str:
-        return "".join(self.grams)
+    key: str
 
 
 def _kgram_list(text: str, k: int) -> list[str]:
@@ -238,62 +224,28 @@ def jaccard(a: Collection[str], b: AbstractSet[str]) -> ResemblanceScore:
     return outcome_score(overlap(a, b))
 
 
-def gram_weights(multiset: GramMultiset) -> dict[str, Fraction]:
-    """Each gram's exact share x_i = m_i / sum(m_j) of all occurrences; they sum to 1."""
-    # Imported here: no command needs exact weights, so `import simscan.cli` skips it.
-    from fractions import Fraction
-
-    total = multiset.total
-    if total == 0:
-        raise ValueError("cannot weight an empty multiset")
-    return {gram: Fraction(count, total) for gram, count in multiset.counts.items()}
-
-
-def least_frequent_fingerprint(
-    sentence_index: int,
-    grams: Iterable[str],
-    freqs: Mapping[str, int] | Mapping[str, Fraction],
-) -> SentenceFingerprint | None:
-    """Fingerprint a sentence by its three least frequent grams.
-
-    `grams` are the sentence's grams in order, as `document_grams` cuts
-    them.  `freqs` must cover every one of them, with the exact weights or
-    the integer counts over the containing document; both rank the grams
-    alike.  Grams are ordered by ascending frequency, ties by first
-    occurrence in the sentence, and the first three concatenate into the
-    key.  Sentences with fewer than three distinct grams yield None.
-    """
-    distinct = dict.fromkeys(grams)
-    if len(distinct) < STATEMENT_GRAM_COUNT:
-        return None
-    try:
-        # Stable sort over first-occurrence order breaks ties by position.
-        ranked = sorted(distinct, key=freqs.__getitem__)
-    except KeyError as exc:
-        raise KeyError(
-            f"gram {exc.args[0]!r} missing from document weights"
-        ) from None
-    return SentenceFingerprint(
-        sentence_index=sentence_index,
-        grams=tuple(ranked[:STATEMENT_GRAM_COUNT]),
-    )
-
-
 def document_fingerprints(
     doc: Document, grams: GramMultiset | None = None
 ) -> tuple[SentenceFingerprint, ...]:
-    """Fingerprints of every sentence, weighted over the whole document.
+    """The fingerprint of every sentence with at least three distinct grams.
 
-    Grams are ranked by their integer counts: the weights of `gram_weights`
-    all share the document's gram total as denominator, so they order alike.
+    A sentence's distinct grams are ranked by their counts over the whole
+    document, ties by first occurrence in the sentence, and the three least
+    frequent concatenate into its key.  The counts order the grams as the
+    paper's weights x_i = m_i / sum(m_j) do, since those share one
+    denominator; `tests/fingerprint_oracle.py` ranks by the exact weights.
     `grams`, when given, must be `document_grams(doc, STATEMENT_GRAM_LEN)`.
     """
     grams = document_grams(doc, STATEMENT_GRAM_LEN) if grams is None else grams
-    fingerprints = (
-        least_frequent_fingerprint(i, sentence, grams.counts)
-        for i, sentence in enumerate(grams.sentences)
-    )
-    return tuple(fp for fp in fingerprints if fp is not None)
+    count = grams.counts.__getitem__
+    fingerprints = []
+    for index, sentence in enumerate(grams.sentences):
+        distinct = dict.fromkeys(sentence)
+        if len(distinct) >= STATEMENT_GRAM_COUNT:
+            # A stable sort over first-occurrence order breaks ties by position.
+            ranked = sorted(distinct, key=count)[:STATEMENT_GRAM_COUNT]
+            fingerprints.append(SentenceFingerprint(index, "".join(ranked)))
+    return tuple(fingerprints)
 
 
 def fingerprint_keys(doc: Document, grams: GramMultiset | None = None) -> frozenset[str]:

@@ -11,16 +11,12 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from fingerprint_oracle import gram_weights
+
 from simscan.cli import main
 from simscan.detector import Detector, load_index, save_index
 from simscan.features import lcs_fmeasure
-from simscan.fingerprint import (
-    char_kgrams,
-    full_resemblance,
-    gram_weights,
-    jaccard,
-    word_trigrams,
-)
+from simscan.fingerprint import char_kgrams, full_resemblance, jaccard, word_trigrams
 from simscan.kernels import lcs_length
 from simscan.textprep import normalize
 

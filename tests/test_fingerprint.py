@@ -4,12 +4,14 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from fingerprint_oracle import gram_weights, weighted_fingerprints
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simscan.fingerprint import (
     ALL_FEATURES,
     STATEMENT_GRAM_COUNT,
+    STATEMENT_GRAM_LEN,
     GramMultiset,
     ResemblanceScore,
     SentenceFingerprint,
@@ -19,16 +21,14 @@ from simscan.fingerprint import (
     document_grams,
     fingerprint_keys,
     full_resemblance,
-    gram_weights,
     jaccard,
     jaccard_value,
-    least_frequent_fingerprint,
     overlap,
     overlap_bound,
     word_trigrams,
 )
 from simscan.detector import Detector, DetectorConfig
-from simscan.textprep import document, split_sentences
+from simscan.textprep import document
 
 texts = st.text(alphabet="abc d", max_size=40)
 small_k = st.integers(min_value=1, max_value=6)
@@ -43,11 +43,6 @@ def naive_grams(text: str, k: int) -> dict[str, int]:
         if len(window) == k:
             counts[window] = counts.get(window, 0) + 1
     return counts
-
-
-def own_grams(sentence) -> dict[str, int]:
-    """A sentence's distinct 4-grams, counted alone, in first-occurrence order."""
-    return char_kgrams(sentence.normalized, 4).counts
 
 
 def test_char_kgrams_touch():
@@ -251,38 +246,18 @@ def test_least_frequent_fingerprint_picks_rarest_grams():
     )
     fps = document_fingerprints(doc)
     by_index = {fp.sentence_index: fp for fp in fps}
-    assert by_index[0].grams == ("occe", "ccer", "cerg")
     assert by_index[0].key == "occeccercerg"
 
 
 def test_least_frequent_fingerprint_tie_breaks_by_position():
     # Single-sentence document: every gram is equally frequent, so the
-    # first three windows win.
-    [sentence] = split_sentences("soccer game is fantastic.", frozenset())
-    weights = gram_weights(char_kgrams("soccer game is fantastic", 4))
-    fp = least_frequent_fingerprint(sentence.index, own_grams(sentence), weights)
-    assert fp.grams == ("socc", "occe", "ccer")
+    # first three windows win: socc, occe and ccer.
+    doc = document("d", "soccer game is fantastic.", frozenset())
+    assert document_fingerprints(doc) == ((0, "soccocceccer"),)
 
 
 def test_short_sentence_has_no_fingerprint():
-    [sentence] = split_sentences("tiny.", frozenset())
-    weights = gram_weights(char_kgrams("tiny", 4))
-    assert least_frequent_fingerprint(sentence.index, own_grams(sentence), weights) is None
-
-
-def test_missing_gram_weight_raises():
-    [sentence] = split_sentences("soccer game is fantastic.", frozenset())
-    weights = gram_weights(char_kgrams("unrelated text entirely", 4))
-    with pytest.raises(KeyError):
-        least_frequent_fingerprint(sentence.index, own_grams(sentence), weights)
-
-
-def test_sentence_fingerprint_validation():
-    with pytest.raises(ValueError):
-        SentenceFingerprint(0, ("abcd", "efgh"))
-    with pytest.raises(ValueError):
-        SentenceFingerprint(0, ("abcd", "efgh", "ij"))
-    assert SentenceFingerprint(0, ("abcd", "efgh", "ijkl")).key == "abcdefghijkl"
+    assert document_fingerprints(document("d", "tiny.", frozenset())) == ()
 
 
 def test_document_fingerprints_key_length():
@@ -290,8 +265,8 @@ def test_document_fingerprints_key_length():
     fps = document_fingerprints(doc)
     assert len(fps) == 2
     for fp in fps:
-        assert len(fp.grams) == STATEMENT_GRAM_COUNT
-        assert len(fp.key) == 12
+        assert type(fp) is SentenceFingerprint
+        assert len(fp.key) == STATEMENT_GRAM_COUNT * STATEMENT_GRAM_LEN == 12
 
 
 # Sentences of short words over three letters, so grams repeat unevenly.
@@ -306,16 +281,21 @@ def test_document_fingerprints_match_exact_weight_ranking(text):
     # Oracle: rank every sentence's grams by exact Fraction weights over the
     # whole document; the integer-count ranking must pick the same keys.
     doc = document("d", text, frozenset())
-    multiset = char_kgrams(doc.normalized_text, 4)
-    expected = ()
-    if multiset.total:
-        weights = gram_weights(multiset)
-        candidates = (
-            least_frequent_fingerprint(s.index, own_grams(s), weights)
-            for s in doc.sentences
-        )
-        expected = tuple(fp for fp in candidates if fp is not None)
-    assert document_fingerprints(doc) == expected
+    assert document_fingerprints(doc) == weighted_fingerprints(doc)
+
+
+@given(gram_texts)
+def test_every_sentence_with_three_grams_has_one_key_of_its_own_grams(text):
+    doc = document("d", text, frozenset())
+    fps = document_fingerprints(doc)
+    own = [char_kgrams(s.normalized, STATEMENT_GRAM_LEN).counts for s in doc.sentences]
+    expected = [i for i, grams in enumerate(own) if len(grams) >= STATEMENT_GRAM_COUNT]
+    assert [fp.sentence_index for fp in fps] == expected
+    for fp in fps:
+        assert len(fp.key) == 12
+        parts = [fp.key[i : i + 4] for i in range(0, 12, 4)]
+        assert len(set(parts)) == 3
+        assert set(parts) <= set(own[fp.sentence_index])
 
 
 @example(text="ball. ball.", k=6)
@@ -390,12 +370,3 @@ def test_every_feature_builds_a_score(name):
     assert set(report.scores) == {"statement", name}
     assert type(report.scores[name]) is ResemblanceScore
     assert report.combined == report.scores[name].value
-
-
-def test_least_frequent_fingerprint_rejects_gram_missing_from_counts():
-    # A plain dict, unlike a Counter, does not read a missing gram as 0.
-    counts = char_kgrams("zulu xray victor", 4).counts
-    assert type(counts) is dict
-    sentence = split_sentences("the quick brown fox", frozenset())[0]
-    with pytest.raises(KeyError):
-        least_frequent_fingerprint(sentence.index, own_grams(sentence), counts)
