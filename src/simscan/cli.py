@@ -111,15 +111,16 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from None
+        raise _CliError(EXIT_IO, f"cannot read {path!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        raise _CliError(EXIT_IO, f"not valid UTF-8: {path}") from None
+        raise _CliError(EXIT_IO, f"not valid UTF-8: {path!r}") from None
 
 
 def _discover(directory: str, recursive: bool) -> list[tuple[str, Path]]:
     root = Path(directory)
-    if not root.is_dir():
-        raise _CliError(EXIT_IO, f"not a directory: {directory}")
+    # Path("") is the current directory, which no one names by an empty argument.
+    if not directory or not root.is_dir():
+        raise _CliError(EXIT_IO, f"not a directory: {directory!r}")
     pattern = "**/*.txt" if recursive else "*.txt"
     files = sorted(p for p in root.glob(pattern) if p.is_file())
     return [(p.relative_to(root).as_posix(), p) for p in files]
@@ -138,7 +139,7 @@ def _corpus(args, build: Callable[[Detector, str, str], object]) -> tuple[Detect
     det = _detector(args)
     files = _discover(args.directory, args.recursive)
     if not files:
-        _diagnose(f"warning: no .txt files found in {args.directory}")
+        _diagnose(f"warning: no .txt files found in {args.directory!r}")
     dets = [det] * len(files)
     ids = [doc_id for doc_id, _ in files]
     texts = [_read_text(str(path)) for _, path in files]
@@ -243,7 +244,7 @@ def cmd_index(args) -> int:
     try:
         save_index(index, args.out)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc.strerror or exc}") from None
+        raise _CliError(EXIT_IO, f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     print(f"indexed {len(index.entries)} documents -> {args.out}", flush=True)
     return EXIT_OK
 
@@ -257,9 +258,9 @@ def cmd_scan(args) -> int:
         susp = det.document(args.suspect, _read_text(args.suspect))
         ranked = det.rank_candidates(susp, index, args.top)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {args.index}: {exc.strerror or exc}") from None
+        raise _CliError(EXIT_IO, f"cannot read {args.index!r}: {exc.strerror or exc}") from None
     except IndexFormatError as exc:
-        raise _CliError(EXIT_IO, f"malformed index {args.index}: {exc}") from None
+        raise _CliError(EXIT_IO, f"malformed index {args.index!r}: {exc}") from None
     except IndexVersionError as exc:
         raise _CliError(EXIT_INDEX, str(exc)) from None
     return _emit(

@@ -91,6 +91,11 @@ class IndexFormatError(Exception):
         self.line = line
 
 
+# The longest `k_char` accepted.  A document's gram list holds (L - k + 1) x k
+# characters, so an unbounded k lets one long text exhaust memory.
+MAX_GRAM_LEN = 64
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Tunable parameters shared by comparison, indexing, and scanning."""
@@ -108,6 +113,8 @@ class DetectorConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if self.k_char > MAX_GRAM_LEN:
+            raise ValueError(f"k_char must be <= {MAX_GRAM_LEN}, got {self.k_char}")
         check_beta(self.beta)
         if not self.features:
             raise ValueError("at least one feature must be enabled")
@@ -295,10 +302,11 @@ class Detector:
 
     def _artifacts(self, doc: Document) -> _Artifacts:
         """The `k_char` grams, fingerprint keys and keywords; one gram pass if `k_char` is 4."""
-        k = self.config.k_char
-        statement = document_grams(doc, STATEMENT_GRAM_LEN)
-        grams = statement if k == STATEMENT_GRAM_LEN else document_grams(doc, k)
-        keys = fingerprint_keys(doc, grams=statement)
+        grams = document_grams(doc, STATEMENT_GRAM_LEN)
+        keys = fingerprint_keys(doc, grams=grams)
+        if self.config.k_char != STATEMENT_GRAM_LEN:
+            del grams  # so that the 4-gram and k-gram lists are never held together
+            grams = document_grams(doc, self.config.k_char)
         return grams, keys, top_keywords(doc, self.config.k_top).terms
 
     def _outcomes(

@@ -10,9 +10,9 @@ Tokens may be any hashable values, so word and character sequences are
 handled alike.  ``match_masks`` builds the kernel's table of ``xs``: one
 bit mask per distinct token.  A caller that matches one sequence against
 many, as ``features.lcs_similarity`` does with each key sentence, builds it
-once and passes it to every ``lcs_length`` call.  ``lcs_length_ids_py`` is the classic two-row DP over
-``encode_pair`` ids; the tests and the benchmark check the bit-parallel
-kernel against it.
+once and passes it to every ``lcs_length`` call.  ``lcs_length_ids_py`` is
+the classic two-row DP over ``encode_pair`` ids; the tests and the
+benchmark check the bit-parallel kernel against it.
 """
 
 from __future__ import annotations

@@ -162,4 +162,6 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """
     if path is None:
         return _default_stopwords()
-    return _parse_word_list(Path(path).read_text(encoding="utf-8"))
+    # open(), not Path: Path("") would name the current directory.
+    with open(path, encoding="utf-8") as fh:
+        return _parse_word_list(fh.read())

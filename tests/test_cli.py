@@ -30,7 +30,7 @@ from simscan.cli import (
     main,
     report_dict,
 )
-from simscan.detector import Detector, DetectorConfig, load_index
+from simscan.detector import MAX_GRAM_LEN, Detector, DetectorConfig, load_index
 
 S1 = "Player kicked the ball.\n"
 S2 = "Player kick the ball.\n"
@@ -135,10 +135,12 @@ def test_usage_errors_exit_1(workspace, capsys):
         ["compare", ref, ref, "--beta", "nan"],
         ["compare", ref, ref, "--beta", "inf"],
         ["scan", ref, str(workspace / "idx.jsonl"), "--top", "-1"],
+        ["compare", ref, ref, "--k", str(MAX_GRAM_LEN + 1)],
     ):
         code, out, err = run(args, capsys)
         assert code == EXIT_USAGE and out == "", args
         assert err.startswith("simscan: error:") and err.count("\n") == 1, args
+    assert main(["compare", ref, ref, "--k", str(MAX_GRAM_LEN)]) == EXIT_OK
 
 
 def test_weight_names_are_stripped_like_feature_names(workspace, capsys):
@@ -251,12 +253,25 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
     ]
     # Output paths with no name to put a temporary file beside.
     cases += [["index", str(good), out] for out in (".", "/", "")]
+    # An empty input path names no file, not the current directory.
+    cases += [
+        ["index", "", str(workspace / "idx.jsonl")],
+        ["bench", ""],
+        ["compare", "", ref],
+        ["compare", ref, ref, "--stopwords", ""],
+        ["compare", ref, ref, "--phrases", ""],
+        ["scan", ref, ""],
+    ]
     for args in cases:
         code, out, err = run(args, capsys)
         assert code == EXIT_IO and out == "", args
         assert err.startswith("simscan: error:") and err.count("\n") == 1, args
         if args[:2] == ["index", str(good)]:
             assert err.startswith("simscan: error: cannot write"), args
+        if "" in args:
+            assert "''" in err, args
+        if args[0] in ("index", "bench") and args[1] == "":
+            assert err == "simscan: error: not a directory: ''\n", args
     assert out_dir.is_dir() and not list(workspace.glob("*.tmp"))
 
 

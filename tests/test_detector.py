@@ -2,6 +2,9 @@
 
 import json
 import os
+import random
+import string
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -14,6 +17,7 @@ import simscan.fingerprint
 from simscan.detector import (
     ALL_FEATURES,
     DEFAULT_FEATURES,
+    MAX_GRAM_LEN,
     Detector,
     DetectorConfig,
     IndexFormatError,
@@ -46,6 +50,9 @@ def test_config_defaults_and_validation():
     assert cfg.features == DEFAULT_FEATURES
     with pytest.raises(ValueError):
         DetectorConfig(k_char=0)
+    assert DetectorConfig(k_char=MAX_GRAM_LEN).k_char == 64
+    with pytest.raises(ValueError, match="<= 64"):
+        DetectorConfig(k_char=MAX_GRAM_LEN + 1)
     with pytest.raises(ValueError):
         DetectorConfig(k_top=0)
     with pytest.raises(ValueError):
@@ -89,6 +96,32 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(ValueError):
             DetectorConfig(**wrong_type)
+
+
+def test_pair_memory_at_the_gram_length_cap_stays_near_the_default():
+    """A document's gram list holds (L - k + 1) x k characters, so `k_char` is capped.
+
+    On a one-sentence pair of about 118 KB each, building both documents and
+    scoring them peaks within 4x as high at the cap as at the default k of 4.
+    """
+    rng = random.Random(0)
+    vocabulary = [
+        "".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 12))) for _ in range(300)
+    ]
+    texts = [" ".join(rng.choices(vocabulary, k=15_000)) + "." for _ in range(2)]
+    assert all(110_000 < len(text) < 125_000 for text in texts)
+    peaks = []
+    for k in (4, MAX_GRAM_LEN):
+        det = Detector(DetectorConfig(k_char=k))
+        tracemalloc.start()
+        try:
+            ref, susp = det.document("r", texts[0]), det.document("s", texts[1])
+            det.analyze_pair(ref, susp)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(ref.sentences) == len(susp.sentences) == 1
+    assert peaks[1] <= 4 * peaks[0], peaks
 
 
 def test_self_pair_combines_to_one(detector):
