@@ -29,10 +29,11 @@ from .detector import (
     IndexEntry,
     IndexFormatError,
     IndexVersionError,
-    load_index,
     save_index,
 )
+from .detector import load_index  # noqa: F401  perfbench/tracer.py wraps cli.load_index
 from .features import DEFAULT_GRAM_LEN, DEFAULT_K_TOP
+from .textprep import load_stopwords
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,14 +103,30 @@ def _detector(args) -> Detector:
     try:
         return Detector(cfg)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read word list: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _CliError(EXIT_IO, f"word list is not valid UTF-8: {exc}") from None
+        flag, path = _failed_word_list(args)
+        raise _CliError(EXIT_IO, f"cannot read {flag} {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        flag, path = _failed_word_list(args)
+        raise _CliError(EXIT_IO, f"not valid UTF-8: {flag} {path!r}") from None
+
+
+def _failed_word_list(args) -> tuple[str, str]:
+    """The flag and path of the word list `Detector` could not load.
+
+    `Detector` loads the stopwords first, so if they load now, the phrases failed.
+    """
+    try:
+        load_stopwords(args.stopwords)
+    except (OSError, UnicodeDecodeError):
+        return "--stopwords", args.stopwords
+    return "--phrases", args.phrases
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # open(), not Path: Path("") would name the current directory.
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {path!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
@@ -253,10 +270,9 @@ def cmd_scan(args) -> int:
     if args.top < 0:
         raise _CliError(EXIT_USAGE, f"--top must be >= 0, got {args.top}")
     det = _detector(args)
+    susp = det.document(args.suspect, _read_text(args.suspect))
     try:
-        index = load_index(args.index)
-        susp = det.document(args.suspect, _read_text(args.suspect))
-        ranked = det.rank_candidates(susp, index, args.top)
+        ranked = det.scan_index(susp, args.index, args.top)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {args.index!r}: {exc.strerror or exc}") from None
     except IndexFormatError as exc:

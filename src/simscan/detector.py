@@ -5,7 +5,8 @@ lists.  Every reference is scored as a Reference around its IndexEntry,
 the derived artifacts build_index persists (statement fingerprint keys,
 keywords, first-sentence grams, cue-phrase grams, token digest):
 analyze_pair builds it in memory beside the document, rank_candidates
-reads the entry from an index, and both score it with one value pass.
+and scan_index read the entry from an index, and all score it with one
+value pass.  scan_index ranks each record as it is read from the file.
 
 The index stores derived artifacts only, never raw text, so features
 needing full token streams (lcs_f, full_char, trigram_jaccard) are skipped
@@ -21,9 +22,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter, lt
+from operator import lt
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .features import (
     DEFAULT_GRAM_LEN,
@@ -206,6 +207,17 @@ class Suspect(NamedTuple):
 _Artifacts = tuple[GramMultiset, frozenset[str], frozenset[str]]
 
 
+class _Ranked(NamedTuple):
+    """An exactly scored entry; `<` means worse: a lower score, or a later id on a tie."""
+
+    combined: float
+    doc_id: str
+    outcomes: Mapping[str, Outcome]
+
+    def __lt__(self, other: _Ranked) -> bool:
+        return (self.combined, other.doc_id) < (other.combined, self.doc_id)
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
     """Entries keyed by document id plus the config snapshot they assume."""
@@ -380,50 +392,74 @@ class Detector:
         """Indexed documents as references, best combined score first.
 
         Ties order by document id.  Features absent from the index are
-        reported as skipped with a zero, not-applicable score.  Every entry
-        gets a combined score (or a bound on it), but only the `top_n` best
-        get a report, and gram intersections that cannot reach the n-th
-        score are skipped; the list equals the full ranking cut to `top_n`.
+        reported as skipped with a zero, not-applicable score.  Only the
+        `top_n` best get a report, and entries whose bound cannot reach the
+        n-th best score so far are not scored exactly (`_rank`); the list
+        equals the full ranking cut to `top_n`.
         """
+        self._check_config(index.config)
+        return self._rank(susp, index.entries.values(), top_n)
+
+    def scan_index(
+        self, susp: Document, path: str | Path, top_n: int | None = None
+    ) -> list[tuple[str, FeatureReport]]:
+        """`rank_candidates(susp, load_index(path), top_n)`, one record held at a time.
+
+        Each record is scored as it is read.  The config is checked after
+        the last record, so a malformed record is reported before a mismatch.
+        """
+        with open(path, "rb") as fh:
+            config = _read_header(fh)
+            ranked = self._rank(susp, _records(fh, config.get("k_char")), top_n)
+        self._check_config(config)
+        return ranked
+
+    def _check_config(self, config: Mapping[str, object]) -> None:
+        """Raise IndexVersionError unless an index's config snapshot is this detector's."""
         snapshot = self.config_snapshot()
         # Compared as written, so a 4.0 or a true never stands in for a 4 or a 1.
-        if dumps_record(dict(index.config)) != dumps_record(snapshot):
+        if dumps_record(dict(config)) != dumps_record(snapshot):
             raise IndexVersionError(
-                f"index config {dict(index.config)!r} does not match "
-                f"detector config {snapshot!r}"
+                f"index config {dict(config)!r} does not match detector config {snapshot!r}"
             )
+
+    def _rank(
+        self, susp: Document, entries: Iterable[IndexEntry], top_n: int | None
+    ) -> list[tuple[str, FeatureReport]]:
+        """The `top_n` best of `entries` by (-combined, doc_id), in one pass.
+
+        An entry's bound is its combined score with each gram feature's
+        intersection replaced by min(|A|, |B|); applicability is the same.
+        IEEE division, multiplication and addition round monotonically, so
+        the bound is >= the exact combined, as floats.  An entry whose bound
+        falls strictly below the n-th best combined so far cannot reach or
+        tie it, and that threshold never falls, so the entry is skipped
+        unscored (the threshold test of Fagin, Lotem & Naor's algorithm).
+        """
         if top_n is not None and (not _is_int(top_n) or top_n < 0):
             raise ValueError(f"top_n must be None or an int >= 0, got {top_n!r}")
         suspect = self._suspect(susp)
         weights = self._weights
-        n = len(index.entries) if top_n is None else top_n
-        # An entry's bound is its combined score with each gram feature's
-        # intersection replaced by min(|A|, |B|); applicability is the same.
-        # IEEE division, multiplication and addition round monotonically, so
-        # the bound is >= the exact combined, as floats.  Entries are scored
-        # in descending bound order (Fagin, Lotem & Naor's threshold
-        # algorithm) until a bound falls strictly below the n-th best
-        # combined so far: no later entry can reach or tie it.
-        bounds = sorted(
-            (-_combine(self._outcomes(Reference(entry), suspect, overlap_bound), weights), doc_id)
-            for doc_id, entry in index.entries.items()
-        )
-        best: list[float] = []  # min-heap of the n best combined scores so far
-        scored = []
-        for neg_bound, doc_id in bounds:
-            if len(best) == n and (n == 0 or -neg_bound < best[0]):
-                break
-            outcomes = self._outcomes(Reference(index.entries[doc_id]), suspect)
-            combined = _combine(outcomes, weights)
-            scored.append((-combined, doc_id, outcomes))
+        n = math.inf if top_n is None else top_n
+        best: list[_Ranked] = []  # min-heap of the n best so far; the worst is best[0]
+        for entry in entries:
+            ref = Reference(entry)
+            if len(best) == n and (
+                n == 0
+                or _combine(self._outcomes(ref, suspect, overlap_bound), weights)
+                < best[0].combined
+            ):
+                continue
+            outcomes = self._outcomes(ref, suspect)
+            ranked = _Ranked(_combine(outcomes, weights), entry.doc_id, outcomes)
             if len(best) < n:
-                heapq.heappush(best, combined)
+                heapq.heappush(best, ranked)
             else:
-                heapq.heappushpop(best, combined)
-        scored.sort(key=itemgetter(0, 1))
+                heapq.heappushpop(best, ranked)
+        best.sort(reverse=True)
         return [
-            (doc_id, self._report(doc_id, susp.id, outcomes, -neg_combined))
-            for neg_combined, doc_id, outcomes in scored[:n]
+            (doc_id, self._report(doc_id, susp.id, outcomes, combined))
+            for combined, doc_id, outcomes in best
         ]
 
 
@@ -462,16 +498,22 @@ def _stored_strings(name: str, value: object, line: int) -> tuple[str, ...]:
     """A record's list as `save_index` writes it: strictly ascending strings.
 
     So it is sorted and distinct, and `Detector._score` can use it as stored.
+    A JSON string orders only against a string, so one `<` pass from a
+    string head checks both the items' type and their order.
     """
+    if isinstance(value, list) and (not value or type(value[0]) is str):
+        try:
+            if all(map(lt, value, value[1:])):
+                return tuple(value)
+        except TypeError:
+            pass
     if not isinstance(value, list):
         raise IndexFormatError(f"{name} must be a list of strings", line)
     try:
         "".join(value)  # raises TypeError unless every item is a string
     except TypeError:
         raise IndexFormatError(f"{name} must be a list of strings", line) from None
-    if not all(map(lt, value, value[1:])):
-        raise IndexFormatError(f"{name} must be sorted and distinct", line)
-    return tuple(value)
+    raise IndexFormatError(f"{name} must be sorted and distinct", line)
 
 
 def _entry_from_record(record: dict, line: int, k_char: object) -> IndexEntry:
@@ -511,30 +553,38 @@ def _parse_line(raw: bytes, line: int) -> dict:
     return record
 
 
+def _read_header(fh) -> dict:
+    """The header record's config; raises on a missing or unsupported header."""
+    first = next(fh, None)
+    if first is None:
+        raise IndexFormatError("missing header record", 1)
+    header = _parse_line(first, 1)
+    if "schema" not in header:
+        raise IndexFormatError("header must have a schema field", 1)
+    if type(header["schema"]) is not int:
+        raise IndexFormatError("header schema must be an integer", 1)
+    if header["schema"] != INDEX_SCHEMA:
+        raise IndexVersionError(f"index schema {header['schema']!r} != supported {INDEX_SCHEMA}")
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise IndexFormatError("header config must be an object", 1)
+    return config
+
+
+def _records(fh, k_char: object) -> Iterator[IndexEntry]:
+    """The entries of the records after the header, each checked as it is read."""
+    seen: set[str] = set()
+    for lineno, raw in enumerate(fh, start=2):
+        entry = _entry_from_record(_parse_line(raw, lineno), lineno, k_char)
+        if entry.doc_id in seen:
+            raise IndexFormatError(f"duplicate document id {entry.doc_id!r}", lineno)
+        seen.add(entry.doc_id)
+        yield entry
+
+
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index line by line; raises IndexVersionError or IndexFormatError."""
     with open(path, "rb") as fh:
-        first = next(fh, None)
-        if first is None:
-            raise IndexFormatError("missing header record", 1)
-        header = _parse_line(first, 1)
-        if "schema" not in header:
-            raise IndexFormatError("header must have a schema field", 1)
-        if type(header["schema"]) is not int:
-            raise IndexFormatError("header schema must be an integer", 1)
-        if header["schema"] != INDEX_SCHEMA:
-            raise IndexVersionError(
-                f"index schema {header['schema']!r} != supported {INDEX_SCHEMA}"
-            )
-        config = header.get("config")
-        if not isinstance(config, dict):
-            raise IndexFormatError("header config must be an object", 1)
-        k_char = config.get("k_char")
-        entries: dict[str, IndexEntry] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            entry = _entry_from_record(_parse_line(raw, lineno), lineno, k_char)
-            if entry.doc_id in entries:
-                raise IndexFormatError(f"duplicate document id {entry.doc_id!r}", lineno)
-            entries[entry.doc_id] = entry
+        config = _read_header(fh)
+        entries = {entry.doc_id: entry for entry in _records(fh, config.get("k_char"))}
     return CorpusIndex(config=config, entries=entries)
-

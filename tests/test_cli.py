@@ -261,6 +261,7 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
         ["compare", ref, ref, "--stopwords", ""],
         ["compare", ref, ref, "--phrases", ""],
         ["scan", ref, ""],
+        ["scan", "", ref],
     ]
     for args in cases:
         code, out, err = run(args, capsys)
@@ -272,6 +273,14 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
             assert "''" in err, args
         if args[0] in ("index", "bench") and args[1] == "":
             assert err == "simscan: error: not a directory: ''\n", args
+        if args[0] in ("compare", "scan") and "" in args[1:3]:
+            assert err == "simscan: error: cannot read '': No such file or directory\n", args
+        if args[-2] in ("--stopwords", "--phrases"):
+            flag, path = args[-2:]
+            if path == str(undecodable):
+                assert err == f"simscan: error: not valid UTF-8: {flag} {path!r}\n", args
+            else:
+                assert err.startswith(f"simscan: error: cannot read {flag} {path!r}: "), args
     assert out_dir.is_dir() and not list(workspace.glob("*.tmp"))
 
 
@@ -339,6 +348,39 @@ def test_scan_exit_codes(workspace, capsys):
         code, out, err = run(["scan", suspect, str(path)], capsys)
         assert code == EXIT_IO and out == ""
         assert err.startswith("simscan: error: malformed index") and err.count("\n") == 1
+
+
+def test_scan_reports_a_bad_last_record_before_a_config_mismatch(workspace, capsys):
+    """Records are scored as they are read, and the config is checked after the last."""
+    index_path = workspace / "idx.jsonl"
+    run(["index", str(workspace / "corpus"), str(index_path)], capsys)
+    header, *records = index_path.read_text().splitlines()
+    head = json.loads(header)
+    head["config"]["k_top"] += 1
+    mismatched = workspace / "mismatched.jsonl"
+    mismatched.write_text("\n".join([json.dumps(head), *records]) + "\n")
+    suspect = str(workspace / "S1.txt")
+    code, out, err = run(["scan", suspect, str(mismatched)], capsys)
+    assert code == EXIT_INDEX and out == "" and "does not match" in err
+
+    both = workspace / "both.jsonl"
+    both.write_text("\n".join([json.dumps(head), *records[:-1], records[-1][:-5]]) + "\n")
+    code, out, err = run(["scan", suspect, str(both)], capsys)
+    assert code == EXIT_IO and out == ""
+    assert err.startswith(
+        f"simscan: error: malformed index {str(both)!r}: line {len(records) + 1}: invalid JSON"
+    )
+    assert err.count("\n") == 1
+
+
+def test_scan_reports_a_suspect_fault_before_an_index_fault(workspace, capsys):
+    missing = str(workspace / "missing.txt")
+    malformed = workspace / "malformed.jsonl"
+    malformed.write_text("not json\n")
+    for index in (str(malformed), str(workspace / "nope.jsonl")):
+        code, out, err = run(["scan", missing, index], capsys)
+        assert code == EXIT_IO and out == ""
+        assert err == f"simscan: error: cannot read {missing!r}: No such file or directory\n"
 
 
 def test_scan_rejects_hand_edited_index(workspace, capsys):

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import string
+import tempfile
 import tracemalloc
 from collections import Counter
 
@@ -302,6 +303,17 @@ def test_rebuild_is_deterministic(detector, corpus_docs, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _refused(path, error, match=None):
+    """`load_index` and `scan_index` both refuse `path` with `error` and one message."""
+    with pytest.raises(error, match=match) as loaded:
+        load_index(path)
+    det = Detector()
+    with pytest.raises(error, match=match) as scanned:
+        det.scan_index(det.document("s", CORPUS["a"]), path)
+    assert str(scanned.value) == str(loaded.value)
+    return loaded
+
+
 def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
     path = tmp_path / "idx.jsonl"
     save_index(detector.build_index(corpus_docs), path)
@@ -309,45 +321,38 @@ def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
 
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    with pytest.raises(IndexFormatError):
-        load_index(empty)
+    _refused(empty, IndexFormatError)
 
-    with pytest.raises(OSError):
-        load_index(tmp_path / "missing.jsonl")
+    _refused(tmp_path / "missing.jsonl", OSError)
 
     bad_version = tmp_path / "v9.jsonl"
     header = json.loads(lines[0])
     header["schema"] = 9
     bad_version.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(IndexVersionError):
-        load_index(bad_version)
+    _refused(bad_version, IndexVersionError)
 
     truncated = tmp_path / "trunc.jsonl"
     truncated.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2] + "\n")
-    with pytest.raises(IndexFormatError) as exc_info:
-        load_index(truncated)
+    exc_info = _refused(truncated, IndexFormatError)
     assert exc_info.value.line == 2
 
     missing_key = tmp_path / "key.jsonl"
     record = json.loads(lines[1])
     del record["token_digest"]
     missing_key.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(IndexFormatError):
-        load_index(missing_key)
+    _refused(missing_key, IndexFormatError)
 
     for name, value in (("fingerprints", ["abcdefghijkl", 7]), ("keywords", "kick")):
         bad_list = tmp_path / f"{name}.jsonl"
         record = json.loads(lines[1])
         record[name] = value
         bad_list.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(IndexFormatError, match=f"{name} must be a list") as exc_info:
-            load_index(bad_list)
+        exc_info = _refused(bad_list, IndexFormatError, f"{name} must be a list")
         assert exc_info.value.line == 2
 
     undecodable = tmp_path / "bytes.jsonl"
     undecodable.write_bytes(lines[0].encode() + b"\n\xff\xfe\n")
-    with pytest.raises(IndexFormatError) as exc_info:
-        load_index(undecodable)
+    exc_info = _refused(undecodable, IndexFormatError)
     assert exc_info.value.line == 2
 
     # nesting past the parser's recursion limit, and an integer past
@@ -357,14 +362,12 @@ def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
     for name, line in (("nested", "[" * 100000), ("digits", digits)):
         hostile = tmp_path / f"{name}.jsonl"
         hostile.write_text(lines[0] + "\n" + line + "\n")
-        with pytest.raises(IndexFormatError) as exc_info:
-            load_index(hostile)
+        exc_info = _refused(hostile, IndexFormatError)
         assert exc_info.value.line == 2
 
     dupe = tmp_path / "dupe.jsonl"
     dupe.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[1] + "\n")
-    with pytest.raises(IndexFormatError) as exc_info:
-        load_index(dupe)
+    exc_info = _refused(dupe, IndexFormatError)
     assert exc_info.value.line == 3
 
 
@@ -393,8 +396,7 @@ def test_load_index_rejects_unsorted_or_repeated_lists(
     else:
         record[name] = record[name][::-1]
     path = _edited_index(tmp_path, header, json.dumps(record), damage)
-    with pytest.raises(IndexFormatError, match=f"{name} must be sorted and distinct") as exc_info:
-        load_index(path)
+    exc_info = _refused(path, IndexFormatError, f"{name} must be sorted and distinct")
     assert exc_info.value.line == 2
 
 
@@ -413,9 +415,31 @@ def test_load_index_checks_record_scheme_and_k(detector, corpus_docs, tmp_path, 
     header, line = _index_lines(detector, corpus_docs, tmp_path)[:2]
     record = {**json.loads(line), **edit}
     path = _edited_index(tmp_path, header, json.dumps(record), "edited")
-    with pytest.raises(IndexFormatError) as exc_info:
-        load_index(path)
+    exc_info = _refused(path, IndexFormatError)
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("kick", "must be a list of strings"),
+        ({}, "must be a list of strings"),
+        ([7], "must be a list of strings"),
+        ([1, 2], "must be a list of strings"),
+        ([None, "a"], "must be a list of strings"),
+        (["a", 7], "must be a list of strings"),
+        (["a", ["b"]], "must be a list of strings"),
+        (["b", "a", 7], "must be a list of strings"),
+        (["a", "a"], "must be sorted and distinct"),
+        (["b", "a"], "must be sorted and distinct"),
+    ],
+)
+def test_load_index_names_the_first_list_fault(detector, corpus_docs, tmp_path, value, message):
+    header, line = _index_lines(detector, corpus_docs, tmp_path)[:2]
+    record = {**json.loads(line), "keywords": value}
+    path = _edited_index(tmp_path, header, json.dumps(record), "list")
+    exc_info = _refused(path, IndexFormatError)
+    assert str(exc_info.value) == f"line 2: keywords {message}"
 
 
 def test_load_index_header_without_k_char(detector, corpus_docs, tmp_path):
@@ -423,8 +447,7 @@ def test_load_index_header_without_k_char(detector, corpus_docs, tmp_path):
     head = json.loads(header)
     del head["config"]["k_char"]
     path = _edited_index(tmp_path, json.dumps(head), line, "no_k_char")
-    with pytest.raises(IndexFormatError, match="k must equal") as exc_info:
-        load_index(path)
+    exc_info = _refused(path, IndexFormatError, "k must equal")
     assert exc_info.value.line == 2
 
 
@@ -433,8 +456,7 @@ def test_load_index_schema_must_be_int(detector, corpus_docs, tmp_path, schema):
     header, line = _index_lines(detector, corpus_docs, tmp_path)[:2]
     head = {**json.loads(header), "schema": schema}
     path = _edited_index(tmp_path, json.dumps(head), line, "schema")
-    with pytest.raises(IndexFormatError, match="schema must be an integer") as exc_info:
-        load_index(path)
+    exc_info = _refused(path, IndexFormatError, "schema must be an integer")
     assert exc_info.value.line == 1
 
 
@@ -473,6 +495,15 @@ def test_rank_ties_break_by_doc_id(detector):
     index = detector.build_index(docs)
     ranked = detector.rank_candidates(detector.document("s", "identical words here."), index)
     assert [doc_id for doc_id, _ in ranked] == ["alpha", "zeta"]
+
+
+def test_rank_scores_an_entry_whose_bound_ties_the_cut(detector):
+    # "alpha" comes second, and its bound only ties the score of "zeta",
+    # already held; it still wins the one place by id.
+    docs = [detector.document(doc_id, "identical words here.") for doc_id in ("zeta", "alpha")]
+    index = detector.build_index(docs)
+    ranked = detector.rank_candidates(detector.document("s", "identical words here."), index, 1)
+    assert [doc_id for doc_id, _ in ranked] == ["alpha"]
 
 
 def test_rank_top_n_cap(detector, corpus_docs):
@@ -660,6 +691,49 @@ def test_rank_equals_full_ranking_cut_to_n(cfg, texts, data):
     top_n = data.draw(st.none() | st.integers(0, len(texts) + 1))
     # FeatureReport equality compares every field, `combined` by ==.
     assert det.rank_candidates(susp, index, top_n) == full_ranking(det, susp, index)[:top_n]
+
+
+@settings(max_examples=150)
+@given(finite_configs(), st.lists(doc_texts, max_size=5), st.data())
+def test_scan_index_equals_rank_candidates_on_the_saved_index(cfg, texts, data):
+    det = Detector(cfg)
+    if texts:
+        texts = texts + data.draw(st.lists(st.sampled_from(texts), max_size=3))
+    index = det.build_index(det.document(f"d{i}", text) for i, text in enumerate(texts))
+    suspect_texts = st.one_of(doc_texts, st.sampled_from(texts)) if texts else doc_texts
+    susp = det.document("s", data.draw(suspect_texts))
+    top_n = data.draw(st.none() | st.integers(0, len(texts) + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "idx.jsonl")
+        save_index(index, path)
+        scanned = det.scan_index(susp, path, top_n)
+        assert scanned == det.rank_candidates(susp, load_index(path), top_n)
+    assert scanned == full_ranking(det, susp, index)[:top_n]
+
+
+def test_scan_index_holds_one_record_at_a_time(tmp_path):
+    """Scanning a 60-document index peaks below a quarter of loading it."""
+    rng = random.Random(1)
+    vocabulary = [
+        "".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 10))) for _ in range(2000)
+    ]
+
+    def text(sentences):
+        return " ".join(" ".join(rng.choices(vocabulary, k=12)) + "." for _ in range(sentences))
+
+    det = Detector()
+    path = tmp_path / "idx.jsonl"
+    save_index(det.build_index(det.document(f"d{i:02}", text(40)) for i in range(60)), path)
+    susp = det.document("s", text(5))
+    peaks = []
+    for read in (lambda: load_index(path), lambda: det.scan_index(susp, path, 10)):
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 4, peaks
 
 
 def test_rank_finds_a_match_that_only_gram_features_show():
