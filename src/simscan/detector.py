@@ -507,12 +507,8 @@ def _stored_strings(name: str, value: object, line: int) -> tuple[str, ...]:
                 return tuple(value)
         except TypeError:
             pass
-    if not isinstance(value, list):
+    if not isinstance(value, list) or not all(type(item) is str for item in value):
         raise IndexFormatError(f"{name} must be a list of strings", line)
-    try:
-        "".join(value)  # raises TypeError unless every item is a string
-    except TypeError:
-        raise IndexFormatError(f"{name} must be a list of strings", line) from None
     raise IndexFormatError(f"{name} must be sorted and distinct", line)
 
 
