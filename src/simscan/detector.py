@@ -21,6 +21,7 @@ import heapq
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from operator import lt
 from pathlib import Path
@@ -48,6 +49,7 @@ from .fingerprint import (
     NOT_APPLICABLE,
     QUERY_PHRASE,
     STATEMENT,
+    STATEMENT_GRAM_COUNT,
     STATEMENT_GRAM_LEN,
     TOP_KEYWORD,
     TRIGRAM,
@@ -78,6 +80,10 @@ INDEX_UNAVAILABLE = frozenset({LCS_F, FULL_CHAR, TRIGRAM})
 INDEX_SCHEMA = 1
 
 _EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
+# The forms `save_index` writes: a sha256 hex digest, and sentence keys of
+# STATEMENT_GRAM_COUNT grams of STATEMENT_GRAM_LEN characters each.
+_DIGEST_FORM = re.compile("[0-9a-f]{64}")
+_KEY_LEN = STATEMENT_GRAM_COUNT * STATEMENT_GRAM_LEN
 
 
 class IndexVersionError(Exception):
@@ -322,21 +328,33 @@ class Detector:
         return grams, keys, top_keywords(doc, self.config.k_top).terms
 
     def _outcomes(
-        self, ref: Reference, suspect: Suspect, gram_count: Callable[..., Counts] = overlap
+        self,
+        ref: Reference,
+        suspect: Suspect,
+        gram_count: Callable[..., Counts] = overlap,
+        bound: Mapping[str, Outcome] | None = None,
     ) -> dict[str, Outcome]:
         """The value pass: statement's and every enabled feature's outcome.
 
         The token-stream features are not applicable to a reference without
         its document.  `gram_count` counts the key-sentence gram features
-        (`overlap_bound` gives their upper bounds instead).
+        (`overlap_bound` gives their upper bounds instead).  `bound`, when
+        given, is this pair's pass under `overlap_bound`: every other
+        outcome there is exact and is kept, and only the gram features are
+        counted again.
         """
         cfg = self.config
         entry, ref_doc, cues = ref
         susp, keys, keywords, grams = suspect
         ref_empty = entry.token_digest == _EMPTY_DIGEST
         ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
-        outcomes = {STATEMENT: overlap(entry.fingerprints, keys)}
-        for name in cfg.features:
+        if bound is None:
+            outcomes = {STATEMENT: overlap(entry.fingerprints, keys)}
+            names = cfg.features
+        else:
+            outcomes = dict(bound)
+            names = [name for name in cfg.features if name in ref_grams]
+        for name in names:
             if name == TOP_KEYWORD:
                 outcomes[name] = overlap(entry.keywords, keywords)
             elif name in ref_grams:
@@ -444,13 +462,14 @@ class Detector:
         best: list[_Ranked] = []  # min-heap of the n best so far; the worst is best[0]
         for entry in entries:
             ref = Reference(entry)
-            if len(best) == n and (
-                n == 0
-                or _combine(self._outcomes(ref, suspect, overlap_bound), weights)
-                < best[0].combined
-            ):
-                continue
-            outcomes = self._outcomes(ref, suspect)
+            bound = None
+            if len(best) == n:
+                if n == 0:
+                    continue
+                bound = self._outcomes(ref, suspect, overlap_bound)
+                if _combine(bound, weights) < best[0].combined:
+                    continue
+            outcomes = self._outcomes(ref, suspect, bound=bound)
             ranked = _Ranked(_combine(outcomes, weights), entry.doc_id, outcomes)
             if len(best) < n:
                 heapq.heappush(best, ranked)
@@ -527,6 +546,10 @@ def _entry_from_record(record: dict, line: int, k_char: object) -> IndexEntry:
     if type(k) is not int or k != k_char:
         raise IndexFormatError(f"k must equal the header's k_char {k_char!r}", line)
     lists = {name: _stored_strings(name, value, line) for name, value in lists.items()}
+    if not all(map(_KEY_LEN.__eq__, map(len, lists["fingerprints"]))):
+        raise IndexFormatError(f"fingerprint keys must be {_KEY_LEN} characters long", line)
+    if not _DIGEST_FORM.fullmatch(digest):
+        raise IndexFormatError("token_digest must be 64 lowercase hex digits", line)
     return IndexEntry(doc_id=doc_id, token_digest=digest, **lists)
 
 

@@ -75,7 +75,8 @@ def top_keywords(doc: Document, k_top: int = DEFAULT_K_TOP) -> KeywordSet:
     if not _is_int(k_top) or k_top < 1:
         raise ValueError(f"k_top must be an int >= 1, got {k_top!r}")
     counts = Counter(doc.content_tokens)
-    ranked = sorted(counts, key=lambda term: (-counts[term], term))
+    # A reverse sort is still stable, so equal counts keep alphabetical order.
+    ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
     return KeywordSet(frozenset(ranked[:k_top]))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from types import MappingProxyType
 from typing import AbstractSet, Collection, Mapping, NamedTuple
 
@@ -235,16 +236,28 @@ def document_fingerprints(
     paper's weights x_i = m_i / sum(m_j) do, since those share one
     denominator; `tests/fingerprint_oracle.py` ranks by the exact weights.
     `grams`, when given, must be `document_grams(doc, STATEMENT_GRAM_LEN)`.
+
+    Every gram counts at least 1, and a gram of count 1 occurs once in the
+    document, so it is distinct and its first occurrence is its only one:
+    the ranking puts the once-seen grams first, in sentence order.  So the
+    first three once-seen grams are the key, and the sort runs only for a
+    sentence with fewer.
     """
     grams = document_grams(doc, STATEMENT_GRAM_LEN) if grams is None else grams
     count = grams.counts.__getitem__
+    once = (1).__eq__
     fingerprints = []
     for index, sentence in enumerate(grams.sentences):
-        distinct = dict.fromkeys(sentence)
-        if len(distinct) >= STATEMENT_GRAM_COUNT:
+        ranked = list(
+            islice(compress(sentence, map(once, map(count, sentence))), STATEMENT_GRAM_COUNT)
+        )
+        if len(ranked) < STATEMENT_GRAM_COUNT:
+            distinct = dict.fromkeys(sentence)
+            if len(distinct) < STATEMENT_GRAM_COUNT:
+                continue
             # A stable sort over first-occurrence order breaks ties by position.
             ranked = sorted(distinct, key=count)[:STATEMENT_GRAM_COUNT]
-            fingerprints.append(SentenceFingerprint(index, "".join(ranked)))
+        fingerprints.append(SentenceFingerprint(index, "".join(ranked)))
     return tuple(fingerprints)
 
 

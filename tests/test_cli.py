@@ -398,6 +398,8 @@ def test_scan_rejects_hand_edited_index(workspace, capsys):
         "schema-float": ({"schema": 1.0}, {}),
         "id-number": ({}, {"id": 7}),
         "digest-list": ({}, {"token_digest": [record["token_digest"]]}),
+        "digest-upper": ({}, {"token_digest": record["token_digest"].upper()}),
+        "key-short": ({}, {"fingerprints": sorted(["abcd", *record["fingerprints"]])}),
     }
     contents = {
         name: [json.dumps({**header, **head_edit}), json.dumps({**record, **record_edit})]

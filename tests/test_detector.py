@@ -3,10 +3,12 @@
 import json
 import os
 import random
+import re
 import string
 import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -451,6 +453,52 @@ def test_load_index_header_without_k_char(detector, corpus_docs, tmp_path):
     assert exc_info.value.line == 2
 
 
+HEX = "0123456789abcdef"
+# Digests that are not 64 lowercase hex digits: any text, the wrong length,
+# a valid digest with more after it, or one digit swapped for another
+# character (an uppercase one among them).
+hex_digests = st.text(HEX, min_size=64, max_size=64)
+bad_digests = st.one_of(
+    st.text(max_size=80),
+    st.text(HEX, max_size=80),
+    st.builds(str.__add__, hex_digests, st.text(min_size=1, max_size=8)),
+    st.builds(
+        lambda digest, at, char: digest[:at] + char + digest[at + 1 :],
+        hex_digests,
+        st.integers(0, 63),
+        st.one_of(st.sampled_from("ABCDEFg \n"), st.characters()),
+    ),
+).filter(lambda digest: re.fullmatch("[0-9a-f]{64}", digest) is None)
+# Sorted distinct keys: one shorter or longer than 12 characters among keys of 12.
+bad_key_lists = st.builds(
+    lambda bad, keys: sorted({bad, *keys}),
+    st.one_of(st.text(max_size=11), st.text(min_size=13, max_size=40)),
+    st.lists(st.text(min_size=12, max_size=12), max_size=3),
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("token_digest"), bad_digests),
+        st.tuples(st.just("fingerprints"), bad_key_lists),
+    )
+)
+def test_load_index_refuses_a_digest_or_key_that_save_index_cannot_write(edit):
+    # The edited record passes every other check: its lists stay sorted and
+    # distinct strings, its digest a string.
+    name, value = edit
+    det = Detector()
+    with tempfile.TemporaryDirectory() as tmp:
+        header, line = _index_lines(det, [det.document("a", CORPUS["b"])], Path(tmp))
+        path = _edited_index(Path(tmp), header, json.dumps({**json.loads(line), name: value}), "x")
+        exc_info = _refused(path, IndexFormatError)
+    message = {
+        "token_digest": "token_digest must be 64 lowercase hex digits",
+        "fingerprints": "fingerprint keys must be 12 characters long",
+    }[name]
+    assert str(exc_info.value) == f"line 2: {message}"
+
+
 @pytest.mark.parametrize("schema", [True, 1.0, "1"])
 def test_load_index_schema_must_be_int(detector, corpus_docs, tmp_path, schema):
     header, line = _index_lines(detector, corpus_docs, tmp_path)[:2]
@@ -778,6 +826,44 @@ def test_rank_skips_gram_intersections_that_cannot_reach_the_top(monkeypatch):
     assert len(intersected) < len(index.entries)
     assert ranked == full_ranking(det, susp, index)[:1]
     assert ranked[0][0] == "copy"
+
+
+def test_rank_counts_statement_and_keywords_once_per_entry(monkeypatch):
+    # Each reference shares more of the suspect than the one before it, so
+    # with top_n=1 every entry after the first passes its bound and is then
+    # scored exactly; the exact pass keeps the bound pass's two counts.
+    det = Detector()
+    sentences = [
+        "Sentence alpha is about goals and keepers.",
+        "Sentence bravo covers penalty kicks.",
+        "Sentence charlie explains offside rules.",
+    ]
+    docs = [det.document(doc_id, " ".join(sentences[: i + 1])) for i, doc_id in enumerate("abc")]
+    index = det.build_index(docs)
+    susp = det.document("s", " ".join(sentences))
+    expected = full_ranking(det, susp, index)
+    assert [doc_id for doc_id, _ in expected] == ["c", "b", "a"]
+    counted, bounded = [], []
+    original, original_bound = simscan.detector.overlap, simscan.detector.overlap_bound
+
+    def counting(a, b):
+        counted.append(a)
+        return original(a, b)
+
+    def counting_bound(a, b):
+        bounded.append(a)
+        return original_bound(a, b)
+
+    monkeypatch.setattr(simscan.detector, "overlap", counting)
+    monkeypatch.setattr(simscan.detector, "overlap_bound", counting_bound)
+    ranked = det.rank_candidates(susp, index, top_n=1)
+    assert ranked == expected[:1]
+    entries = index.entries
+    assert [entry.first_grams for entry in (entries["b"], entries["c"])] == bounded
+    for entry in entries.values():
+        assert entry.fingerprints and entry.keywords
+        assert sum(a is entry.fingerprints for a in counted) == 1
+        assert sum(a is entry.keywords for a in counted) == 1
 
 
 @given(st.one_of(doc_texts, st.text(max_size=200)), st.integers(1, 6))

@@ -1,5 +1,7 @@
 """The four detection features."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -56,6 +58,20 @@ def test_top_keywords_by_frequency_then_alphabet():
     # all equal frequency: alphabetical order decides
     tie = document("t", "delta alpha charlie.", frozenset())
     assert top_keywords(tie, 1).terms == {"alpha"}
+
+
+# Few distinct words in many repeats, so most counts tie.
+tied_word_texts = st.lists(
+    st.sampled_from(["ball", "goal", "kick", "team", "park", "zone", "bank"]), max_size=30
+).map(" ".join)
+
+
+@given(tied_word_texts, st.integers(1, 8))
+def test_top_keywords_match_a_count_then_term_oracle(text, k_top):
+    doc = document("d", text, frozenset())
+    counts = Counter(doc.content_tokens)
+    expected = sorted(counts, key=lambda term: (-counts[term], term))[:k_top]
+    assert top_keywords(doc, k_top).terms == frozenset(expected)
 
 
 def test_top_keywords_rejects_a_k_top_that_is_not_an_int_from_1():

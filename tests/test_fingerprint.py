@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from fingerprint_oracle import gram_weights, weighted_fingerprints
-from hypothesis import example, given
+from hypothesis import example, find, given
 from hypothesis import strategies as st
 
 from simscan.fingerprint import (
@@ -269,11 +269,53 @@ def test_document_fingerprints_key_length():
         assert len(fp.key) == STATEMENT_GRAM_COUNT * STATEMENT_GRAM_LEN == 12
 
 
-# Sentences of short words over three letters, so grams repeat unevenly.
-short_words = st.sampled_from(["ab", "ba", "abc", "cab", "bb", "a"])
+def once_seen(doc):
+    """How many 4-grams of each sentence occur once in the whole document."""
+    grams = document_grams(doc, STATEMENT_GRAM_LEN)
+    return [sum(grams.counts[gram] == 1 for gram in sentence) for sentence in grams.sentences]
+
+
+@pytest.mark.parametrize(
+    "text, once, keys",
+    [
+        # Every sentence has three or more once-seen grams: the first three are the key.
+        (
+            "The quick brown fox jumps. Pack my box with jugs.",
+            [18, 14],
+            ["theqhequequi", "packackmckmy"],
+        ),
+        # The second sentence has two once-seen grams, icke and cked; the third
+        # gram is the first of its count-2 grams, goal, by position.
+        ("Goal kicks. Goal kicked.", [1, 2], ["icksgoaloalk", "ickeckedgoal"]),
+        # A repeated sentence has none: the first three of its count-2 grams.
+        ("Soccer game. Soccer game.", [0, 0], ["soccocceccer", "soccocceccer"]),
+    ],
+    ids=["three-once-seen", "two-once-seen", "none-once-seen"],
+)
+def test_document_fingerprints_on_both_paths_match_exact_weights(text, once, keys):
+    doc = document("d", text, frozenset())
+    assert once_seen(doc) == once
+    assert document_fingerprints(doc) == tuple(enumerate(keys)) == weighted_fingerprints(doc)
+
+
+# Sentences over three letters, so grams repeat unevenly; the short words make
+# sentences with few once-seen grams, the longer ones sentences with many.
+short_words = st.sampled_from(["ab", "ba", "abc", "cab", "bb", "a", "bacab", "cabbage", "abcabba"])
 gram_texts = st.lists(
     st.lists(short_words, min_size=1, max_size=8).map(" ".join), max_size=4
 ).map(". ".join)
+
+
+@pytest.mark.parametrize("short_cut", [True, False])
+def test_gram_texts_draw_sentences_on_both_fingerprint_paths(short_cut):
+    # A keyed sentence with three once-seen grams takes the short cut; one
+    # with fewer falls back to the count sort.
+    def has_path(text):
+        doc = document("d", text, frozenset())
+        counts = once_seen(doc)
+        return any((counts[fp.sentence_index] >= 3) == short_cut for fp in document_fingerprints(doc))
+
+    find(gram_texts, has_path)
 
 
 @given(gram_texts)
