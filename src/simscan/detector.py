@@ -546,7 +546,7 @@ def _entry_from_record(record: dict, line: int, k_char: object) -> IndexEntry:
     if type(k) is not int or k != k_char:
         raise IndexFormatError(f"k must equal the header's k_char {k_char!r}", line)
     lists = {name: _stored_strings(name, value, line) for name, value in lists.items()}
-    if not all(map(_KEY_LEN.__eq__, map(len, lists["fingerprints"]))):
+    if not set(map(len, lists["fingerprints"])) <= {_KEY_LEN}:
         raise IndexFormatError(f"fingerprint keys must be {_KEY_LEN} characters long", line)
     if not _DIGEST_FORM.fullmatch(digest):
         raise IndexFormatError("token_digest must be 64 lowercase hex digits", line)
