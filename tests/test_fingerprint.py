@@ -298,11 +298,11 @@ def test_document_fingerprints_on_both_paths_match_exact_weights(text, once, key
     assert document_fingerprints(doc) == tuple(enumerate(keys)) == weighted_fingerprints(doc)
 
 
-# Sentences over three letters, so grams repeat unevenly; the short words make
+# Sentences over a few letters, so grams repeat unevenly; the short words make
 # sentences with few once-seen grams, the longer ones sentences with many.
-short_words = st.sampled_from(["ab", "ba", "abc", "cab", "bb", "a", "bacab", "cabbage", "abcabba"])
+gram_words = st.sampled_from(["ab", "ba", "abc", "cab", "bb", "a", "bacab", "cabbage", "abcabba"])
 gram_texts = st.lists(
-    st.lists(short_words, min_size=1, max_size=8).map(" ".join), max_size=4
+    st.lists(gram_words, min_size=1, max_size=8).map(" ".join), max_size=4
 ).map(". ".join)
 
 
