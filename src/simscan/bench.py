@@ -9,8 +9,9 @@ per pair and stored bytes per document.  Storage is counted as:
 * statement: 12 bytes (three 4-grams) per fingerprinted sentence,
 * features: UTF-8 bytes of the serialized index record.
 
-The features scheme scores with `Detector._score`, as `compare` does;
-`scan` ranks with the same value pass and report builder.
+The features scheme builds each document's reference and suspect as
+`compare` does and scores them with `Detector._score`; `scan` ranks with
+the same value pass and report builder.
 
 Measurement only; nothing here passes or fails.
 """
@@ -83,8 +84,8 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
     tri_bytes = sum(len(g.encode("utf-8")) for t in trigrams for g in t)
     rows.append(_row(TRIGRAM, n, trigrams, jaccard, tri_bytes))
 
-    # Each document as a reference and as a suspect: it is scored as either side.
-    profiles = [detector._sides(doc) for doc in docs]
+    # Each document as a reference and as a suspect, built as `compare` builds them.
+    profiles = [(detector._reference(doc), detector._suspect(doc)) for doc in docs]
 
     # `_suspect` already holds each document's statement fingerprint keys.
     keys = [suspect.keys for _, suspect in profiles]

@@ -34,7 +34,6 @@ from .features import (
     check_beta,
     cue_sentences,
     first_sentence,
-    gram_outcome,
     lcs_similarity,
     load_query_phrases,
     sentence_grams,
@@ -43,6 +42,7 @@ from .features import (
 from .fingerprint import (
     ALL_FEATURES,
     DEFAULT_FEATURES,
+    DEGENERATE,
     FIRST_SENTENCE,
     FULL_CHAR,
     LCS_F,
@@ -209,10 +209,6 @@ class Suspect(NamedTuple):
     grams: frozenset[str]
 
 
-# A document's `k_char` grams, fingerprint keys and keywords (`Detector._artifacts`).
-_Artifacts = tuple[GramMultiset, frozenset[str], frozenset[str]]
-
-
 class _Ranked(NamedTuple):
     """An exactly scored entry; `<` means worse: a lower score, or a later id on a tie."""
 
@@ -284,12 +280,6 @@ class Detector:
         cues = cue_sentences(doc, self.phrases)
         return Reference(self.entry(doc, cues), doc, cues)
 
-    def _sides(self, doc: Document) -> tuple[Reference, Suspect]:
-        """`_reference(doc)` and `_suspect(doc)` from one `_artifacts` pass."""
-        cues = cue_sentences(doc, self.phrases)
-        artifacts = self._artifacts(doc)
-        return Reference(self._entry(doc, cues, artifacts), doc, cues), self._suspect(doc, artifacts)
-
     def entry(self, doc: Document, cues: tuple[int, ...] | None = None) -> IndexEntry:
         """The persisted artifacts of one document.
 
@@ -297,11 +287,7 @@ class Detector:
         """
         if cues is None:
             cues = cue_sentences(doc, self.phrases)
-        return self._entry(doc, cues, self._artifacts(doc))
-
-    def _entry(self, doc: Document, cues: tuple[int, ...], artifacts: _Artifacts) -> IndexEntry:
-        """`entry` from the document's cue sentences and `_artifacts`."""
-        grams, keys, keywords = artifacts
+        grams, keys, keywords = self._artifacts(doc)
         return IndexEntry(
             doc_id=doc.id,
             fingerprints=tuple(sorted(keys)),
@@ -313,12 +299,12 @@ class Detector:
             ).hexdigest(),
         )
 
-    def _suspect(self, susp: Document, artifacts: _Artifacts | None = None) -> Suspect:
-        """The suspect with its keys, keywords and gram set, from its `_artifacts` if given."""
-        grams, keys, keywords = self._artifacts(susp) if artifacts is None else artifacts
+    def _suspect(self, susp: Document) -> Suspect:
+        """The suspect with its keys, keywords and gram set."""
+        grams, keys, keywords = self._artifacts(susp)
         return Suspect(susp, keys, keywords, grams.gram_set())
 
-    def _artifacts(self, doc: Document) -> _Artifacts:
+    def _artifacts(self, doc: Document) -> tuple[GramMultiset, frozenset[str], frozenset[str]]:
         """The `k_char` grams, fingerprint keys and keywords; one gram pass if `k_char` is 4."""
         grams = document_grams(doc, STATEMENT_GRAM_LEN)
         keys = fingerprint_keys(doc, grams=grams)
@@ -328,37 +314,34 @@ class Detector:
         return grams, keys, top_keywords(doc, self.config.k_top).terms
 
     def _outcomes(
-        self,
-        ref: Reference,
-        suspect: Suspect,
-        gram_count: Callable[..., Counts] = overlap,
-        bound: Mapping[str, Outcome] | None = None,
+        self, ref: Reference, suspect: Suspect, gram_count: Callable[..., Counts] = overlap
     ) -> dict[str, Outcome]:
         """The value pass: statement's and every enabled feature's outcome.
 
         The token-stream features are not applicable to a reference without
-        its document.  `gram_count` counts the key-sentence gram features
-        (`overlap_bound` gives their upper bounds instead).  `bound`, when
-        given, is this pair's pass under `overlap_bound`: every other
-        outcome there is exact and is kept, and only the gram features are
-        counted again.
+        its document.  first_sentence and query_phrase share one rule: a
+        Jaccard of the reference's key-sentence grams and the suspect's
+        grams, counted by `gram_count` (`overlap_bound` gives its upper bound
+        instead).  A reference without sentences is degenerate.  A non-empty
+        reference whose cue-phrase sentences provide no grams (no hits at
+        all, or hits too short for a gram) makes query_phrase not
+        applicable, so the combiner drops it instead of counting a zero.
         """
         cfg = self.config
         entry, ref_doc, cues = ref
         susp, keys, keywords, grams = suspect
         ref_empty = entry.token_digest == _EMPTY_DIGEST
         ref_grams = {FIRST_SENTENCE: entry.first_grams, QUERY_PHRASE: entry.query_grams}
-        if bound is None:
-            outcomes = {STATEMENT: overlap(entry.fingerprints, keys)}
-            names = cfg.features
-        else:
-            outcomes = dict(bound)
-            names = [name for name in cfg.features if name in ref_grams]
-        for name in names:
+        outcomes = {STATEMENT: overlap(entry.fingerprints, keys)}
+        for name in cfg.features:
             if name == TOP_KEYWORD:
                 outcomes[name] = overlap(entry.keywords, keywords)
+            elif name in ref_grams and ref_empty:
+                outcomes[name] = DEGENERATE
+            elif name == QUERY_PHRASE and not entry.query_grams:
+                outcomes[name] = NOT_APPLICABLE
             elif name in ref_grams:
-                outcomes[name] = gram_outcome(name, ref_grams[name], grams, ref_empty, gram_count)
+                outcomes[name] = gram_count(ref_grams[name], grams)
             elif name in INDEX_UNAVAILABLE and ref_doc is None:
                 outcomes[name] = NOT_APPLICABLE
             elif name == LCS_F:
@@ -462,14 +445,13 @@ class Detector:
         best: list[_Ranked] = []  # min-heap of the n best so far; the worst is best[0]
         for entry in entries:
             ref = Reference(entry)
-            bound = None
-            if len(best) == n:
-                if n == 0:
-                    continue
-                bound = self._outcomes(ref, suspect, overlap_bound)
-                if _combine(bound, weights) < best[0].combined:
-                    continue
-            outcomes = self._outcomes(ref, suspect, bound=bound)
+            if len(best) == n and (
+                n == 0
+                or _combine(self._outcomes(ref, suspect, overlap_bound), weights)
+                < best[0].combined
+            ):
+                continue
+            outcomes = self._outcomes(ref, suspect)
             ranked = _Ranked(_combine(outcomes, weights), entry.doc_id, outcomes)
             if len(best) < n:
                 heapq.heappush(best, ranked)

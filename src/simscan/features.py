@@ -17,17 +17,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Callable, Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .fingerprint import (
-    DEGENERATE,
-    NOT_APPLICABLE,
-    QUERY_PHRASE,
-    Counts,
-    Outcome,
-    ResemblanceScore,
-    overlap,
-)
+from .fingerprint import DEGENERATE, ResemblanceScore
 from .kernels import lcs_length, match_masks
 from .textprep import Document, list_entries
 
@@ -113,28 +105,6 @@ def key_sentence_indices(
 def sentence_grams(sentences: Sequence[Iterable[str]], indices: Iterable[int]) -> frozenset[str]:
     """The union of the listed sentences' grams (`document_grams(...).sentences`)."""
     return frozenset().union(*(sentences[i] for i in indices))
-
-
-def gram_outcome(
-    feature: str,
-    ref_grams: Collection[str],
-    susp_grams: AbstractSet[str],
-    ref_empty: bool,
-    count: Callable[[Collection[str], AbstractSet[str]], Counts] = overlap,
-) -> Outcome:
-    """The one rule behind first_sentence and query_phrase.
-
-    A Jaccard of a reference's key-sentence grams and the suspect's grams,
-    counted by `count`.  A reference without sentences (`ref_empty`) is
-    degenerate.  A non-empty reference whose cue-phrase sentences provide no
-    grams (no hits at all, or hits too short for a gram) makes query_phrase
-    not applicable, so the combiner drops it instead of counting a zero.
-    """
-    if ref_empty:
-        return DEGENERATE
-    if feature == QUERY_PHRASE and not ref_grams:
-        return NOT_APPLICABLE
-    return count(ref_grams, susp_grams)
 
 
 def _is_int(value: object) -> bool:

@@ -1,7 +1,6 @@
 """The scheme micro-benchmark."""
 
 import simscan.bench
-import simscan.fingerprint
 from simscan.bench import FEATURES_SCHEME, SCHEMES, run_bench
 from simscan.detector import Detector, save_index
 
@@ -12,41 +11,6 @@ TEXTS = (
     "In conclusion, the keeper saved the penalty kick.",
     "",
 )
-
-
-def test_run_bench_builds_each_document_once(monkeypatch):
-    det = Detector()
-    docs = [det.document(f"d{i}", text) for i, text in enumerate(TEXTS)]
-    calls = {"_artifacts": [], "_entry": [], "_suspect": []}
-    for name, ids in calls.items():
-        original = getattr(Detector, name)
-
-        def counted(self, doc, *args, original=original, ids=ids):
-            ids.append(doc.id)
-            return original(self, doc, *args)
-
-        monkeypatch.setattr(Detector, name, counted)
-    rows = run_bench(docs, det)
-    assert [row.scheme for row in rows] == list(SCHEMES)
-    assert all(row.pairs == len(docs) * (len(docs) - 1) for row in rows)
-    for ids in calls.values():
-        assert sorted(ids) == [doc.id for doc in docs]
-
-
-def test_run_bench_fingerprints_each_document_once(monkeypatch):
-    """One pass serves its IndexEntry and its suspect-side keys."""
-    det = Detector()
-    docs = [det.document(f"d{i}", text) for i, text in enumerate(TEXTS)]
-    ids = []
-    original = simscan.fingerprint.document_fingerprints
-
-    def counted(doc, *args):
-        ids.append(doc.id)
-        return original(doc, *args)
-
-    monkeypatch.setattr(simscan.fingerprint, "document_fingerprints", counted)
-    run_bench(docs, det)
-    assert sorted(ids) == [doc.id for doc in docs]
 
 
 def test_run_bench_scores_the_reference_and_suspect_that_compare_builds(monkeypatch):
@@ -61,7 +25,9 @@ def test_run_bench_scores_the_reference_and_suspect_that_compare_builds(monkeypa
         return original(scheme, n, artifacts, *args)
 
     monkeypatch.setattr(simscan.bench, "_row", recorded)
-    run_bench(docs, det)
+    rows = run_bench(docs, det)
+    assert [row.scheme for row in rows] == list(SCHEMES)
+    assert all(row.pairs == len(docs) * (len(docs) - 1) for row in rows)
     assert scored[FEATURES_SCHEME] == [(det._reference(doc), det._suspect(doc)) for doc in docs]
 
 

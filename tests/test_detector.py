@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import simscan.detector
@@ -26,12 +26,13 @@ from simscan.detector import (
     IndexFormatError,
     IndexVersionError,
     Reference,
+    _combine,
     load_index,
     save_index,
 )
 from simscan.cli import dumps_fixed, report_dict
 from simscan.features import DEFAULT_QUERY_PHRASES, top_keywords
-from simscan.fingerprint import char_kgrams, fingerprint_keys
+from simscan.fingerprint import char_kgrams, fingerprint_keys, outcome_value, overlap_bound
 
 INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
@@ -828,10 +829,10 @@ def test_rank_skips_gram_intersections_that_cannot_reach_the_top(monkeypatch):
     assert ranked[0][0] == "copy"
 
 
-def test_rank_counts_statement_and_keywords_once_per_entry(monkeypatch):
+def test_rank_bounds_every_entry_after_the_first_and_keeps_the_best(monkeypatch):
     # Each reference shares more of the suspect than the one before it, so
-    # with top_n=1 every entry after the first passes its bound and is then
-    # scored exactly; the exact pass keeps the bound pass's two counts.
+    # with top_n=1 every entry after the first is bounded, passes its bound
+    # and is then scored exactly.
     det = Detector()
     sentences = [
         "Sentence alpha is about goals and keepers.",
@@ -843,27 +844,39 @@ def test_rank_counts_statement_and_keywords_once_per_entry(monkeypatch):
     susp = det.document("s", " ".join(sentences))
     expected = full_ranking(det, susp, index)
     assert [doc_id for doc_id, _ in expected] == ["c", "b", "a"]
-    counted, bounded = [], []
-    original, original_bound = simscan.detector.overlap, simscan.detector.overlap_bound
-
-    def counting(a, b):
-        counted.append(a)
-        return original(a, b)
+    bounded = []
+    original_bound = simscan.detector.overlap_bound
 
     def counting_bound(a, b):
         bounded.append(a)
         return original_bound(a, b)
 
-    monkeypatch.setattr(simscan.detector, "overlap", counting)
     monkeypatch.setattr(simscan.detector, "overlap_bound", counting_bound)
     ranked = det.rank_candidates(susp, index, top_n=1)
     assert ranked == expected[:1]
     entries = index.entries
     assert [entry.first_grams for entry in (entries["b"], entries["c"])] == bounded
-    for entry in entries.values():
-        assert entry.fingerprints and entry.keywords
-        assert sum(a is entry.fingerprints for a in counted) == 1
-        assert sum(a is entry.keywords for a in counted) == 1
+
+
+@settings(max_examples=300)
+@example(DetectorConfig(features=INDEX_AVAILABLE), "", "Kick the ball.")
+@example(DetectorConfig(features=INDEX_AVAILABLE), "Kick the ball. The goal.", "Kick the ball.")
+@given(finite_configs(), doc_texts, doc_texts)
+def test_bound_pass_bounds_the_exact_pass(cfg, ref_text, susp_text):
+    """`_rank`'s invariant: the bound pass differs from the exact one only by
+    raising gram counts, so its combined score is never lower."""
+    det = Detector(cfg)
+    doc = det.document("r", ref_text)
+    suspect = det._suspect(det.document("s", susp_text))
+    for ref in (Reference(det.entry(doc)), det._reference(doc)):
+        bound = det._outcomes(ref, suspect, overlap_bound)
+        exact = det._outcomes(ref, suspect)
+        assert bound.keys() == exact.keys()
+        for name, outcome in exact.items():
+            assert outcome_value(bound[name])[1] == outcome_value(outcome)[1], name
+            if name not in ("first_sentence", "query_phrase"):
+                assert bound[name] == outcome, name
+        assert _combine(bound, det._weights) >= _combine(exact, det._weights)
 
 
 @given(st.one_of(doc_texts, st.text(max_size=200)), st.integers(1, 6))
