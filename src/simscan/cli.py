@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__
 from .detector import (
@@ -29,11 +29,11 @@ from .detector import (
     IndexEntry,
     IndexFormatError,
     IndexVersionError,
-    save_index,
+    write_index,
 )
-from .detector import load_index  # noqa: F401  perfbench/tracer.py wraps cli.load_index
+from .detector import load_index, save_index  # noqa: F401  perfbench/tracer.py wraps both
 from .features import DEFAULT_GRAM_LEN, DEFAULT_K_TOP
-from .textprep import load_stopwords
+from .textprep import Document, load_stopwords
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,6 +48,10 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # So that a pool worker's fault reaches the parent as the same error.
+        return type(self), (self.code, str(self))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -139,17 +143,29 @@ def _discover(directory: str, recursive: bool) -> list[tuple[str, Path]]:
     if not directory or not root.is_dir():
         raise _CliError(EXIT_IO, f"not a directory: {directory!r}")
     pattern = "**/*.txt" if recursive else "*.txt"
-    files = sorted(p for p in root.glob(pattern) if p.is_file())
-    return [(p.relative_to(root).as_posix(), p) for p in files]
+    # Sorted by id, the order an index lists its records in; ids are distinct.
+    return sorted((p.relative_to(root).as_posix(), p) for p in root.glob(pattern) if p.is_file())
 
 
-def _corpus(args, build: Callable[[Detector, str, str], object]) -> tuple[Detector, list]:
-    """The detector and `build(det, doc_id, text)` of every corpus file, in id order.
+# The most files a pool worker takes at once.  A worker returns a chunk's
+# results together, so this bounds what it, and the parent waiting for an
+# earlier chunk, hold at one time.
+_CHUNK_FILES = 64
 
-    Files are built in-process unless at least two files and two jobs allow
-    a pool; the pool never has more workers than files.  It gets the files
-    in one contiguous chunk per worker, so the detector is unpickled once
-    per chunk rather than once per file.
+
+@contextlib.contextmanager
+def _corpus(
+    args, build: Callable[[Detector, str, str], object]
+) -> Iterator[tuple[Detector, Iterator]]:
+    """The detector and an iterator of `build(det, doc_id, path)` over the corpus, in id order.
+
+    `build` reads its own file, and the iterator builds each file as it is
+    asked for the next, so neither the texts nor the results are held
+    together.  Files are built in-process unless at least two files and two
+    jobs allow a pool; the pool never has more workers than files.  It gets
+    the files in contiguous chunks, one per worker up to `_CHUNK_FILES`
+    files each, so the detector is unpickled once per chunk rather than
+    once per file.
     """
     if args.jobs < 1:
         raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
@@ -159,20 +175,25 @@ def _corpus(args, build: Callable[[Detector, str, str], object]) -> tuple[Detect
         _diagnose(f"warning: no .txt files found in {args.directory!r}")
     dets = [det] * len(files)
     ids = [doc_id for doc_id, _ in files]
-    texts = [_read_text(str(path)) for _, path in files]
+    paths = [str(path) for _, path in files]
     jobs = min(args.jobs, len(files))
     if jobs < 2:
-        return det, list(map(build, dets, ids, texts))
+        yield det, map(build, dets, ids, paths)
+        return
     # Imported here: it loads multiprocessing, which a serial run never needs.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunksize = math.ceil(len(files) / jobs)
-        return det, list(pool.map(build, dets, ids, texts, chunksize=chunksize))
+        chunksize = min(math.ceil(len(files) / jobs), _CHUNK_FILES)
+        yield det, pool.map(build, dets, ids, paths, chunksize=chunksize)
 
 
-def _entry(det: Detector, doc_id: str, text: str) -> IndexEntry:
-    return det.entry(det.document(doc_id, text))
+def _document(det: Detector, doc_id: str, path: str) -> Document:
+    return det.document(doc_id, _read_text(path))
+
+
+def _entry(det: Detector, doc_id: str, path: str) -> IndexEntry:
+    return det.entry(_document(det, doc_id, path))
 
 
 def report_dict(report: FeatureReport) -> dict:
@@ -256,13 +277,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_index(args) -> int:
-    det, entries = _corpus(args, _entry)
-    index = det.index_from_entries(entries)
-    try:
-        save_index(index, args.out)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out!r}: {exc.strerror or exc}") from None
-    print(f"indexed {len(index.entries)} documents -> {args.out}", flush=True)
+    """Build and write one document at a time.
+
+    The index's temporary file is created before the first input is read,
+    so an output that cannot be written is reported ahead of any input fault.
+    """
+    with _corpus(args, _entry) as (det, entries):
+        try:
+            count = write_index(args.out, det.config_snapshot(), entries)
+        except OSError as exc:
+            raise _CliError(EXIT_IO, f"cannot write {args.out!r}: {exc.strerror or exc}") from None
+    print(f"indexed {count} documents -> {args.out}", flush=True)
     return EXIT_OK
 
 
@@ -290,7 +315,8 @@ def cmd_bench(args) -> int:
     # Imported here: only this command needs it.
     from .bench import format_table, run_bench
 
-    det, docs = _corpus(args, Detector.document)
+    with _corpus(args, _document) as (det, docs):
+        docs = list(docs)  # every pair is scored, so every document is kept
     rows = run_bench(docs, det)
     return _emit(args, lambda: [asdict(row) for row in rows], lambda: format_table(rows))
 

@@ -102,6 +102,13 @@ class IndexFormatError(Exception):
 # characters, so an unbounded k lets one long text exhaust memory.
 MAX_GRAM_LEN = 64
 
+# The range of a positive feature weight.  Feature values are 0 or ratios of
+# counts, far above 2**-500, so every weight * value product and every sum of
+# them in `_combine` stays a finite, normal float: scaling all weights by a
+# power of two leaves the combined score bit-identical, and equal weights
+# give the plain mean.
+MIN_WEIGHT, MAX_WEIGHT = 2.0**-500, 2.0**500
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -135,10 +142,17 @@ class DetectorConfig:
                 raise ValueError(f"weight for unknown feature: {name!r}")
             if isinstance(weight, bool) or not isinstance(weight, (int, float)):
                 raise ValueError(f"weight for {name} must be a number, got {weight!r}")
-            if not math.isfinite(weight):
-                raise ValueError(f"weight for {name} must be finite, got {weight}")
             if weight < 0:
                 raise ValueError(f"negative weight for {name}: {weight}")
+            try:
+                value = float(weight)  # what `weight()` returns
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            if not (value == 0 or MIN_WEIGHT <= value <= MAX_WEIGHT):
+                raise ValueError(
+                    f"weight for {name} must be 0 or a finite value in [2**-500, 2**500], "
+                    f"got {value}"
+                )
         total = sum(self.weight(name) for name in self.features)
         if not 0 < total < math.inf:
             raise ValueError(
@@ -374,18 +388,14 @@ class Detector:
         combined = _combine(outcomes, self._weights)
         return self._report(ref.entry.doc_id, suspect.doc.id, outcomes, combined)
 
-    def index_from_entries(self, entries: Iterable[IndexEntry]) -> CorpusIndex:
-        """Assemble an index from precomputed entries."""
-        keyed: dict[str, IndexEntry] = {}
-        for entry in entries:
-            if entry.doc_id in keyed:
-                raise ValueError(f"duplicate document id: {entry.doc_id!r}")
-            keyed[entry.doc_id] = entry
-        return CorpusIndex(config=self.config_snapshot(), entries=keyed)
-
     def build_index(self, docs: Iterable[Document]) -> CorpusIndex:
         """One entry per document; duplicate ids are an error."""
-        return self.index_from_entries(self.entry(doc) for doc in docs)
+        entries: dict[str, IndexEntry] = {}
+        for doc in docs:
+            if doc.id in entries:
+                raise ValueError(f"duplicate document id: {doc.id!r}")
+            entries[doc.id] = self.entry(doc)
+        return CorpusIndex(config=self.config_snapshot(), entries=entries)
 
     def rank_candidates(
         self, susp: Document, index: CorpusIndex, top_n: int | None = None
@@ -469,27 +479,44 @@ def dumps_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as line-delimited JSON with a header record.
+def write_index(
+    path: str | Path, config: Mapping[str, object], entries: Iterable[IndexEntry]
+) -> int:
+    """Write an index of `entries`, taken one at a time; returns how many were written.
 
-    The records stream into a new file beside `path` that then replaces it
-    in one step, so a failed write leaves any previous index intact.
+    The header and each record stream into a new file beside `path` that
+    then replaces it in one step, so a failed write, or a failure in
+    whatever yields `entries`, leaves any previous index intact.  Records
+    are written in the order given, so each entry's id must sort strictly
+    after the one before it; otherwise this raises ValueError.
     """
     path = Path(path)
     if not path.name:  # ".", "/" or "": no name to put a temporary file beside
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
-    header = {"schema": INDEX_SCHEMA, "config": dict(index.config)}
-    k = index.config["k_char"]
+    header = {"schema": INDEX_SCHEMA, "config": dict(config)}
+    k = config["k_char"]
+    count = 0
+    last = None
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(dumps_record(header) + "\n")
-            for doc_id in sorted(index.entries):
-                fh.write(dumps_record(index.entries[doc_id].record(k)) + "\n")
+            for entry in entries:
+                if last is not None and not last < entry.doc_id:
+                    raise ValueError(f"document id {entry.doc_id!r} does not sort after {last!r}")
+                fh.write(dumps_record(entry.record(k)) + "\n")
+                last = entry.doc_id
+                count += 1
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return count
+
+
+def save_index(index: CorpusIndex, path: str | Path) -> None:
+    """Write the index as line-delimited JSON with a header record, in id order."""
+    write_index(path, index.config, map(index.entries.__getitem__, sorted(index.entries)))
 
 
 _LISTS = ("fingerprints", "keywords", "first_grams", "query_grams")

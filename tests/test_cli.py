@@ -6,9 +6,12 @@ import errno
 import io
 import json
 import os
+import random
 import re
+import string
 import subprocess
 import sys
+import tracemalloc
 import uuid
 from pathlib import Path
 
@@ -136,6 +139,11 @@ def test_usage_errors_exit_1(workspace, capsys):
         ["compare", ref, ref, "--beta", "inf"],
         ["scan", ref, str(workspace / "idx.jsonl"), "--top", "-1"],
         ["compare", ref, ref, "--k", str(MAX_GRAM_LEN + 1)],
+        # Subnormal weights round their products with feature values.
+        ["compare", ref, ref, "--weights", ",".join(
+            f"{name}=5e-324"
+            for name in ("statement", "top_keyword", "first_sentence", "query_phrase", "lcs_f")
+        )],
     ):
         code, out, err = run(args, capsys)
         assert code == EXIT_USAGE and out == "", args
@@ -721,6 +729,72 @@ def test_index_recursive_flag(workspace, capsys):
 
     assert "sub/n.txt" not in load_index(flat).entries
     assert "sub/n.txt" in load_index(deep).entries
+
+
+def _copies(directory: Path, texts: list[str], count: int) -> Path:
+    directory.mkdir()
+    for i in range(count):
+        (directory / f"doc_{i:03}.txt").write_text(texts[i % len(texts)], encoding="utf-8")
+    return directory
+
+
+def test_index_memory_does_not_grow_with_the_corpus(tmp_path):
+    """`index` holds one document's text and entry at a time.
+
+    Both corpora are copies of the same three texts, so the detector's stem
+    memo ends the same size, and a tenfold corpus must peak within 1.5x.
+    Every sentence has at least 20 tokens: CPython keeps up to 2000 freed
+    tuples of each shorter length for reuse, which tracemalloc counts as
+    live, and that cache would fill with the corpus's token tuples.
+    """
+    rng = random.Random(0)
+    vocabulary = [
+        "".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 10))) for _ in range(400)
+    ]
+    sentences = (" ".join(rng.choices(vocabulary, k=rng.randint(24, 40))) for _ in range(60))
+    texts = [". ".join(next(sentences) for _ in range(20)) + ".\n" for _ in range(3)]
+    corpora = {count: _copies(tmp_path / f"corpus_{count}", texts, count) for count in (6, 60)}
+    # One untraced run first, so that one-time loads count in neither peak.
+    assert main(["index", str(corpora[6]), str(tmp_path / "warm.jsonl")]) == EXIT_OK
+    peaks = []
+    for count, corpus in corpora.items():
+        tracemalloc.start()
+        try:
+            code = main(["index", str(corpus), str(tmp_path / f"index_{count}.jsonl")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_index_fault_in_the_last_file_keeps_the_old_index(tmp_path, capsys, jobs):
+    """The last file by id is read after every other record is written.
+
+    With two jobs, a real pool gives the second worker the last two files,
+    so the fault comes back from a worker.
+    """
+    corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 3)
+    out = tmp_path / "idx.jsonl"
+    assert run(["index", str(corpus), str(out)], capsys)[0] == EXIT_OK
+    before = out.read_bytes()
+    bad = corpus / "zz.txt"
+    bad.write_bytes(b"\xff\xfe broken")
+    code, stdout, err = run(["index", str(corpus), str(out), "--jobs", jobs], capsys)
+    assert (code, stdout) == (EXIT_IO, "")
+    assert err == f"simscan: error: not valid UTF-8: {str(bad)!r}\n"
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "idx.jsonl"]
+
+
+def test_index_reports_an_unwritable_output_before_a_bad_input(workspace, capsys):
+    """The index's temporary file is created before the first input is read."""
+    (workspace / "corpus" / "bad.txt").write_bytes(b"\xff\xfe broken")
+    out = workspace / "missing" / "idx.jsonl"
+    code, stdout, err = run(["index", str(workspace / "corpus"), str(out)], capsys)
+    assert (code, stdout) == (EXIT_IO, "")
+    assert err == f"simscan: error: cannot write {str(out)!r}: No such file or directory\n"
 
 
 def test_bench_table(workspace, capsys):

@@ -1,6 +1,7 @@
 """Pair reports, score combination, index persistence, and ranking."""
 
 import json
+import math
 import os
 import random
 import re
@@ -21,6 +22,8 @@ from simscan.detector import (
     ALL_FEATURES,
     DEFAULT_FEATURES,
     MAX_GRAM_LEN,
+    MAX_WEIGHT,
+    MIN_WEIGHT,
     Detector,
     DetectorConfig,
     IndexFormatError,
@@ -29,6 +32,7 @@ from simscan.detector import (
     _combine,
     load_index,
     save_index,
+    write_index,
 )
 from simscan.cli import dumps_fixed, report_dict
 from simscan.features import DEFAULT_QUERY_PHRASES, top_keywords
@@ -100,6 +104,18 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(ValueError):
             DetectorConfig(**wrong_type)
+
+
+def test_weights_outside_the_normal_range_are_refused():
+    """A positive weight lies in [2**-500, 2**500]; ints are checked as the floats used."""
+    for weight in (5e-324, 1e-320, 2.0**-501, 2.0**501, 1e308, 10**400, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"in \[2\*\*-500, 2\*\*500\]"):
+            DetectorConfig(feature_weights={"statement": weight})
+    for weight in (-(10**400), -math.inf):
+        with pytest.raises(ValueError, match="negative weight"):
+            DetectorConfig(feature_weights={"statement": weight})
+    for weight in (0, 0.0, MIN_WEIGHT, MAX_WEIGHT, 2**500):
+        assert DetectorConfig(feature_weights={"statement": weight}).weight("statement") == weight
 
 
 def test_pair_memory_at_the_gram_length_cap_stays_near_the_default():
@@ -297,6 +313,23 @@ def test_failed_save_keeps_previous_index(detector, corpus_docs, tmp_path, monke
         save_index(detector.build_index(corpus_docs), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["idx.jsonl"]
+
+
+def test_write_index_refuses_an_id_that_does_not_sort_after_the_last(
+    detector, corpus_docs, tmp_path
+):
+    path = tmp_path / "idx.jsonl"
+    save_index(detector.build_index(corpus_docs), path)
+    before = path.read_bytes()
+    a, b, c = map(detector.entry, corpus_docs)
+    config = detector.config_snapshot()
+    for entries in ([a, c, b], [a, b, b]):
+        with pytest.raises(ValueError, match="does not sort after"):
+            write_index(path, config, iter(entries))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["idx.jsonl"]
+    assert write_index(path, config, iter([a, b, c])) == 3
+    assert path.read_bytes() == before
 
 
 def test_rebuild_is_deterministic(detector, corpus_docs, tmp_path):
@@ -603,6 +636,79 @@ sentences = st.builds(
     st.lists(st.sampled_from(["ball", "kick", "goal", "the", "net", "xy"]), max_size=6),
 )
 doc_texts = st.lists(sentences, max_size=4).map(" ".join)
+
+
+def _combined(det, ref_text, susp_text) -> tuple[float, float]:
+    """The pair's combined score in memory and from an index of the reference."""
+    ref, susp = det.document("r", ref_text), det.document("s", susp_text)
+    [(_, ranked)] = det.rank_candidates(susp, det.build_index([ref]))
+    return det.analyze_pair(ref, susp).combined, ranked.combined
+
+
+accepted_weights = st.one_of(st.just(0.0), st.floats(MIN_WEIGHT, MAX_WEIGHT))
+# A pair whose combined score subnormal weights used to change.
+WEIGHTED_PAIR = (
+    "Alpha beta gamma delta. In conclusion, we find that epsilon zeta eta.",
+    "Alpha beta gamma delta epsilon. We find that zeta eta theta.",
+)
+
+
+@settings(max_examples=200)
+@example(list(DEFAULT_FEATURES), {}, *WEIGHTED_PAIR, -1074)
+@given(
+    st.lists(st.sampled_from(ALL_FEATURES), min_size=1, unique=True),
+    st.dictionaries(st.sampled_from(ALL_FEATURES), accepted_weights),
+    doc_texts,
+    doc_texts,
+    st.integers(-1074, 1023),
+)
+def test_scaling_every_weight_by_a_power_of_two_keeps_combined(
+    features, weights, ref_text, susp_text, shift
+):
+    """Every product and sum in `_combine` stays normal, so scaling is exact.
+
+    `shift` is moved to the nearest power of two that keeps every weight accepted.
+    """
+    try:
+        cfg = DetectorConfig(features=tuple(features), feature_weights=weights)
+    except ValueError:
+        reject()  # every enabled weight is 0
+    full = {name: cfg.weight(name) for name in ALL_FEATURES}
+    positive = [weight for weight in full.values() if weight]
+    # A product by a power of two is exact unless it leaves the normal range,
+    # and then it fails the range test.
+    shifts = [
+        shift for shift in range(-1074, 1024)
+        if all(MIN_WEIGHT <= weight * 2.0**shift <= MAX_WEIGHT for weight in positive)
+    ]
+    scale = 2.0 ** min(max(shift, shifts[0]), shifts[-1])
+    scaled = DetectorConfig(
+        features=cfg.features,
+        feature_weights={name: weight * scale for name, weight in full.items()},
+    )
+    assert _combined(Detector(scaled), ref_text, susp_text) == _combined(
+        Detector(cfg), ref_text, susp_text
+    )
+
+
+@settings(max_examples=200)
+@example(list(DEFAULT_FEATURES), MIN_WEIGHT, *WEIGHTED_PAIR)
+@given(
+    st.lists(st.sampled_from(ALL_FEATURES), min_size=1, unique=True),
+    st.floats(MIN_WEIGHT, MAX_WEIGHT),
+    doc_texts,
+    doc_texts,
+)
+def test_equal_weights_give_the_unit_weight_combined(features, weight, ref_text, susp_text):
+    """Each of the k products and k - 1 sums of the weighted mean rounds once."""
+    unit = Detector(DetectorConfig(features=tuple(features)))
+    equal = Detector(
+        DetectorConfig(features=tuple(features), feature_weights=dict.fromkeys(features, weight))
+    )
+    for got, want in zip(
+        _combined(equal, ref_text, susp_text), _combined(unit, ref_text, susp_text)
+    ):
+        assert abs(got - want) <= 2 * len(features) * math.ulp(want), (got, want)
 
 
 @given(st.lists(doc_texts, max_size=4), doc_texts)
