@@ -11,9 +11,9 @@ as text.  Reports go to stdout, diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -137,20 +137,62 @@ def _read_text(path: str) -> str:
         raise _CliError(EXIT_IO, f"not valid UTF-8: {path!r}") from None
 
 
-def _discover(directory: str, recursive: bool) -> list[tuple[str, Path]]:
+def _discover(directory: str, recursive: bool) -> list[tuple[str, str]]:
+    """The corpus's `(doc_id, path)` pairs in id order, the order an index lists its records in."""
     root = Path(directory)
     # Path("") is the current directory, which no one names by an empty argument.
     if not directory or not root.is_dir():
         raise _CliError(EXIT_IO, f"not a directory: {directory!r}")
     pattern = "**/*.txt" if recursive else "*.txt"
-    # Sorted by id, the order an index lists its records in; ids are distinct.
-    return sorted((p.relative_to(root).as_posix(), p) for p in root.glob(pattern) if p.is_file())
+    # ids are distinct, so the sort never compares paths
+    return sorted(
+        (p.relative_to(root).as_posix(), str(p)) for p in root.glob(pattern) if p.is_file()
+    )
 
 
-# The most files a pool worker takes at once.  A worker returns a chunk's
-# results together, so this bounds what it, and the parent waiting for an
-# earlier chunk, hold at one time.
-_CHUNK_FILES = 64
+# Without --jobs, one worker per this many files, up to the usable CPUs.  On
+# a 2-CPU host, starting and feeding a pool of two costs about as much as
+# building 30-80 files in-process, so a smaller corpus stays in-process.
+_FILES_PER_WORKER = 64
+# The files a worker takes at once.  A batch's results come back together,
+# so this bounds what a worker, and the parent per batch it waits on, hold.
+_BATCH_FILES = 8
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
+# A pool worker's detector and build function, set once by `_start_worker`.
+_worker: tuple = ()
+
+
+def _start_worker(det: Detector, build: Callable[[Detector, str, str], object]) -> None:
+    global _worker
+    _worker = (det, build)
+
+
+def _build_batch(files: list[tuple[str, str]]) -> list:
+    det, build = _worker
+    return [build(det, doc_id, path) for doc_id, path in files]
+
+
+def _pooled(pool, files: list[tuple[str, str]], jobs: int) -> Iterator:
+    """Each file's result in id order, with at most `2 * jobs` batches out at once.
+
+    The bound holds the parent to a few batches of results even when the
+    pool builds faster than the caller consumes.
+    """
+    pending: collections.deque = collections.deque()
+    for start in range(0, len(files), _BATCH_FILES):
+        if len(pending) == 2 * jobs:
+            yield from pending.popleft().result()
+        pending.append(pool.submit(_build_batch, files[start : start + _BATCH_FILES]))
+    while pending:
+        yield from pending.popleft().result()
 
 
 @contextlib.contextmanager
@@ -161,31 +203,34 @@ def _corpus(
 
     `build` reads its own file, and the iterator builds each file as it is
     asked for the next, so neither the texts nor the results are held
-    together.  Files are built in-process unless at least two files and two
-    jobs allow a pool; the pool never has more workers than files.  It gets
-    the files in contiguous chunks, one per worker up to `_CHUNK_FILES`
-    files each, so the detector is unpickled once per chunk rather than
-    once per file.
+    together.  `--jobs` asks for a worker count, capped by the usable CPUs
+    and the files; without it, there is one worker per `_FILES_PER_WORKER`
+    files, up to the usable CPUs.  With fewer than two workers the files are
+    built in-process.  Otherwise each worker gets the detector once, takes
+    `_BATCH_FILES` files at a time, and the results come back in id order.
     """
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
     det = _detector(args)
     files = _discover(args.directory, args.recursive)
     if not files:
         _diagnose(f"warning: no .txt files found in {args.directory!r}")
-    dets = [det] * len(files)
-    ids = [doc_id for doc_id, _ in files]
-    paths = [str(path) for _, path in files]
-    jobs = min(args.jobs, len(files))
+    if args.jobs is None:
+        jobs = min(_usable_cpus(), len(files) // _FILES_PER_WORKER)
+    else:
+        jobs = min(args.jobs, _usable_cpus(), len(files))
     if jobs < 2:
-        yield det, map(build, dets, ids, paths)
+        yield det, (build(det, doc_id, path) for doc_id, path in files)
         return
     # Imported here: it loads multiprocessing, which a serial run never needs.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunksize = min(math.ceil(len(files) / jobs), _CHUNK_FILES)
-        yield det, pool.map(build, dets, ids, paths, chunksize=chunksize)
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(det, build))
+    try:
+        yield det, _pooled(pool, files, jobs)
+    finally:
+        # If the writer stops early, the batches not yet started are dropped.
+        pool.shutdown(cancel_futures=True)
 
 
 def _document(det: Detector, doc_id: str, path: str) -> Document:
@@ -345,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = argparse.ArgumentParser(add_help=False)
     corpus.add_argument("directory")
     corpus.add_argument("--recursive", action="store_true", help="descend into subdirectories")
-    corpus.add_argument("--jobs", type=int, default=1, help="worker processes")
+    corpus.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes (default: one per 64 files, up to the usable CPUs)",
+    )
 
     parser = _ArgumentParser(
         prog="simscan", description="Fingerprint-based text similarity scanner."

@@ -3,8 +3,10 @@
 import argparse
 import concurrent.futures
 import errno
+import functools
 import io
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -632,44 +634,54 @@ def test_compare_long_y_word(workspace, capsys):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and chunks, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and batches, runs them in-process."""
 
     sizes: list = []
-    chunksizes: list = []
+    batches: list = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
         if initializer is not None:
-            initializer(*initargs)
+            # what a real pool sends to and gets back from its workers must pickle
+            initializer(*pickle.loads(pickle.dumps(initargs)))
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        fn, args = pickle.loads(pickle.dumps((fn, args)))
+        self.batches.append(len(args[0]))
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(pickle.loads(pickle.dumps(fn(*args))))
+        except Exception as exc:
+            future.set_exception(pickle.loads(pickle.dumps(exc)))
+        return future
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        self.chunksizes.append(chunksize)
-        # what a real pool would send to its workers must pickle
-        fn = pickle.loads(pickle.dumps(fn))
-        return [fn(*pickle.loads(pickle.dumps(item))) for item in zip(*iterables)]
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
-def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch):
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    """`_RecordingPool` in place of the process pool, on a host of 8 usable CPUs."""
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(_RecordingPool, "batches", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 8)
+    return _RecordingPool
+
+
+def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch, recording_pool):
+    monkeypatch.setattr(simscan.cli, "_BATCH_FILES", 2)
     corpus = str(workspace / "corpus")
     serial = workspace / "serial.jsonl"
     pooled = workspace / "pooled.jsonl"
     run(["index", corpus, str(serial)], capsys)
     code, _, _ = run(["index", corpus, str(pooled), "--jobs", "64"], capsys)
-    assert code == EXIT_OK and _RecordingPool.sizes == [3]
+    assert code == EXIT_OK and recording_pool.sizes == [3]
     assert pooled.read_bytes() == serial.read_bytes()
-    # two workers share three files as one chunk of two and one of one
+    # the files go out in batches of `_BATCH_FILES`, however many workers there are
     code, _, _ = run(["index", corpus, str(pooled), "--jobs", "2"], capsys)
-    assert code == EXIT_OK and _RecordingPool.sizes == [3, 2]
-    assert _RecordingPool.chunksizes == [1, 2]
+    assert code == EXIT_OK and recording_pool.sizes == [3, 2]
+    assert recording_pool.batches == [2, 1, 2, 1]
     assert pooled.read_bytes() == serial.read_bytes()
 
     single = workspace / "single"
@@ -677,17 +689,51 @@ def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch):
     (single / "only.txt").write_text(S1, encoding="utf-8")
     code, _, _ = run(["index", str(single), str(pooled), "--jobs", "5"], capsys)
     code_bench, _, _ = run(["bench", str(single), "--jobs", "5"], capsys)
-    assert code == code_bench == EXIT_OK and _RecordingPool.sizes == [3, 2]
+    assert code == code_bench == EXIT_OK and recording_pool.sizes == [3, 2]
 
 
-def test_bench_jobs_match_serial(workspace, capsys):
-    def rows(*flags):
-        code, out, _ = run(["bench", str(workspace / "corpus"), *flags], capsys)
-        assert code == EXIT_OK
-        keys = ("scheme", "docs", "pairs", "bytes_per_doc")
-        return [{key: row[key] for key in keys} for row in json.loads(out)]
+def _bench_rows(corpus, capsys, *flags) -> list[dict]:
+    """`bench`'s rows without their timings."""
+    code, out, _ = run(["bench", str(corpus), *flags], capsys)
+    assert code == EXIT_OK
+    keys = ("scheme", "docs", "pairs", "bytes_per_doc")
+    return [{key: row[key] for key in keys} for row in json.loads(out)]
 
-    assert rows("--jobs", "2") == rows("--jobs", "1")
+
+@pytest.mark.parametrize(
+    "files_per_worker, cpus, flags, workers",
+    [
+        (2, 2, [], 2),  # min(CPUs, 6 files // 2)
+        (2, 8, [], 3),
+        (4, 8, [], None),  # 6 // 4 is one worker, so no pool
+        (1, 8, ["--jobs", "1"], None),
+        (7, 8, ["--jobs", "4"], 4),
+        (7, 2, ["--jobs", "5000"], 2),  # an explicit count is capped by the CPUs
+        (7, 8, ["--jobs", "5000"], 6),  # and by the files
+    ],
+)
+def test_worker_count_follows_the_files_and_the_cpus(
+    tmp_path, capsys, monkeypatch, recording_pool, files_per_worker, cpus, flags, workers
+):
+    corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 6)
+    serial = tmp_path / "serial.jsonl"
+    assert run(["index", str(corpus), str(serial), "--jobs", "1"], capsys)[0] == EXIT_OK
+    serial_rows = _bench_rows(corpus, capsys, "--jobs", "1")
+    assert recording_pool.sizes == []
+
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", files_per_worker)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "out.jsonl"
+    assert run(["index", str(corpus), str(out), *flags], capsys)[0] == EXIT_OK
+    assert out.read_bytes() == serial.read_bytes()
+    assert _bench_rows(corpus, capsys, *flags) == serial_rows
+    assert recording_pool.sizes == ([] if workers is None else [workers] * 2)
+
+
+def test_bench_jobs_match_serial(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
+    corpus = workspace / "corpus"
+    assert _bench_rows(corpus, capsys, "--jobs", "2") == _bench_rows(corpus, capsys, "--jobs", "1")
 
 
 def test_index_empty_dir_warns_on_stderr(workspace, capsys):
@@ -738,43 +784,61 @@ def _copies(directory: Path, texts: list[str], count: int) -> Path:
     return directory
 
 
-def test_index_memory_does_not_grow_with_the_corpus(tmp_path):
-    """`index` holds one document's text and entry at a time.
+def test_index_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
+    """`index` holds one document's text and entry at a time, or with a pool a few batches.
 
     Both corpora are copies of the same three texts, so the detector's stem
     memo ends the same size, and a tenfold corpus must peak within 1.5x.
-    Every sentence has at least 20 tokens: CPython keeps up to 2000 freed
-    tuples of each shorter length for reuse, which tracemalloc counts as
-    live, and that cache would fill with the corpus's token tuples.
+    Every text has more than 20 sentences and every sentence more than 20
+    tokens: CPython keeps up to 2000 freed tuples of each length up to 20
+    for reuse, which tracemalloc counts as live, and that cache would fill
+    with the corpus's token, sentence and key tuples.  With two workers,
+    tracemalloc sees only the parent, which writes the entries and holds up
+    to four batches; a batch is one file here, so that the smaller corpus
+    fills those four too.
     """
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simscan.cli, "_BATCH_FILES", 1)
     rng = random.Random(0)
     vocabulary = [
         "".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 10))) for _ in range(400)
     ]
-    sentences = (" ".join(rng.choices(vocabulary, k=rng.randint(24, 40))) for _ in range(60))
-    texts = [". ".join(next(sentences) for _ in range(20)) + ".\n" for _ in range(3)]
+    sentences = (" ".join(rng.choices(vocabulary, k=rng.randint(24, 40))) for _ in range(72))
+    texts = [". ".join(next(sentences) for _ in range(24)) + ".\n" for _ in range(3)]
     corpora = {count: _copies(tmp_path / f"corpus_{count}", texts, count) for count in (6, 60)}
-    # One untraced run first, so that one-time loads count in neither peak.
-    assert main(["index", str(corpora[6]), str(tmp_path / "warm.jsonl")]) == EXIT_OK
-    peaks = []
-    for count, corpus in corpora.items():
-        tracemalloc.start()
-        try:
-            code = main(["index", str(corpus), str(tmp_path / f"index_{count}.jsonl")])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_OK
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+    for jobs in ("1", "2"):
+        # One untraced run first, so that one-time loads count in neither peak.
+        warm = ["index", str(corpora[6]), str(tmp_path / "warm.jsonl"), "--jobs", jobs]
+        assert main(warm) == EXIT_OK
+        peaks = []
+        for count, corpus in corpora.items():
+            tracemalloc.start()
+            try:
+                code = main(["index", str(corpus), str(tmp_path / "index.jsonl"), "--jobs", jobs])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[1] <= 1.5 * peaks[0], (jobs, peaks)
+
+
+def _spawn_pool(monkeypatch):
+    """Real pools whose workers start from a fresh interpreter, on a host of two CPUs."""
+    pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_index_fault_in_the_last_file_keeps_the_old_index(tmp_path, capsys, jobs):
+def test_index_fault_in_the_last_file_keeps_the_old_index(tmp_path, capsys, monkeypatch, jobs):
     """The last file by id is read after every other record is written.
 
-    With two jobs, a real pool gives the second worker the last two files,
-    so the fault comes back from a worker.
+    With two jobs, a real pool's worker reads the bad file, so the fault
+    comes back from a worker.
     """
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
     corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 3)
     out = tmp_path / "idx.jsonl"
     assert run(["index", str(corpus), str(out)], capsys)[0] == EXIT_OK
@@ -786,6 +850,55 @@ def test_index_fault_in_the_last_file_keeps_the_old_index(tmp_path, capsys, jobs
     assert err == f"simscan: error: not valid UTF-8: {str(bad)!r}\n"
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "idx.jsonl"]
+
+
+def test_spawned_workers_get_the_detector_from_the_initializer(tmp_path, capsys, monkeypatch):
+    """A spawned worker inherits no memory, so it builds only with what it was sent.
+
+    A fault in a worker's last file exits 2 with the serial message, keeps
+    the old index, and leaves no worker process running.
+    """
+    _spawn_pool(monkeypatch)
+    corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 12)
+    serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+    assert run(["index", str(corpus), str(serial), "--jobs", "1"], capsys)[0] == EXIT_OK
+    # A non-default setting shows that the workers' detector is the parent's.
+    for flags in ([], ["--k", "3"]):
+        code, _, err = run(["index", str(corpus), str(pooled), "--jobs", "2", *flags], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert (pooled.read_bytes() == serial.read_bytes()) is not flags
+    assert load_index(str(pooled)).config["k_char"] == 3
+
+    before = pooled.read_bytes()
+    bad = corpus / "zz.txt"
+    bad.write_bytes(b"\xff\xfe broken")
+    code, stdout, err = run(["index", str(corpus), str(pooled), "--jobs", "2"], capsys)
+    assert (code, stdout) == (EXIT_IO, "")
+    assert err == f"simscan: error: not valid UTF-8: {str(bad)!r}\n"
+    assert pooled.read_bytes() == before
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("recursive", [False, True])
+def test_index_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, recursive):
+    """Serial, automatic, two and three workers all write the same index.
+
+    Under `--recursive`, id order and path order differ (`a-b/x.txt` sorts
+    before `a/x.txt`, but the directory `a` before `a-b`).
+    """
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 4)
+    corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 9)
+    for sub in ("a", "a-b"):
+        _copies(corpus / sub, list(CORPUS.values())[::-1], 3)
+    flags = ["--recursive"] if recursive else []
+    indexes = []
+    for jobs in (["--jobs", "1"], [], ["--jobs", "2"], ["--jobs", "3"]):
+        out = tmp_path / "out.jsonl"
+        assert run(["index", str(corpus), str(out), *flags, *jobs], capsys)[0] == EXIT_OK
+        indexes.append(out.read_bytes())
+    assert indexes == [indexes[0]] * 4
+    assert indexes[0].count(b"\n") == (16 if recursive else 10)
 
 
 def test_index_reports_an_unwritable_output_before_a_bad_input(workspace, capsys):
@@ -838,7 +951,7 @@ def test_module_entry_point(workspace):
 
 
 def test_cli_import_loads_no_process_pool():
-    """Only `--jobs` above 1 needs a pool; every other run skips its imports.
+    """Only a run with two or more workers needs a pool, so importing the CLI loads none of it.
 
     Nothing needs `uuid` at all, no command needs `fractions`, and only
     `bench` needs `simscan.bench`.
