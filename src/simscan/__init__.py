@@ -36,6 +36,7 @@ from .fingerprint import (
 from .kernels import LCS_BACKEND, lcs_length, match_masks
 from .porter import stem
 from .textprep import (
+    DEFAULT_STOPWORDS,
     Document,
     Sentence,
     load_stopwords,
@@ -48,6 +49,7 @@ __all__ = [
     "ALL_FEATURES",
     "DEFAULT_FEATURES",
     "DEFAULT_QUERY_PHRASES",
+    "DEFAULT_STOPWORDS",
     "LCS_BACKEND",
     "CorpusIndex",
     "Detector",

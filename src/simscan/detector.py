@@ -600,13 +600,19 @@ def _read_header(fh) -> dict:
 
 
 def _records(fh, k_char: object) -> Iterator[IndexEntry]:
-    """The entries of the records after the header, each checked as it is read."""
-    seen: set[str] = set()
+    """The entries of the records after the header, each checked as it is read.
+
+    Ids must rise strictly, as `write_index` writes them, so checking one
+    against the last also refuses a repeated id.
+    """
+    last: str | None = None
     for lineno, raw in enumerate(fh, start=2):
         entry = _entry_from_record(_parse_line(raw, lineno), lineno, k_char)
-        if entry.doc_id in seen:
-            raise IndexFormatError(f"duplicate document id {entry.doc_id!r}", lineno)
-        seen.add(entry.doc_id)
+        if last is not None and not last < entry.doc_id:
+            raise IndexFormatError(
+                f"document id {entry.doc_id!r} does not sort after {last!r}", lineno
+            )
+        last = entry.doc_id
         yield entry
 
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .porter import stem
 
 __all__ = [
+    "DEFAULT_STOPWORDS",
     "Document",
     "Sentence",
     "StemMemo",
@@ -145,23 +144,28 @@ def list_entries(lines: Iterable[str]) -> Iterator[str]:
             yield line
 
 
-def _parse_word_list(text: str) -> frozenset[str]:
-    return frozenset(word.lower() for word in list_entries(text.splitlines()))
-
-
-@cache
-def _default_stopwords() -> frozenset[str]:
-    data = resources.files("simscan.data").joinpath("stopwords.txt")
-    return _parse_word_list(data.read_text(encoding="utf-8"))
+# The default English stopword list, 127 lowercase words.
+DEFAULT_STOPWORDS: frozenset[str] = frozenset(
+    """
+    a about above after again against all am an and any are as at be because been
+    before being below between both but by can cannot could did do does doing down
+    during each few for from further had has have having he her here hers herself him
+    himself his how i if in into is it its itself just me more most my myself no nor
+    not now of off on once only or other our ours ourselves out over own same she
+    should so some such than that the their theirs them themselves then there these
+    they this those through to too under until up very was we were what when where
+    which while who whom why will with would you your yours yourself yourselves
+    """.split()
+)
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stopword list: one lowercase word per line, '#' comments.
+    """Load a stopword list: one word per line, lowercased, '#' comments.
 
-    With no path, returns the list shipped with the package.
+    With no path, returns `DEFAULT_STOPWORDS`.
     """
     if path is None:
-        return _default_stopwords()
+        return DEFAULT_STOPWORDS
     # open(), not Path: Path("") would name the current directory.
     with open(path, encoding="utf-8") as fh:
-        return _parse_word_list(fh.read())
+        return frozenset(word.lower() for word in list_entries(fh))

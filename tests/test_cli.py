@@ -953,17 +953,18 @@ def test_module_entry_point(workspace):
 def test_cli_import_loads_no_process_pool():
     """Only a run with two or more workers needs a pool, so importing the CLI loads none of it.
 
-    Nothing needs `uuid` at all, no command needs `fractions`, and only
-    `bench` needs `simscan.bench`.
+    Nothing needs `uuid` or `importlib.resources` at all, no command needs
+    `fractions`, and only `bench` needs `simscan.bench`.  Python runs with
+    -S, so that no module a site `.pth` file imports can hide one of these.
     """
     code = (
         "import sys, simscan.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'uuid', 'fractions') "
-        "or m == 'simscan.bench'))"
+        "or m.startswith('importlib.resources') or m == 'simscan.bench'))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1])},

@@ -34,7 +34,7 @@ from simscan.detector import (
     save_index,
     write_index,
 )
-from simscan.cli import dumps_fixed, report_dict
+from simscan.cli import EXIT_IO, dumps_fixed, main, report_dict
 from simscan.features import DEFAULT_QUERY_PHRASES, top_keywords
 from simscan.fingerprint import char_kgrams, fingerprint_keys, outcome_value, overlap_bound
 
@@ -350,7 +350,7 @@ def _refused(path, error, match=None):
     return loaded
 
 
-def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
+def test_load_index_distinct_errors(detector, corpus_docs, tmp_path, capsys):
     path = tmp_path / "idx.jsonl"
     save_index(detector.build_index(corpus_docs), path)
     lines = path.read_text().splitlines()
@@ -405,6 +405,21 @@ def test_load_index_distinct_errors(detector, corpus_docs, tmp_path):
     dupe.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[1] + "\n")
     exc_info = _refused(dupe, IndexFormatError)
     assert exc_info.value.line == 3
+
+    # Ids must rise strictly, as write_index writes them.
+    unsorted = tmp_path / "unsorted.jsonl"
+    unsorted.write_text(lines[0] + "\n" + lines[2] + "\n" + lines[1] + "\n")
+    exc_info = _refused(unsorted, IndexFormatError, "document id 'a' does not sort after 'b'")
+    assert exc_info.value.line == 3
+    suspect = tmp_path / "suspect.txt"
+    suspect.write_text(CORPUS["a"])
+    assert main(["scan", str(suspect), str(unsorted)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"simscan: error: malformed index {str(unsorted)!r}: "
+        "line 3: document id 'a' does not sort after 'b'\n"
+    )
 
 
 def _index_lines(detector, corpus_docs, tmp_path):
@@ -889,6 +904,31 @@ def test_scan_index_holds_one_record_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] / 4, peaks
+
+
+def test_scan_index_memory_does_not_grow_with_the_record_count(tmp_path):
+    """Scanning 6,000 one-sentence records peaks within 1.5x of scanning 600."""
+    rng = random.Random(1)
+    vocabulary = [
+        "".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 10))) for _ in range(2000)
+    ]
+    det = Detector()
+
+    def doc(doc_id):
+        return det.document(doc_id, " ".join(rng.choices(vocabulary, k=12)) + ".")
+
+    susp = doc("s")
+    peaks = []
+    for count in (600, 6000):
+        path = tmp_path / f"idx{count}.jsonl"
+        write_index(path, det.config_snapshot(), (det.entry(doc(f"d{i:05}")) for i in range(count)))
+        tracemalloc.start()
+        try:
+            det.scan_index(susp, path, 10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_rank_finds_a_match_that_only_gram_features_show():

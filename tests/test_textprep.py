@@ -1,5 +1,7 @@
 """Normalization, segmentation, and document construction."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 import simscan.textprep
 from simscan.features import load_query_phrases
 from simscan.textprep import (
+    DEFAULT_STOPWORDS,
     StemMemo,
     document,
     load_stopwords,
@@ -202,9 +205,15 @@ def test_preprocessor_stems_each_token_once(monkeypatch):
 
 def test_default_stopwords_loaded_once():
     words = load_stopwords()
+    assert words is DEFAULT_STOPWORDS
     assert {"the", "is", "we", "that"} <= words
     assert "ball" not in words
     assert load_stopwords() is words
+    # Every default index header records this digest as `stopwords_sha256`.
+    assert len(words) == 127
+    assert hashlib.sha256("\n".join(sorted(words)).encode("utf-8")).hexdigest() == (
+        "9f2b05a670302e69fc7a75ea3d965284e565e9cff7729e631576b9cce614a785"
+    )
 
 
 def test_stopword_file_parsing(tmp_path):
@@ -218,6 +227,10 @@ def test_word_lists_share_one_line_rule(tmp_path):
     path.write_text("# comment\n  The  \n\n\t# indented\nIn short,\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"the", "in short,"})
     assert load_query_phrases(path) == ("the", "in short,")
+    # A form feed or U+2028 inside a line does not split it, as str.splitlines would.
+    path.write_text("alpha\x0cbeta\nin short,\u2028we find that\n", encoding="utf-8")
+    assert load_stopwords(path) == frozenset({"alpha\x0cbeta", "in short,\u2028we find that"})
+    assert load_query_phrases(path) == ("alpha beta", "in short, we find that")
 
 
 def test_missing_stopword_file_raises(tmp_path):
