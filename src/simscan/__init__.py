@@ -40,8 +40,6 @@ from .textprep import (
     Document,
     Sentence,
     load_stopwords,
-    normalize,
-    split_sentences,
 )
 
 __all__ = [
@@ -75,9 +73,7 @@ __all__ = [
     "load_query_phrases",
     "load_stopwords",
     "match_masks",
-    "normalize",
     "save_index",
-    "split_sentences",
     "stem",
     "top_keywords",
     "word_trigrams",

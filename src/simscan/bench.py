@@ -6,7 +6,8 @@ per pair and stored bytes per document.  Storage is counted as:
 
 * full_char: k bytes for each of the L-k+1 grams, multiplicity included,
 * trigram_jaccard: UTF-8 bytes of the distinct trigrams,
-* statement: 12 bytes (three 4-grams) per fingerprinted sentence,
+* statement: UTF-8 bytes of the document's distinct fingerprint keys,
+  so sentences that share a key store it once,
 * features: UTF-8 bytes of the serialized index record.
 
 The features scheme builds each document's reference and suspect as

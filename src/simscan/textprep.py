@@ -1,13 +1,13 @@
 """Deterministic text preprocessing.
 
-Normalization, sentence segmentation, word tokenization, stopword
-removal and stemming: the front end every comparison scheme shares.  All
+Sentence segmentation, word tokenization, stopword removal and stemming:
+the front end every comparison scheme shares, built by `document`.  All
 functions are pure; `Document` and `Sentence` are immutable once built.
 
 Two patterns hold the text rules.  `_WORD` is a word: a maximal run of
-alphanumeric characters (`str.isalnum`).  `_SENTENCE_END` is the empty
-position after '.', '!' or '?' that whitespace (`str.isspace`) or the
-end of the text follows.
+alphanumeric characters (`str.isalnum`), read lowercased by `_tokens`.
+`_SENTENCE_END` is the empty position after '.', '!' or '?' that
+whitespace (`str.isspace`) or the end of the text follows.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "StemMemo",
     "document",
     "load_stopwords",
-    "normalize",
-    "split_sentences",
     "stem",
 ]
 
@@ -36,14 +34,9 @@ _WORD = re.compile(r"[^\W_]+")
 _SENTENCE_END = re.compile(r"(?<=[.!?])(?=\s|\Z)")
 
 
-def normalize(text: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace runs to one space.
-
-    Every character that is not alphanumeric becomes a space, so punctuation
-    separates words rather than gluing them together.  Digits are kept.
-    Idempotent: normalizing normalized text is a no-op.
-    """
-    return " ".join(_WORD.findall(text.lower()))
+def _tokens(text: str) -> list[str]:
+    """The words of `text`, lowercased, in order; punctuation only separates them."""
+    return _WORD.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Document:
-    """A preprocessed document: id, sentences, normalized text."""
+    """A preprocessed document: id, sentences, and every token joined by one space."""
 
     id: str
     normalized_text: str
@@ -89,50 +82,35 @@ class StemMemo(dict):
         return stemmed
 
 
-def split_sentences(
-    text: str, stopwords: frozenset[str] | None = None, stems: StemMemo | None = None
-) -> list[Sentence]:
-    """Segment text into `Sentence` objects with dense indices from 0.
-
-    Text without any terminal punctuation yields a single sentence; empty
-    text yields none.  Segments without a single word (all punctuation)
-    are dropped, so a document has sentences exactly when it has tokens.
-    Each distinct content token is stemmed once, through `stems` if given
-    (a memo kept across calls, such as a `Detector`'s).
-    """
-    if stopwords is None:
-        stopwords = load_stopwords()
-    if stems is None:
-        stems = StemMemo()
-    sentences: list[Sentence] = []
-    for raw in _SENTENCE_END.split(text):
-        tokens = tuple(_WORD.findall(raw.lower()))
-        if not tokens:
-            continue
-        content = tuple(stems[t] for t in tokens if t not in stopwords)
-        sentences.append(
-            Sentence(
-                index=len(sentences),
-                text=raw.strip(),
-                tokens=tokens,
-                content_tokens=content,
-            )
-        )
-    return sentences
-
-
 def document(
     doc_id: str,
     raw_text: str,
     stopwords: frozenset[str] | None = None,
     stems: StemMemo | None = None,
 ) -> Document:
-    """A `Document` of `raw_text`'s sentences, built as `split_sentences` builds them."""
-    sentences = tuple(split_sentences(raw_text, stopwords, stems))
+    """A `Document` of `raw_text`'s sentences, with dense indices from 0.
+
+    Text without any terminal punctuation yields a single sentence; empty
+    text yields none.  Segments without a single word (all punctuation)
+    are dropped, so a document has sentences exactly when it has tokens.
+    Stopwords default to `DEFAULT_STOPWORDS`.  Each distinct content token
+    is stemmed once, through `stems` if given (a memo kept across calls,
+    such as a `Detector`'s).
+    """
+    if stopwords is None:
+        stopwords = DEFAULT_STOPWORDS
+    if stems is None:
+        stems = StemMemo()
+    sentences: list[Sentence] = []
+    for raw in _SENTENCE_END.split(raw_text):
+        tokens = tuple(_tokens(raw))
+        if tokens:
+            content = tuple(stems[t] for t in tokens if t not in stopwords)
+            sentences.append(Sentence(len(sentences), raw.strip(), tokens, content))
     return Document(
         id=doc_id,
         normalized_text=" ".join(s.normalized for s in sentences),
-        sentences=sentences,
+        sentences=tuple(sentences),
     )
 
 
@@ -160,12 +138,14 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stopword list: one word per line, lowercased, '#' comments.
+    """Load a stopword list: the tokens of each line, as `document` reads them.
 
-    With no path, returns `DEFAULT_STOPWORDS`.
+    Lines follow `list_entries`, so blanks and '#' comments are skipped; a
+    line such as "In short," gives the stopwords "in" and "short".  With no
+    path, returns `DEFAULT_STOPWORDS`.
     """
     if path is None:
         return DEFAULT_STOPWORDS
     # open(), not Path: Path("") would name the current directory.
     with open(path, encoding="utf-8") as fh:
-        return frozenset(word.lower() for word in list_entries(fh))
+        return frozenset(t for line in list_entries(fh) for t in _tokens(line))

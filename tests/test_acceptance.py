@@ -18,7 +18,7 @@ from simscan.detector import Detector, load_index, save_index
 from simscan.features import lcs_fmeasure
 from simscan.fingerprint import char_kgrams, full_resemblance, jaccard, word_trigrams
 from simscan.kernels import lcs_length
-from simscan.textprep import normalize
+from simscan.textprep import document
 
 VOCAB = (
     "ball", "kick", "player", "game", "soccer", "goal", "team", "match",
@@ -71,7 +71,7 @@ def _timed(fn):
 
 @_report(2, "word trigrams of the six-word title form exactly 4 trigrams")
 def test_criterion_2():
-    text = normalize("Web Based Cross Language Plagiarism Detection")
+    text = document("d", "Web Based Cross Language Plagiarism Detection").normalized_text
     assert word_trigrams(text) == {
         "web based cross",
         "based cross language",
@@ -91,9 +91,9 @@ def test_criterion_3():
 
 @_report(4, "LCS F-measure: S1/S2 = 0.75 (LCS 3), S1/S3 = 0.5 (LCS 2)")
 def test_criterion_4():
-    s1 = normalize("Player kicked the ball.").split()
-    s2 = normalize("Player kick the ball.").split()
-    s3 = normalize("The ball kick player.").split()
+    s1 = document("d", "Player kicked the ball.").normalized_text.split()
+    s2 = document("d", "Player kick the ball.").normalized_text.split()
+    s3 = document("d", "The ball kick player.").normalized_text.split()
     r12 = lcs_fmeasure(s1, s2, 1.0)
     r13 = lcs_fmeasure(s1, s3, 1.0)
     assert r12.detail["lcs_length"] == 3

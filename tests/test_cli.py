@@ -119,6 +119,24 @@ def test_compare_is_deterministic(workspace, capsys):
     assert first == second
 
 
+def test_stopword_lines_give_their_tokens(tmp_path, capsys):
+    # "In short," stops "in" and "short", so the only shared keyword goes.
+    (tmp_path / "ref.txt").write_text("In short, cats nap.\n", encoding="utf-8")
+    (tmp_path / "susp.txt").write_text("Short dogs run.\n", encoding="utf-8")
+    (tmp_path / "line.txt").write_text("In short,\n", encoding="utf-8")
+    (tmp_path / "words.txt").write_text("in\nshort\n", encoding="utf-8")
+    outs = []
+    for name in ("line.txt", "words.txt"):
+        args = ["compare", str(tmp_path / "ref.txt"), str(tmp_path / "susp.txt")]
+        args += ["--features", "top_keyword", "--stopwords", str(tmp_path / name)]
+        code, out, err = run(args, capsys)
+        assert code == EXIT_OK and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    score = json.loads(outs[0])["scores"]["top_keyword"]
+    assert score["detail"] == {"intersection": 0, "union": 4, "size_a": 2, "size_b": 2}
+
+
 def test_usage_errors_exit_1(workspace, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["compare"]) == EXIT_USAGE

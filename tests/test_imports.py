@@ -1,13 +1,16 @@
 """Every name a package module imports is used, exported or marked `# noqa`,
-every name in a module's `__all__` is bound in that module, and every private
-module- or class-level name is used somewhere in the package."""
+every name in a module's `__all__` is bound in that module, every private
+module- or class-level name is used somewhere in the package, and every name
+the package exports is used, documented or read by the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "simscan"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "simscan"
 
 
 def exports(tree: ast.Module) -> set[str]:
@@ -83,8 +86,8 @@ def test_check_flags_a_stale_export():
     assert stale_exports(source) == ["dumps", "gone"]
 
 
-def private_definitions(tree: ast.Module):
-    """(name, node) for each module- or class-level name with one leading underscore."""
+def definitions(tree: ast.Module):
+    """(name, node) for each module- or class-level definition or assignment."""
     bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
     for body in bodies:
         for node in body:
@@ -97,14 +100,12 @@ def private_definitions(tree: ast.Module):
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    yield name, node
+                yield name, node
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Private names that no code outside their own definition refers to."""
-    trees = {path: ast.parse(source) for path, source in sources.items()}
-    refs = []  # (path, line, name) of every loaded name, attribute and import
+def references(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(path, line, name) of every loaded name, attribute and import."""
+    refs = []
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -113,9 +114,18 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 refs.append((path, node.lineno, node.attr))
             elif isinstance(node, ast.alias):
                 refs.append((path, node.lineno, node.name))
+    return refs
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names that no code outside their own definition refers to."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    refs = references(trees)
     dead = []
     for path, tree in trees.items():
-        for name, node in private_definitions(tree):
+        for name, node in definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(n == name and not (p == path and line in own) for p, line, n in refs):
                 dead.append(f"{path}:{node.lineno}: {name}")
@@ -141,3 +151,42 @@ def test_check_flags_a_dead_private_name():
         "m.py:9: _CONST",
         "m.py:7: _method",
     ]
+
+
+def unused_public_names(sources: dict[str, str], readme: str, bench: dict[str, str]) -> list[str]:
+    """Names in `__init__.py`'s `__all__` that no other package module refers to
+    outside their own definition, that README does not name, and that no
+    benchmark source imports or reads as an attribute."""
+    exported = exports(ast.parse(sources["__init__.py"]))
+    trees = {p: ast.parse(s) for p, s in sources.items() if p != "__init__.py"}
+    own = {
+        (path, name): range(node.lineno, node.end_lineno + 1)
+        for path, tree in trees.items()
+        for name, node in definitions(tree)
+        if node in tree.body
+    }
+    used = {n for p, line, n in references(trees) if line not in own.get((p, n), ())}
+    used |= {n for _, _, n in references({p: ast.parse(s) for p, s in bench.items()})}
+    return sorted(n for n in exported - used if not re.search(rf"\b{re.escape(n)}\b", readme))
+
+
+def test_every_public_name_is_used_or_documented():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    bench = {p.name: p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unused_public_names(sources, readme, bench) == []
+
+
+def test_check_flags_an_unused_public_name():
+    sources = {
+        "__init__.py": "from .m import used, documented, benched, gone, ghost\n"
+        "__all__ = ['used', 'documented', 'benched', 'gone', 'ghost']\n",
+        "m.py": "def used():\n    return gone\ndef documented():\n    return documented()\n"
+        "def benched():\n    pass\ndef gone():\n    pass\n",
+        "n.py": "from .m import used\n",
+    }
+    readme = "Call `documented()`; `undocumented` is not `ghosted`.\n"
+    bench = {"run.py": "from simscan.m import benched\n"}
+    assert unused_public_names(sources, readme, bench) == ["ghost"]
+    sources["m.py"] = sources["m.py"].replace("return gone", "return None")
+    assert unused_public_names(sources, readme, bench) == ["ghost", "gone"]

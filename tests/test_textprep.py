@@ -1,4 +1,4 @@
-"""Normalization, segmentation, and document construction."""
+"""Tokens, segmentation, and document construction."""
 
 import hashlib
 
@@ -13,8 +13,6 @@ from simscan.textprep import (
     StemMemo,
     document,
     load_stopwords,
-    normalize,
-    split_sentences,
 )
 
 # Characters where the word and sentence-end rules could part from
@@ -51,61 +49,61 @@ def _oracle_sentences(text: str) -> list[tuple[str, tuple[str, ...]]]:
 
 @given(st.one_of(st.text(max_size=200), EDGE_TEXT))
 def test_normalize_matches_per_character_oracle(text):
-    assert normalize(text) == _oracle_normalize(text)
+    assert document("d", text).normalized_text == _oracle_normalize(text)
 
 
 @given(st.one_of(st.text(max_size=200), EDGE_TEXT))
 def test_split_sentences_matches_segment_loop_oracle(text):
-    sentences = split_sentences(text, frozenset())
+    sentences = document("d", text, frozenset()).sentences
     assert [(s.text, s.tokens) for s in sentences] == _oracle_sentences(text)
     assert [s.index for s in sentences] == list(range(len(sentences)))
 
 
 def test_normalize_examples():
-    assert normalize("  Web   Based—Cross!  ") == "web based cross"
-    assert normalize("Touch.") == "touch"
-    assert normalize("English Word") == "english word"
-    assert normalize("A1 b2, C3.") == "a1 b2 c3"
-    assert normalize("") == ""
-    assert normalize("!!!") == ""
+    assert document("d", "  Web   Based—Cross!  ").normalized_text == "web based cross"
+    assert document("d", "Touch.").normalized_text == "touch"
+    assert document("d", "English Word").normalized_text == "english word"
+    assert document("d", "A1 b2, C3.").normalized_text == "a1 b2 c3"
+    assert document("d", "").normalized_text == ""
+    assert document("d", "!!!").normalized_text == ""
 
 
 @given(st.text(max_size=200))
 def test_normalize_idempotent_and_tidy(text):
-    once = normalize(text)
-    assert normalize(once) == once
+    once = document("d", text).normalized_text
+    assert document("d", once).normalized_text == once
     assert once == once.strip()
     assert "  " not in once
     assert once == once.lower()
 
 
 def test_segmentation_basic():
-    sentences = split_sentences("One. Two! Three?")
+    sentences = document("d", "One. Two! Three?").sentences
     assert [s.text for s in sentences] == ["One.", "Two!", "Three?"]
     assert [s.index for s in sentences] == [0, 1, 2]
 
 
 def test_segmentation_requires_whitespace_after_terminator():
     # "a.b." only cuts where the dot is followed by whitespace or EOF.
-    sentences = split_sentences("a.b. c")
+    sentences = document("d", "a.b. c").sentences
     assert [s.text for s in sentences] == ["a.b.", "c"]
 
 
 def test_segmentation_without_terminator_is_one_sentence():
-    sentences = split_sentences("no terminal punctuation here")
+    sentences = document("d", "no terminal punctuation here").sentences
     assert len(sentences) == 1
     assert sentences[0].tokens == ("no", "terminal", "punctuation", "here")
 
 
 def test_segmentation_empty_and_blank():
-    assert split_sentences("") == []
-    assert split_sentences("   \n\t ") == []
-    assert split_sentences("...") == []
+    assert document("d", "").sentences == ()
+    assert document("d", "   \n\t ").sentences == ()
+    assert document("d", "...").sentences == ()
 
 
 def test_sentence_token_views():
     stop = frozenset({"the", "is"})
-    [s] = split_sentences("The player kicked the ball!", stop)
+    [s] = document("d", "The player kicked the ball!", stop).sentences
     assert s.tokens == ("the", "player", "kicked", "the", "ball")
     assert s.content_tokens == ("player", "kick", "ball")
     assert s.normalized == "the player kicked the ball"
@@ -114,7 +112,7 @@ def test_sentence_token_views():
 def test_stopword_check_precedes_stemming():
     # "this" is a stopword; "thi" (its stem) must not leak through.
     stop = frozenset({"this"})
-    [s] = split_sentences("this ball", stop)
+    [s] = document("d", "this ball", stop).sentences
     assert s.content_tokens == ("ball",)
 
 
@@ -131,7 +129,7 @@ def test_document_concatenates_sentences():
 def test_document_tokens_match_normalized_text(text):
     doc = document("d", text, frozenset())
     assert " ".join(t for s in doc.sentences for t in s.tokens) == doc.normalized_text
-    assert doc.normalized_text == normalize(text)
+    assert doc.normalized_text == _oracle_normalize(text)
 
 
 def _is_subsequence(needle: str, haystack: str) -> bool:
@@ -141,9 +139,9 @@ def _is_subsequence(needle: str, haystack: str) -> bool:
 
 @given(st.text(max_size=300))
 def test_sentence_texts_are_subsequences_of_input(text):
-    for sentence in split_sentences(text, frozenset()):
+    for sentence in document("d", text, frozenset()).sentences:
         assert _is_subsequence(sentence.text, text)
-    concatenated = "".join(s.text for s in split_sentences(text, frozenset()))
+    concatenated = "".join(s.text for s in document("d", text, frozenset()).sentences)
     assert _is_subsequence(concatenated, text)
 
 
@@ -152,7 +150,7 @@ def test_content_tokens_subsequence_of_stemmed_tokens(text):
     from simscan.porter import stem
 
     stop = frozenset({"a"})
-    for sentence in split_sentences(text, stop):
+    for sentence in document("d", text, stop).sentences:
         stemmed = [stem(t) for t in sentence.tokens]
         it = iter(stemmed)
         assert all(any(tok == s for s in it) for tok in sentence.content_tokens)
@@ -170,7 +168,7 @@ def test_stemming_goes_through_module_level_stem(monkeypatch):
 
     monkeypatch.setattr(simscan.textprep, "stem", counting)
     text = "The players kicked the balls to the players!"
-    [s] = split_sentences(text, frozenset({"the", "to"}))
+    [s] = document("d", text, frozenset({"the", "to"})).sentences
     assert calls == ["players", "kicked", "balls"]
     assert s.content_tokens == ("player", "kick", "ball", "player")
 
@@ -225,12 +223,22 @@ def test_stopword_file_parsing(tmp_path):
 def test_word_lists_share_one_line_rule(tmp_path):
     path = tmp_path / "list.txt"
     path.write_text("# comment\n  The  \n\n\t# indented\nIn short,\n", encoding="utf-8")
-    assert load_stopwords(path) == frozenset({"the", "in short,"})
+    # A stopword list holds the tokens its lines give, as documents are tokenized.
+    assert load_stopwords(path) == frozenset({"the", "in", "short"})
     assert load_query_phrases(path) == ("the", "in short,")
     # A form feed or U+2028 inside a line does not split it, as str.splitlines would.
     path.write_text("alpha\x0cbeta\nin short,\u2028we find that\n", encoding="utf-8")
-    assert load_stopwords(path) == frozenset({"alpha\x0cbeta", "in short,\u2028we find that"})
+    assert load_stopwords(path) == frozenset({"alpha", "beta", "in", "short", "we", "find", "that"})
     assert load_query_phrases(path) == ("alpha beta", "in short, we find that")
+
+
+def test_stopword_entries_are_read_as_tokens(tmp_path):
+    path = tmp_path / "stops.txt"
+    path.write_text("Don't\nWELL-KNOWN\n!!!\n", encoding="utf-8")
+    words = load_stopwords(path)
+    assert words == frozenset({"don", "t", "well", "known"})
+    [s] = document("d", "Don't use well-known words.", words).sentences
+    assert s.content_tokens == ("us", "word")
 
 
 def test_missing_stopword_file_raises(tmp_path):
