@@ -52,10 +52,6 @@ class Sentence:
     tokens: tuple[str, ...]
     content_tokens: tuple[str, ...]
 
-    @property
-    def normalized(self) -> str:
-        return " ".join(self.tokens)
-
 
 @dataclass(frozen=True)
 class Document:
@@ -109,7 +105,7 @@ def document(
             sentences.append(Sentence(len(sentences), raw.strip(), tokens, content))
     return Document(
         id=doc_id,
-        normalized_text=" ".join(s.normalized for s in sentences),
+        normalized_text=" ".join(" ".join(s.tokens) for s in sentences),
         sentences=tuple(sentences),
     )
 

@@ -41,7 +41,7 @@ def weighted_fingerprints(doc: Document) -> tuple[tuple[int, str], ...]:
     weights = gram_weights(multiset)
     out = []
     for sentence in doc.sentences:
-        grams = list(char_kgrams(sentence.normalized, STATEMENT_GRAM_LEN).counts)
+        grams = list(char_kgrams(" ".join(sentence.tokens), STATEMENT_GRAM_LEN).counts)
         if len(grams) >= STATEMENT_GRAM_COUNT:
             ranked = sorted(grams, key=weights.__getitem__)
             out.append((sentence.index, "".join(ranked[:STATEMENT_GRAM_COUNT])))

@@ -798,7 +798,7 @@ def test_index_available_scores_equal_a_brute_force_oracle(ref_text, susp_text, 
 def gram_union(sentences, k):
     grams = set()
     for sentence in sentences:
-        grams |= char_kgrams(sentence.normalized, k).gram_set()
+        grams |= char_kgrams(" ".join(sentence.tokens), k).gram_set()
     return tuple(sorted(grams))
 
 

@@ -386,7 +386,7 @@ def test_lcs_similarity_empty_inputs_degenerate():
 def hand_built(doc_id: str, token_lists) -> Document:
     """A Document of these token tuples; unlike `document`'s, a sentence may be empty."""
     sentences = tuple(Sentence(i, " ".join(t), tuple(t), tuple(t)) for i, t in enumerate(token_lists))
-    return Document(doc_id, " ".join(s.normalized for s in sentences), sentences)
+    return Document(doc_id, " ".join(" ".join(s.tokens) for s in sentences), sentences)
 
 
 # Sentences of up to five tokens over three words, empty ones included; ties

@@ -330,7 +330,7 @@ def test_document_fingerprints_match_exact_weight_ranking(text):
 def test_every_sentence_with_three_grams_has_one_key_of_its_own_grams(text):
     doc = document("d", text, frozenset())
     fps = document_fingerprints(doc)
-    own = [char_kgrams(s.normalized, STATEMENT_GRAM_LEN).counts for s in doc.sentences]
+    own = [char_kgrams(" ".join(s.tokens), STATEMENT_GRAM_LEN).counts for s in doc.sentences]
     expected = [i for i, grams in enumerate(own) if len(grams) >= STATEMENT_GRAM_COUNT]
     assert [fp.sentence_index for fp in fps] == expected
     for fp in fps:
