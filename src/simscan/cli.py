@@ -33,7 +33,7 @@ from .detector import (
 )
 from .detector import load_index, save_index  # noqa: F401  perfbench/tracer.py wraps both
 from .features import DEFAULT_GRAM_LEN, DEFAULT_K_TOP
-from .textprep import Document, load_stopwords
+from .textprep import load_stopwords
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,9 +145,12 @@ def _discover(directory: str, recursive: bool) -> list[tuple[str, str]]:
         raise _CliError(EXIT_IO, f"not a directory: {directory!r}")
     pattern = "**/*.txt" if recursive else "*.txt"
     # ids are distinct, so the sort never compares paths
-    return sorted(
+    files = sorted(
         (p.relative_to(root).as_posix(), str(p)) for p in root.glob(pattern) if p.is_file()
     )
+    if not files:
+        _diagnose(f"warning: no .txt files found in {directory!r}")
+    return files
 
 
 # Without --jobs, one worker per this many files, up to the usable CPUs.  On
@@ -166,22 +169,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A pool worker's detector and build function, set once by `_start_worker`.
-_worker: tuple = ()
+# A pool worker's detector, set once by `_start_worker`.
+_worker: Detector | None = None
 
 
-def _start_worker(det: Detector, build: Callable[[Detector, str, str], object]) -> None:
+def _start_worker(det: Detector) -> None:
     global _worker
-    _worker = (det, build)
+    _worker = det
 
 
-def _build_batch(files: list[tuple[str, str]]) -> list:
-    det, build = _worker
-    return [build(det, doc_id, path) for doc_id, path in files]
+def _build_batch(files: list[tuple[str, str]]) -> list[IndexEntry]:
+    return [_entry(_worker, doc_id, path) for doc_id, path in files]
 
 
-def _pooled(pool, files: list[tuple[str, str]], jobs: int) -> Iterator:
-    """Each file's result in id order, with at most `2 * jobs` batches out at once.
+def _pooled(pool, files: list[tuple[str, str]], jobs: int) -> Iterator[IndexEntry]:
+    """Each file's entry in id order, with at most `2 * jobs` batches out at once.
 
     The bound holds the parent to a few batches of results even when the
     pool builds faster than the caller consumes.
@@ -196,36 +198,32 @@ def _pooled(pool, files: list[tuple[str, str]], jobs: int) -> Iterator:
 
 
 @contextlib.contextmanager
-def _corpus(
-    args, build: Callable[[Detector, str, str], object]
-) -> Iterator[tuple[Detector, Iterator]]:
-    """The detector and an iterator of `build(det, doc_id, path)` over the corpus, in id order.
+def _corpus(args) -> Iterator[tuple[Detector, Iterator[IndexEntry]]]:
+    """The detector and an iterator of the corpus's index entries, in id order.
 
-    `build` reads its own file, and the iterator builds each file as it is
-    asked for the next, so neither the texts nor the results are held
-    together.  `--jobs` asks for a worker count, capped by the usable CPUs
-    and the files; without it, there is one worker per `_FILES_PER_WORKER`
-    files, up to the usable CPUs.  With fewer than two workers the files are
-    built in-process.  Otherwise each worker gets the detector once, takes
-    `_BATCH_FILES` files at a time, and the results come back in id order.
+    The iterator reads and builds each file as it is asked for the next, so
+    neither the texts nor the entries are held together.  `--jobs` asks for
+    a worker count, capped by the usable CPUs and the files; without it,
+    there is one worker per `_FILES_PER_WORKER` files, up to the usable
+    CPUs.  With fewer than two workers the files are built in-process.
+    Otherwise each worker gets the detector once, takes `_BATCH_FILES`
+    files at a time, and the entries come back in id order.
     """
     if args.jobs is not None and args.jobs < 1:
         raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
     det = _detector(args)
     files = _discover(args.directory, args.recursive)
-    if not files:
-        _diagnose(f"warning: no .txt files found in {args.directory!r}")
     if args.jobs is None:
         jobs = min(_usable_cpus(), len(files) // _FILES_PER_WORKER)
     else:
         jobs = min(args.jobs, _usable_cpus(), len(files))
     if jobs < 2:
-        yield det, (build(det, doc_id, path) for doc_id, path in files)
+        yield det, (_entry(det, doc_id, path) for doc_id, path in files)
         return
     # Imported here: it loads multiprocessing, which a serial run never needs.
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(det, build))
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(det,))
     try:
         yield det, _pooled(pool, files, jobs)
     finally:
@@ -233,12 +231,8 @@ def _corpus(
         pool.shutdown(cancel_futures=True)
 
 
-def _document(det: Detector, doc_id: str, path: str) -> Document:
-    return det.document(doc_id, _read_text(path))
-
-
 def _entry(det: Detector, doc_id: str, path: str) -> IndexEntry:
-    return det.entry(_document(det, doc_id, path))
+    return det.entry(det.document(doc_id, _read_text(path)))
 
 
 def report_dict(report: FeatureReport) -> dict:
@@ -327,7 +321,7 @@ def cmd_index(args) -> int:
     The index's temporary file is created before the first input is read,
     so an output that cannot be written is reported ahead of any input fault.
     """
-    with _corpus(args, _entry) as (det, entries):
+    with _corpus(args) as (det, entries):
         try:
             count = write_index(args.out, det.config_snapshot(), entries)
         except OSError as exc:
@@ -360,63 +354,69 @@ def cmd_bench(args) -> int:
     # Imported here: only this command needs it.
     from .bench import format_table, run_bench
 
-    with _corpus(args, _document) as (det, docs):
-        docs = list(docs)  # every pair is scored, so every document is kept
-    rows = run_bench(docs, det)
+    # In-process: unpickling each whole Document a worker sends back costs more than it saves.
+    det = _detector(args)
+    files = _discover(args.directory, args.recursive)
+    rows = run_bench([det.document(doc_id, _read_text(path)) for doc_id, path in files], det)
     return _emit(args, lambda: [asdict(row) for row in rows], lambda: format_table(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--k", type=int, default=DEFAULT_GRAM_LEN, help="character gram length")
-    common.add_argument(
-        "--top-keywords", type=int, default=DEFAULT_K_TOP, dest="top_keywords",
-        help="keyword set size cap",
+    # What an index header records: every command takes these.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--k", type=int, default=DEFAULT_GRAM_LEN, help="character gram length")
+    config.add_argument(
+        "--top-keywords", type=int, default=DEFAULT_K_TOP, help="keyword set size cap"
     )
-    common.add_argument(
-        "--beta", default="1", help="'paper' or a fixed F-measure beta (default 1)"
+    config.add_argument("--stopwords", help="stopword file, one per line")
+    config.add_argument("--phrases", help="cue phrase file, one per line")
+
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--weights", help="feature weights as name=value,name=value")
+    scoring.add_argument(
+        "--features", help=f"comma-separated features (default {','.join(DEFAULT_FEATURES)})"
     )
-    common.add_argument(
-        "--weights", default=None, help="feature weights as name=value,name=value"
-    )
-    common.add_argument(
-        "--features", default=None,
-        help=f"comma-separated features (default {','.join(DEFAULT_FEATURES)})",
-    )
-    common.add_argument("--stopwords", default=None, help="stopword file, one per line")
-    common.add_argument("--phrases", default=None, help="cue phrase file, one per line")
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    scoring.add_argument("--format", choices=("json", "text"), default="json")
+
+    # lcs_f is the one feature beta changes, and `scan` never scores it.
+    beta = argparse.ArgumentParser(add_help=False)
+    beta.add_argument("--beta", default="1", help="'paper' or a fixed F-measure beta (default 1)")
 
     corpus = argparse.ArgumentParser(add_help=False)
     corpus.add_argument("directory")
     corpus.add_argument("--recursive", action="store_true", help="descend into subdirectories")
-    corpus.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: one per 64 files, up to the usable CPUs)",
-    )
 
     parser = _ArgumentParser(
         prog="simscan", description="Fingerprint-based text similarity scanner."
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.set_defaults(beta="1", weights=None, features=None)  # for `_detector`, on any command
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("compare", parents=[common], help="score one document pair")
+    p = sub.add_parser("compare", parents=[config, scoring, beta], help="score one document pair")
     p.add_argument("reference")
     p.add_argument("suspect")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("index", parents=[common, corpus], help="index a directory of .txt files")
+    p = sub.add_parser("index", parents=[config, corpus], help="index a directory of .txt files")
     p.add_argument("out", help="index file to write")
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes (default: one per 64 files, up to the usable CPUs)",
+    )
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("scan", parents=[common], help="rank indexed documents for a suspect")
+    p = sub.add_parser(
+        "scan", parents=[config, scoring], help="rank indexed documents for a suspect"
+    )
     p.add_argument("suspect")
     p.add_argument("index")
     p.add_argument("--top", type=int, default=10, help="result cap")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("bench", parents=[common, corpus], help="time the schemes on a corpus")
+    p = sub.add_parser(
+        "bench", parents=[config, scoring, beta, corpus], help="time the schemes on a corpus"
+    )
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -80,13 +80,34 @@ def first_sentence(doc: Document) -> tuple[int, ...]:
 def cue_sentences(
     doc: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
 ) -> tuple[int, ...]:
-    """Indices of the sentences that contain a cue phrase, both in `_cue_form`.
+    """Indices of the sentences that contain a cue phrase as whole words, both in `_cue_form`.
 
     A phrase that is empty in that form is skipped.
     """
     cues = [cue for cue in map(_cue_form, phrases) if cue]
     texts = (_cue_form(sentence.text) for sentence in doc.sentences)
-    return tuple(i for i, text in enumerate(texts) if any(cue in text for cue in cues))
+    return tuple(
+        i for i, text in enumerate(texts) if any(cue in text and _whole_words(cue, text) for cue in cues)
+    )
+
+
+def _whole_words(cue: str, text: str) -> bool:
+    """Whether `cue` occurs in `text` as whole words.
+
+    An end of `cue` that is a word character (`str.isalnum`, the token
+    rule's) must not touch another word character in `text`, so "in
+    general," is no cue in "domain general," nor "we find that" in "we
+    find thatched".
+    """
+    start = text.find(cue)
+    while start != -1:
+        end = start + len(cue)
+        joined_before = start > 0 and cue[0].isalnum() and text[start - 1].isalnum()
+        joined_after = end < len(text) and cue[-1].isalnum() and text[end].isalnum()
+        if not (joined_before or joined_after):
+            return True
+        start = text.find(cue, start + 1)
+    return False
 
 
 def key_sentence_indices(

@@ -228,17 +228,35 @@ def test_int_beta_reports_as_float():
     assert dumps_fixed(report_dict(det.analyze_pair(a, b))) == rendered
 
 
+def _readme_table(readme: str, heading: str) -> list[list[str]]:
+    """The cells of each row of the flag table that follows `heading`."""
+    table = readme.split(heading, 1)[1].split("\n\n", 2)[1]
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in table.splitlines()[2:]]
+
+
 def test_readme_lists_every_shared_option():
     subparsers = next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    shared = set.intersection(
-        *({opt for action in sub._actions for opt in action.option_strings}
-          for sub in subparsers.choices.values())
-    ) - {"-h", "--help"}
+    takers: dict[str, set[str]] = {}
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for flag in set(action.option_strings) - {"-h", "--help"}:
+                takers.setdefault(flag, set()).add(command)
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    assert set(re.findall(r"^\| `(--[a-z-]+)` \|", readme, re.MULTILINE)) == shared
+    shared = {row[0].strip("`") for row in _readme_table(readme, "Options shared by all")}
+    everyone = set(subparsers.choices)
+    assert shared == {flag for flag, commands in takers.items() if commands == everyone}
+    # `scan`'s own `--top` and the corpus commands' `--recursive` are in the text above.
+    some = {
+        row[0].strip("`"): set(row[1].split(", "))
+        for row in _readme_table(readme, "Options that only some subcommands take")
+    }
+    assert some == {
+        flag: commands for flag, commands in takers.items()
+        if flag not in shared | {"--top", "--recursive"}
+    }
 
 
 def test_parser_defaults_match_detector_config():
@@ -582,7 +600,7 @@ def test_random_flags_exit_with_one_line(workspace, capsys):
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(["compare", "scan"]),
+        st.sampled_from(["compare", "scan", "index"]),
         st.fixed_dictionaries(
             {},
             optional={
@@ -596,17 +614,21 @@ def test_random_flags_exit_with_one_line(workspace, capsys):
         ),
     )
     def check(command, flags):
+        takes = {"--k", "--top-keywords"}
         if command == "compare":
             args = ["compare", ref, susp]
-        else:
+            takes |= {"--beta", "--weights", "--features"}
+        elif command == "scan":
             args = ["scan", susp, str(index_path)]
-        for flag, value in flags.items():
-            if flag != "--top" or command == "scan":
-                args.append(f"{flag}={value}")
+            takes |= {"--weights", "--features", "--top"}
+        else:
+            args = ["index", str(workspace / "corpus"), str(workspace / "random.jsonl")]
+        args += [f"{flag}={value}" for flag, value in flags.items() if flag in takes]
         code, out, err = run(args, capsys)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_INDEX), (args, err)
         if code == EXIT_OK:
-            assert err == "" and json.loads(out)
+            assert err == ""
+            assert out.startswith("indexed 3 documents") if command == "index" else json.loads(out)
         else:
             assert out == "" and err.startswith("simscan: error:"), (args, err)
             assert err.count("\n") == 1, (args, err)
@@ -706,16 +728,7 @@ def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch, recording_p
     single.mkdir()
     (single / "only.txt").write_text(S1, encoding="utf-8")
     code, _, _ = run(["index", str(single), str(pooled), "--jobs", "5"], capsys)
-    code_bench, _, _ = run(["bench", str(single), "--jobs", "5"], capsys)
-    assert code == code_bench == EXIT_OK and recording_pool.sizes == [3, 2]
-
-
-def _bench_rows(corpus, capsys, *flags) -> list[dict]:
-    """`bench`'s rows without their timings."""
-    code, out, _ = run(["bench", str(corpus), *flags], capsys)
-    assert code == EXIT_OK
-    keys = ("scheme", "docs", "pairs", "bytes_per_doc")
-    return [{key: row[key] for key in keys} for row in json.loads(out)]
+    assert code == EXIT_OK and recording_pool.sizes == [3, 2]
 
 
 @pytest.mark.parametrize(
@@ -736,7 +749,6 @@ def test_worker_count_follows_the_files_and_the_cpus(
     corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 6)
     serial = tmp_path / "serial.jsonl"
     assert run(["index", str(corpus), str(serial), "--jobs", "1"], capsys)[0] == EXIT_OK
-    serial_rows = _bench_rows(corpus, capsys, "--jobs", "1")
     assert recording_pool.sizes == []
 
     monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", files_per_worker)
@@ -744,14 +756,45 @@ def test_worker_count_follows_the_files_and_the_cpus(
     out = tmp_path / "out.jsonl"
     assert run(["index", str(corpus), str(out), *flags], capsys)[0] == EXIT_OK
     assert out.read_bytes() == serial.read_bytes()
-    assert _bench_rows(corpus, capsys, *flags) == serial_rows
-    assert recording_pool.sizes == ([] if workers is None else [workers] * 2)
+    assert recording_pool.sizes == ([] if workers is None else [workers])
 
 
-def test_bench_jobs_match_serial(workspace, capsys, monkeypatch):
-    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
-    corpus = workspace / "corpus"
-    assert _bench_rows(corpus, capsys, "--jobs", "2") == _bench_rows(corpus, capsys, "--jobs", "1")
+def test_bench_builds_in_process(tmp_path, capsys, monkeypatch, recording_pool):
+    """Above the threshold at which `index` starts a pool, `bench` starts none."""
+    corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 6)
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 2)
+    code, out, _ = run(["bench", str(corpus)], capsys)
+    assert code == EXIT_OK and recording_pool.sizes == []
+    rows = json.loads(out)
+    assert rows and [row["docs"] for row in rows] == [6] * len(rows)
+    assert run(["index", str(corpus), str(tmp_path / "out.jsonl")], capsys)[0] == EXIT_OK
+    assert recording_pool.sizes == [3]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("index", "--beta", "1"),
+        ("index", "--weights", "statement=1"),
+        ("index", "--features", "statement"),
+        ("index", "--format", "json"),
+        ("scan", "--beta", "1"),
+        ("bench", "--jobs", "1"),
+    ],
+)
+def test_commands_refuse_options_they_do_not_read(workspace, capsys, command, flag, value):
+    corpus, out = str(workspace / "corpus"), workspace / "out.jsonl"
+    index = workspace / "idx.jsonl"
+    assert run(["index", corpus, str(index)], capsys)[0] == EXIT_OK
+    args = {
+        "index": ["index", corpus, str(out)],
+        "scan": ["scan", str(workspace / "S1.txt"), str(index)],
+        "bench": ["bench", corpus],
+    }[command]
+    code, stdout, err = run([*args, flag, value], capsys)
+    assert code == EXIT_USAGE and stdout == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert not out.exists()
 
 
 def test_index_empty_dir_warns_on_stderr(workspace, capsys):

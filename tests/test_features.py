@@ -188,24 +188,46 @@ def per_phrase_hits(doc, phrases):
     """The per-phrase cue scan `cue_sentences` replaced, as an oracle.
 
     Like `cue_sentences`, it lowercases the text and each phrase, collapses
-    each whitespace run to one space, and skips a phrase left empty.
+    each whitespace run to one space, skips a phrase left empty, and takes
+    a phrase only as whole words: tried at every position, it must not
+    touch an alphanumeric character with an alphanumeric end of its own.
     """
     hits = []
     for sentence in doc.sentences:
         lowered = " ".join(sentence.text.lower().split())
         for phrase in phrases:
             phrase = " ".join(phrase.lower().split())
-            if phrase and phrase in lowered:
+            if phrase and any(
+                _whole_phrase_at(lowered, phrase, i) for i in range(len(lowered))
+            ):
                 hits.append(sentence.index)
                 break
     return tuple(hits)
 
 
+def _whole_phrase_at(text, phrase, i):
+    before, after = text[i - 1 : i], text[i + len(phrase) : i + len(phrase) + 1]
+    return (
+        text[i : i + len(phrase)] == phrase
+        and not (phrase[0].isalnum() and before.isalnum())
+        and not (phrase[-1].isalnum() and after.isalnum())
+    )
+
+
+def test_cue_phrase_matches_only_whole_words():
+    doc = document(
+        "d", "This is a domain general, task-free method. We find thatched roofs. In general, yes."
+    )
+    assert cue_sentences(doc) == (2,)
+
+
 # Mixed-case words drawn so that cue phrases, their substrings and their
-# extensions all occur; "İ" lowercases to two characters.
+# extensions all occur, also inside longer words ("domain general,", "we
+# find thatched"); "İ" lowercases to two characters.
 cue_words = st.one_of(
     st.sampled_from(
-        ["We", "FIND", "that", "In", "general,", "GENERAL", "conclusion,", "x", "\u0130n"]
+        ["We", "FIND", "that", "In", "general,", "GENERAL", "conclusion,", "x", "\u0130n",
+         "domain", "thatched", "2nd"]
     ),
     st.text(max_size=4),
 )

@@ -140,7 +140,6 @@ CASES = {
     ],
     "bench_json": [["bench", "corpus", "--format", "json"]],
     "bench_text": [["bench", "corpus", "--format", "text"]],
-    "bench_jobs2": [["bench", "corpus", "--jobs", "2"]],
 }
 
 # `bench` timings: the JSON `seconds_per_pair` values and the table's s/pair column.
@@ -148,10 +147,6 @@ _TIMINGS = re.compile(r'("seconds_per_pair": )-?\d+\.\d+|^(\S+ +\d+ +\d+ +)\S+',
 
 # name -> (sha256 of stdout, sha256 of the index file or None).
 DIGESTS = {
-    "bench_jobs2": (
-        "d5a1825394b82bb5390e2912d8463eb984b4caae3f5553e42e1518ffe0b47510",
-        None,
-    ),
     "bench_json": (
         "d5a1825394b82bb5390e2912d8463eb984b4caae3f5553e42e1518ffe0b47510",
         None,
