@@ -270,7 +270,7 @@ class Detector:
         self._weights = tuple((name, self.config.weight(name)) for name in self.config.features)
 
     def document(self, doc_id: str, raw_text: str) -> Document:
-        return document(doc_id, raw_text, self.stopwords, self._stems)
+        return document(doc_id, raw_text)
 
     def config_snapshot(self) -> dict:
         """The parameters an index depends on, with list digests."""
@@ -325,7 +325,7 @@ class Detector:
         if self.config.k_char != STATEMENT_GRAM_LEN:
             del grams  # so that the 4-gram and k-gram lists are never held together
             grams = document_grams(doc, self.config.k_char)
-        return grams, keys, top_keywords(doc, self.config.k_top).terms
+        return grams, keys, top_keywords(doc, self.config.k_top, self.stopwords, self._stems).terms
 
     def _outcomes(
         self, ref: Reference, suspect: Suspect, gram_count: Callable[..., Counts] = overlap

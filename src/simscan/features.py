@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .fingerprint import DEGENERATE, ResemblanceScore
 from .kernels import lcs_length, match_masks
-from .textprep import Document, list_entries
+from .textprep import DEFAULT_STOPWORDS, Document, StemMemo, list_entries
 
 DEFAULT_QUERY_PHRASES: tuple[str, ...] = (
     "in conclusion,",
@@ -62,11 +63,24 @@ def _cue_form(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def top_keywords(doc: Document, k_top: int = DEFAULT_K_TOP) -> KeywordSet:
-    """The k_top most frequent stemmed content terms, ties alphabetical."""
+def top_keywords(
+    doc: Document,
+    k_top: int = DEFAULT_K_TOP,
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+    stems: StemMemo | None = None,
+) -> KeywordSet:
+    """The k_top most frequent stemmed content terms, ties alphabetical.
+
+    A content term is a token not in `stopwords`, stemmed through `stems`;
+    pass one `StemMemo` (a `Detector` keeps one) to stem each distinct
+    token once across calls.
+    """
     if not _is_int(k_top) or k_top < 1:
         raise ValueError(f"k_top must be an int >= 1, got {k_top!r}")
-    counts = Counter(doc.content_tokens)
+    if stems is None:
+        stems = StemMemo()
+    tokens = chain.from_iterable(s.tokens for s in doc.sentences)
+    counts = Counter(map(stems.__getitem__, filterfalse(stopwords.__contains__, tokens)))
     # A reverse sort is still stable, so equal counts keep alphabetical order.
     ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
     return KeywordSet(frozenset(ranked[:k_top]))
@@ -210,7 +224,7 @@ def lcs_similarity(
         xs = ref.sentences[ki].tokens
         m = len(xs)
         masks = match_masks(xs)
-        for sentence in susp.sentences:
+        for si, sentence in enumerate(susp.sentences):
             ys = sentence.tokens
             n = len(ys)
             if _lcs_f(min(m, n), m, n, beta)[3] < best_f:
@@ -219,6 +233,6 @@ def lcs_similarity(
             length = lcs_length(xs, ys, masks) if m and n else 0
             f = _lcs_f(length, m, n, beta)[3]
             if f > best_f:
-                best_f, best = f, (length, m, n, ki, sentence.index)
+                best_f, best = f, (length, m, n, ki, si)
     length, m, n, ki, si = best
     return _lcs_score(length, m, n, beta, ref_sentence=ki, susp_sentence=si)

@@ -1,8 +1,9 @@
 """Deterministic text preprocessing.
 
-Sentence segmentation, word tokenization, stopword removal and stemming:
-the front end every comparison scheme shares, built by `document`.  All
-functions are pure; `Document` and `Sentence` are immutable once built.
+Sentence segmentation and word tokenization: the front end every
+comparison scheme shares, built by `document`.  The stopword lists and the
+stem memo that `features.top_keywords` reads live here too.  All functions
+are pure; `Document` and `Sentence` are immutable once built.
 
 Two patterns hold the text rules.  `_WORD` is a word: a maximal run of
 alphanumeric characters (`str.isalnum`), read lowercased by `_tokens`.
@@ -41,16 +42,13 @@ def _tokens(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Sentence:
-    """One segmented sentence with its token views.
+    """One segmented sentence: its stripped `text` and its `tokens`, the words in order.
 
-    `tokens` are the normalized words in order; `content_tokens` are the
-    stemmed non-stopword tokens, used only by keyword extraction.
+    Its index is its position in `Document.sentences`.
     """
 
-    index: int
     text: str
     tokens: tuple[str, ...]
-    content_tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -61,13 +59,9 @@ class Document:
     normalized_text: str
     sentences: tuple[Sentence, ...]
 
-    @property
-    def content_tokens(self) -> tuple[str, ...]:
-        return tuple(t for s in self.sentences for t in s.content_tokens)
-
 
 class StemMemo(dict):
-    """Stems by token, filled on demand.
+    """Stems by token, filled on demand; `top_keywords` stems through one.
 
     A missing token is stemmed by this module's `stem`, looked up at call
     time so that the benchmark's tracer, which rebinds it, sees every miss.
@@ -78,31 +72,18 @@ class StemMemo(dict):
         return stemmed
 
 
-def document(
-    doc_id: str,
-    raw_text: str,
-    stopwords: frozenset[str] | None = None,
-    stems: StemMemo | None = None,
-) -> Document:
-    """A `Document` of `raw_text`'s sentences, with dense indices from 0.
+def document(doc_id: str, raw_text: str) -> Document:
+    """A `Document` of `raw_text`'s sentences, in order.
 
     Text without any terminal punctuation yields a single sentence; empty
     text yields none.  Segments without a single word (all punctuation)
     are dropped, so a document has sentences exactly when it has tokens.
-    Stopwords default to `DEFAULT_STOPWORDS`.  Each distinct content token
-    is stemmed once, through `stems` if given (a memo kept across calls,
-    such as a `Detector`'s).
     """
-    if stopwords is None:
-        stopwords = DEFAULT_STOPWORDS
-    if stems is None:
-        stems = StemMemo()
     sentences: list[Sentence] = []
     for raw in _SENTENCE_END.split(raw_text):
         tokens = tuple(_tokens(raw))
         if tokens:
-            content = tuple(stems[t] for t in tokens if t not in stopwords)
-            sentences.append(Sentence(len(sentences), raw.strip(), tokens, content))
+            sentences.append(Sentence(raw.strip(), tokens))
     return Document(
         id=doc_id,
         normalized_text=" ".join(" ".join(s.tokens) for s in sentences),

@@ -40,9 +40,9 @@ def weighted_fingerprints(doc: Document) -> tuple[tuple[int, str], ...]:
         return ()
     weights = gram_weights(multiset)
     out = []
-    for sentence in doc.sentences:
+    for index, sentence in enumerate(doc.sentences):
         grams = list(char_kgrams(" ".join(sentence.tokens), STATEMENT_GRAM_LEN).counts)
         if len(grams) >= STATEMENT_GRAM_COUNT:
             ranked = sorted(grams, key=weights.__getitem__)
-            out.append((sentence.index, "".join(ranked[:STATEMENT_GRAM_COUNT])))
+            out.append((index, "".join(ranked[:STATEMENT_GRAM_COUNT])))
     return tuple(out)

@@ -37,6 +37,7 @@ from simscan.detector import (
 from simscan.cli import EXIT_IO, dumps_fixed, main, report_dict
 from simscan.features import DEFAULT_QUERY_PHRASES, top_keywords
 from simscan.fingerprint import char_kgrams, fingerprint_keys, outcome_value, overlap_bound
+from simscan.porter import stem
 
 INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
@@ -281,6 +282,19 @@ def test_entry_matches_direct_computation(detector, corpus_docs):
     assert set(entry.fingerprints) == fingerprint_keys(doc)
     assert set(entry.keywords) == top_keywords(doc, 10).terms
     assert entry.fingerprints == tuple(sorted(entry.fingerprints))
+
+
+def test_document_does_not_depend_on_the_detector(tmp_path):
+    # Stopwords and stems are read only by `top_keywords`, so every detector
+    # builds the same document from one text.
+    path = tmp_path / "stops.txt"
+    path.write_text("players\nball\n", encoding="utf-8")
+    text = "The players kicked the ball. We find that the ball rolled!"
+    plain, stopped = Detector(), Detector(DetectorConfig(stopword_path=str(path)))
+    assert plain.stopwords != stopped.stopwords
+    doc = plain.document("d", text)
+    assert doc == stopped.document("d", text)
+    assert plain.entry(doc).keywords != stopped.entry(doc).keywords
 
 
 def test_index_round_trip_byte_identical(detector, corpus_docs, tmp_path):
@@ -752,8 +766,8 @@ def oracle_keys(doc):
     return keys
 
 
-def oracle_keywords(doc, k_top):
-    counts = Counter(doc.content_tokens)
+def oracle_keywords(doc, k_top, stopwords):
+    counts = Counter(stem(t) for s in doc.sentences for t in s.tokens if t not in stopwords)
     return set(sorted(counts, key=lambda term: (-counts[term], term))[:k_top])
 
 
@@ -781,7 +795,9 @@ def test_index_available_scores_equal_a_brute_force_oracle(ref_text, susp_text, 
     susp_grams = char_kgrams(susp.normalized_text, k).gram_set()
     expected = {
         "statement": oracle_jaccard(oracle_keys(ref), oracle_keys(susp)),
-        "top_keyword": oracle_jaccard(oracle_keywords(ref, k_top), oracle_keywords(susp, k_top)),
+        "top_keyword": oracle_jaccard(
+            oracle_keywords(ref, k_top, det.stopwords), oracle_keywords(susp, k_top, det.stopwords)
+        ),
         "first_sentence": oracle_jaccard(oracle_grams(ref.sentences[:1], k), susp_grams),
         "query_phrase": oracle_jaccard(cue_grams, susp_grams),
     }

@@ -239,11 +239,7 @@ def test_least_frequent_fingerprint_picks_rarest_grams():
     # Sentence grams all tie except occe/ccer/cerg, which appear nowhere
     # else in the document, so they are the three least frequent and the
     # key is their concatenation.
-    doc = document(
-        "s",
-        "Soccer game is fantastic. Soccx ergam gameis eisfan fanta ntast astic.",
-        frozenset(),
-    )
+    doc = document("s", "Soccer game is fantastic. Soccx ergam gameis eisfan fanta ntast astic.")
     fps = document_fingerprints(doc)
     by_index = {fp.sentence_index: fp for fp in fps}
     assert by_index[0].key == "occeccercerg"
@@ -252,16 +248,16 @@ def test_least_frequent_fingerprint_picks_rarest_grams():
 def test_least_frequent_fingerprint_tie_breaks_by_position():
     # Single-sentence document: every gram is equally frequent, so the
     # first three windows win: socc, occe and ccer.
-    doc = document("d", "soccer game is fantastic.", frozenset())
+    doc = document("d", "soccer game is fantastic.")
     assert document_fingerprints(doc) == ((0, "soccocceccer"),)
 
 
 def test_short_sentence_has_no_fingerprint():
-    assert document_fingerprints(document("d", "tiny.", frozenset())) == ()
+    assert document_fingerprints(document("d", "tiny.")) == ()
 
 
 def test_document_fingerprints_key_length():
-    doc = document("d", "The quick brown fox jumps. Pack my box with jugs.", frozenset())
+    doc = document("d", "The quick brown fox jumps. Pack my box with jugs.")
     fps = document_fingerprints(doc)
     assert len(fps) == 2
     for fp in fps:
@@ -293,7 +289,7 @@ def once_seen(doc):
     ids=["three-once-seen", "two-once-seen", "none-once-seen"],
 )
 def test_document_fingerprints_on_both_paths_match_exact_weights(text, once, keys):
-    doc = document("d", text, frozenset())
+    doc = document("d", text)
     assert once_seen(doc) == once
     assert document_fingerprints(doc) == tuple(enumerate(keys)) == weighted_fingerprints(doc)
 
@@ -311,7 +307,7 @@ def test_gram_texts_draw_sentences_on_both_fingerprint_paths(short_cut):
     # A keyed sentence with three once-seen grams takes the short cut; one
     # with fewer falls back to the count sort.
     def has_path(text):
-        doc = document("d", text, frozenset())
+        doc = document("d", text)
         counts = once_seen(doc)
         return any((counts[fp.sentence_index] >= 3) == short_cut for fp in document_fingerprints(doc))
 
@@ -322,13 +318,13 @@ def test_gram_texts_draw_sentences_on_both_fingerprint_paths(short_cut):
 def test_document_fingerprints_match_exact_weight_ranking(text):
     # Oracle: rank every sentence's grams by exact Fraction weights over the
     # whole document; the integer-count ranking must pick the same keys.
-    doc = document("d", text, frozenset())
+    doc = document("d", text)
     assert document_fingerprints(doc) == weighted_fingerprints(doc)
 
 
 @given(gram_texts)
 def test_every_sentence_with_three_grams_has_one_key_of_its_own_grams(text):
-    doc = document("d", text, frozenset())
+    doc = document("d", text)
     fps = document_fingerprints(doc)
     own = [char_kgrams(" ".join(s.tokens), STATEMENT_GRAM_LEN).counts for s in doc.sentences]
     expected = [i for i, grams in enumerate(own) if len(grams) >= STATEMENT_GRAM_COUNT]
@@ -343,7 +339,7 @@ def test_every_sentence_with_three_grams_has_one_key_of_its_own_grams(text):
 @example(text="ball. ball.", k=6)
 @given(st.one_of(gram_texts, st.text(max_size=60)), small_k)
 def test_document_grams_counts_text_and_cuts_sentences(text, k):
-    doc = document("d", text, frozenset())
+    doc = document("d", text)
     grams = document_grams(doc, k)
     text_grams = char_kgrams(doc.normalized_text, k)
     assert type(grams) is GramMultiset and grams.k == k
@@ -363,8 +359,8 @@ def statement_score(doc_a, doc_b):
 
 
 def test_statement_resemblance_self_and_disjoint():
-    a = document("a", "The quick brown fox jumps over the lazy dog.", frozenset())
-    b = document("b", "zulu xray victor whisky quebec papa tango.", frozenset())
+    a = document("a", "The quick brown fox jumps over the lazy dog.")
+    b = document("b", "zulu xray victor whisky quebec papa tango.")
     assert statement_score(a, a).value == 1.0
     assert statement_score(a, b).value == 0.0
 
@@ -374,8 +370,8 @@ def test_statement_resemblance_extra_sentence_ratio():
     # so adding one sentence adds exactly one fingerprint to the set.
     base = "The quick brown fox jumps over the lazy dog."
     extra = " Zulu xray victor whisky quebec papa."
-    a = document("a", base, frozenset())
-    b = document("b", base + extra, frozenset())
+    a = document("a", base)
+    b = document("b", base + extra)
     n = len(fingerprint_keys(a))
     score = statement_score(a, b)
     assert score.value == pytest.approx(n / (n + 1))
@@ -383,15 +379,15 @@ def test_statement_resemblance_extra_sentence_ratio():
 
 
 def test_statement_resemblance_empty_docs_degenerate():
-    a = document("a", "", frozenset())
-    b = document("b", "!!!", frozenset())
+    a = document("a", "")
+    b = document("b", "!!!")
     score = statement_score(a, b)
     assert score.value == 0.0
     assert score.degenerate
 
 
 def test_fingerprint_keys_are_sorted_set():
-    doc = document("d", "The quick brown fox jumps. Pack my box with jugs.", frozenset())
+    doc = document("d", "The quick brown fox jumps. Pack my box with jugs.")
     keys = fingerprint_keys(doc)
     assert keys == {fp.key for fp in document_fingerprints(doc)}
 

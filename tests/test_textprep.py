@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import simscan.textprep
-from simscan.features import load_query_phrases
+from simscan.features import load_query_phrases, top_keywords
+from simscan.porter import stem
 from simscan.textprep import (
     DEFAULT_STOPWORDS,
     StemMemo,
@@ -54,9 +55,8 @@ def test_normalize_matches_per_character_oracle(text):
 
 @given(st.one_of(st.text(max_size=200), EDGE_TEXT))
 def test_split_sentences_matches_segment_loop_oracle(text):
-    sentences = document("d", text, frozenset()).sentences
+    sentences = document("d", text).sentences
     assert [(s.text, s.tokens) for s in sentences] == _oracle_sentences(text)
-    assert [s.index for s in sentences] == list(range(len(sentences)))
 
 
 def test_normalize_examples():
@@ -80,7 +80,6 @@ def test_normalize_idempotent_and_tidy(text):
 def test_segmentation_basic():
     sentences = document("d", "One. Two! Three?").sentences
     assert [s.text for s in sentences] == ["One.", "Two!", "Three?"]
-    assert [s.index for s in sentences] == [0, 1, 2]
 
 
 def test_segmentation_requires_whitespace_after_terminator():
@@ -103,31 +102,31 @@ def test_segmentation_empty_and_blank():
 
 def test_sentence_token_views():
     stop = frozenset({"the", "is"})
-    [s] = document("d", "The player kicked the ball!", stop).sentences
+    doc = document("d", "The player kicked the ball!")
+    [s] = doc.sentences
     assert s.tokens == ("the", "player", "kicked", "the", "ball")
-    assert s.content_tokens == ("player", "kick", "ball")
+    assert top_keywords(doc, 10, stop).terms == {"player", "kick", "ball"}
     assert " ".join(s.tokens) == "the player kicked the ball"
 
 
 def test_stopword_check_precedes_stemming():
     # "this" is a stopword; "thi" (its stem) must not leak through.
     stop = frozenset({"this"})
-    [s] = document("d", "this ball", stop).sentences
-    assert s.content_tokens == ("ball",)
+    assert top_keywords(document("d", "this ball"), 10, stop).terms == {"ball"}
 
 
 def test_document_concatenates_sentences():
-    doc = document("d", "The quick fox. The lazy dog!", frozenset({"the"}))
+    doc = document("d", "The quick fox. The lazy dog!")
     assert doc.normalized_text == "the quick fox the lazy dog"
     tokens = tuple(t for s in doc.sentences for t in s.tokens)
     assert tokens == ("the", "quick", "fox", "the", "lazy", "dog")
-    assert doc.content_tokens == ("quick", "fox", "lazi", "dog")
-    assert [s.index for s in doc.sentences] == [0, 1]
+    assert top_keywords(doc, 10, frozenset({"the"})).terms == {"quick", "fox", "lazi", "dog"}
+    assert [s.text for s in doc.sentences] == ["The quick fox.", "The lazy dog!"]
 
 
 @given(st.text(max_size=300))
 def test_document_tokens_match_normalized_text(text):
-    doc = document("d", text, frozenset())
+    doc = document("d", text)
     assert " ".join(t for s in doc.sentences for t in s.tokens) == doc.normalized_text
     assert doc.normalized_text == _oracle_normalize(text)
 
@@ -139,26 +138,23 @@ def _is_subsequence(needle: str, haystack: str) -> bool:
 
 @given(st.text(max_size=300))
 def test_sentence_texts_are_subsequences_of_input(text):
-    for sentence in document("d", text, frozenset()).sentences:
+    for sentence in document("d", text).sentences:
         assert _is_subsequence(sentence.text, text)
-    concatenated = "".join(s.text for s in document("d", text, frozenset()).sentences)
+    concatenated = "".join(s.text for s in document("d", text).sentences)
     assert _is_subsequence(concatenated, text)
 
 
 @given(st.text(alphabet="ab .", max_size=120))
-def test_content_tokens_subsequence_of_stemmed_tokens(text):
-    from simscan.porter import stem
-
+def test_content_terms_are_stems_of_non_stopword_tokens(text):
     stop = frozenset({"a"})
-    for sentence in document("d", text, stop).sentences:
-        stemmed = [stem(t) for t in sentence.tokens]
-        it = iter(stemmed)
-        assert all(any(tok == s for s in it) for tok in sentence.content_tokens)
+    doc = document("d", text)
+    stemmed = {stem(t) for s in doc.sentences for t in s.tokens if t not in stop}
+    assert top_keywords(doc, max(len(stemmed), 1), stop).terms == stemmed
 
 
 def test_stemming_goes_through_module_level_stem(monkeypatch):
     # The benchmark's tracer times stemming by rebinding this name.  Each
-    # distinct token is stemmed once.
+    # distinct content token is stemmed once, by `top_keywords` alone.
     calls = []
     real = simscan.textprep.stem
 
@@ -167,10 +163,10 @@ def test_stemming_goes_through_module_level_stem(monkeypatch):
         return real(token)
 
     monkeypatch.setattr(simscan.textprep, "stem", counting)
-    text = "The players kicked the balls to the players!"
-    [s] = document("d", text, frozenset({"the", "to"})).sentences
+    doc = document("d", "The players kicked the balls to the players!")
+    assert calls == []
+    assert top_keywords(doc, 1, frozenset({"the", "to"})).terms == {"player"}
     assert calls == ["players", "kicked", "balls"]
-    assert s.content_tokens == ("player", "kick", "ball", "player")
 
 
 WORDY_TEXT = st.text(alphabet="abeilnorstuy .!", max_size=120)
@@ -181,7 +177,8 @@ def test_long_lived_preprocessor_equals_fresh_ones(texts):
     stop = frozenset({"a", "the", "is"})
     stems = StemMemo()
     for i, text in enumerate(texts):
-        assert document(f"d{i}", text, stop, stems) == document(f"d{i}", text, stop)
+        doc = document(f"d{i}", text)
+        assert top_keywords(doc, 5, stop, stems) == top_keywords(doc, 5, stop)
 
 
 def test_preprocessor_stems_each_token_once(monkeypatch):
@@ -194,11 +191,11 @@ def test_preprocessor_stems_each_token_once(monkeypatch):
 
     monkeypatch.setattr(simscan.textprep, "stem", counting)
     stop, stems = frozenset({"the"}), StemMemo()
-    first = document("a", "The players kicked the balls.", stop, stems)
-    second = document("b", "Players kicked balls. The goals!", stop, stems)
+    first = top_keywords(document("a", "The players kicked the balls."), 10, stop, stems)
+    second = top_keywords(document("b", "Players kicked balls. The goals!"), 10, stop, stems)
     assert sorted(calls) == ["balls", "goals", "kicked", "players"]
-    assert first.content_tokens == ("player", "kick", "ball")
-    assert second.content_tokens == ("player", "kick", "ball", "goal")
+    assert first.terms == {"player", "kick", "ball"}
+    assert second.terms == {"player", "kick", "ball", "goal"}
 
 
 def test_default_stopwords_loaded_once():
@@ -237,8 +234,7 @@ def test_stopword_entries_are_read_as_tokens(tmp_path):
     path.write_text("Don't\nWELL-KNOWN\n!!!\n", encoding="utf-8")
     words = load_stopwords(path)
     assert words == frozenset({"don", "t", "well", "known"})
-    [s] = document("d", "Don't use well-known words.", words).sentences
-    assert s.content_tokens == ("us", "word")
+    assert top_keywords(document("d", "Don't use well-known words."), 10, words).terms == {"us", "word"}
 
 
 def test_missing_stopword_file_raises(tmp_path):
