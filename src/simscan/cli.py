@@ -153,9 +153,9 @@ def _discover(directory: str, recursive: bool) -> list[tuple[str, str]]:
     return files
 
 
-# Without --jobs, one worker per this many files, up to the usable CPUs.  On
-# a 2-CPU host, starting and feeding a pool of two costs about as much as
-# building 30-80 files in-process, so a smaller corpus stays in-process.
+# One worker per this many files, up to the usable CPUs.  On a 2-CPU host,
+# starting and feeding a pool of two costs about as much as building 30-80
+# files in-process, so a smaller corpus stays in-process.
 _FILES_PER_WORKER = 64
 # The files a worker takes at once.  A batch's results come back together,
 # so this bounds what a worker, and the parent per batch it waits on, hold.
@@ -202,21 +202,15 @@ def _corpus(args) -> Iterator[tuple[Detector, Iterator[IndexEntry]]]:
     """The detector and an iterator of the corpus's index entries, in id order.
 
     The iterator reads and builds each file as it is asked for the next, so
-    neither the texts nor the entries are held together.  `--jobs` asks for
-    a worker count, capped by the usable CPUs and the files; without it,
-    there is one worker per `_FILES_PER_WORKER` files, up to the usable
-    CPUs.  With fewer than two workers the files are built in-process.
-    Otherwise each worker gets the detector once, takes `_BATCH_FILES`
-    files at a time, and the entries come back in id order.
+    neither the texts nor the entries are held together.  There is one
+    worker per `_FILES_PER_WORKER` files, up to the usable CPUs; with fewer
+    than two, the files are built in-process.  Otherwise each worker gets
+    the detector once, takes `_BATCH_FILES` files at a time, and the
+    entries come back in id order.
     """
-    if args.jobs is not None and args.jobs < 1:
-        raise _CliError(EXIT_USAGE, f"--jobs must be >= 1, got {args.jobs}")
     det = _detector(args)
     files = _discover(args.directory, args.recursive)
-    if args.jobs is None:
-        jobs = min(_usable_cpus(), len(files) // _FILES_PER_WORKER)
-    else:
-        jobs = min(args.jobs, _usable_cpus(), len(files))
+    jobs = min(_usable_cpus(), len(files) // _FILES_PER_WORKER)
     if jobs < 2:
         yield det, (_entry(det, doc_id, path) for doc_id, path in files)
         return
@@ -277,8 +271,13 @@ def _dumps(obj, indent: str) -> str:
     return json.dumps(obj)
 
 
+def _shown(name: str) -> str:
+    """`name` for text output: a lone surrogate, from a non-UTF-8 file name, as `\\udcXX`."""
+    return name.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def _format_report_text(report: FeatureReport) -> str:
-    lines = [f"ref:  {report.ref_id}", f"susp: {report.susp_id}"]
+    lines = [f"ref:  {_shown(report.ref_id)}", f"susp: {_shown(report.susp_id)}"]
     for name, score in report.scores.items():
         flags = f"  [{','.join(score.flags)}]" if score.flags else ""
         lines.append(f"{name:<16} {score.value:.12f}{flags}")
@@ -296,7 +295,7 @@ def _ranking_text(ranked: list[tuple[str, FeatureReport]]) -> str:
             for name, score in report.scores.items()
             if not score.not_applicable
         )
-        lines.append(f"{rank:>3}. {doc_id}  combined={report.combined:.12f}  {values}")
+        lines.append(f"{rank:>3}. {_shown(doc_id)}  combined={report.combined:.12f}  {values}")
     return "\n".join(lines) or "no candidates"
 
 
@@ -326,7 +325,7 @@ def cmd_index(args) -> int:
             count = write_index(args.out, det.config_snapshot(), entries)
         except OSError as exc:
             raise _CliError(EXIT_IO, f"cannot write {args.out!r}: {exc.strerror or exc}") from None
-    print(f"indexed {count} documents -> {args.out}", flush=True)
+    print(f"indexed {count} documents -> {_shown(args.out)}", flush=True)
     return EXIT_OK
 
 
@@ -400,10 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", parents=[config, corpus], help="index a directory of .txt files")
     p.add_argument("out", help="index file to write")
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: one per 64 files, up to the usable CPUs)",
-    )
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser(

@@ -80,7 +80,7 @@ INDEX_UNAVAILABLE = frozenset({LCS_F, FULL_CHAR, TRIGRAM})
 INDEX_SCHEMA = 1
 
 _EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
-# The forms `save_index` writes: a sha256 hex digest, and sentence keys of
+# The forms `write_index` writes: a sha256 hex digest, and sentence keys of
 # STATEMENT_GRAM_COUNT grams of STATEMENT_GRAM_LEN characters each.
 _DIGEST_FORM = re.compile("[0-9a-f]{64}")
 _KEY_LEN = STATEMENT_GRAM_COUNT * STATEMENT_GRAM_LEN
@@ -475,7 +475,7 @@ class Detector:
 
 
 def dumps_record(record: dict) -> str:
-    """One index line as `save_index` writes it, without the newline."""
+    """One index line as `write_index` writes it, without the newline."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
@@ -515,7 +515,7 @@ def write_index(
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as line-delimited JSON with a header record, in id order."""
+    """Write the index through `write_index`, its entries in id order."""
     write_index(path, index.config, map(index.entries.__getitem__, sorted(index.entries)))
 
 
@@ -523,7 +523,7 @@ _LISTS = ("fingerprints", "keywords", "first_grams", "query_grams")
 
 
 def _stored_strings(name: str, value: object, line: int) -> tuple[str, ...]:
-    """A record's list as `save_index` writes it: strictly ascending strings.
+    """A record's list as `write_index` writes it: strictly ascending strings.
 
     So it is sorted and distinct, and `Detector._score` can use it as stored.
     A JSON string orders only against a string, so one `<` pass from a

@@ -715,11 +715,15 @@ def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch, recording_p
     serial = workspace / "serial.jsonl"
     pooled = workspace / "pooled.jsonl"
     run(["index", corpus, str(serial)], capsys)
-    code, _, _ = run(["index", corpus, str(pooled), "--jobs", "64"], capsys)
+    assert recording_pool.sizes == []
+    # one worker per file: the 3 files cap the 8 CPUs
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
+    code, _, _ = run(["index", corpus, str(pooled)], capsys)
     assert code == EXIT_OK and recording_pool.sizes == [3]
     assert pooled.read_bytes() == serial.read_bytes()
     # the files go out in batches of `_BATCH_FILES`, however many workers there are
-    code, _, _ = run(["index", corpus, str(pooled), "--jobs", "2"], capsys)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
+    code, _, _ = run(["index", corpus, str(pooled)], capsys)
     assert code == EXIT_OK and recording_pool.sizes == [3, 2]
     assert recording_pool.batches == [2, 1, 2, 1]
     assert pooled.read_bytes() == serial.read_bytes()
@@ -727,7 +731,7 @@ def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch, recording_p
     single = workspace / "single"
     single.mkdir()
     (single / "only.txt").write_text(S1, encoding="utf-8")
-    code, _, _ = run(["index", str(single), str(pooled), "--jobs", "5"], capsys)
+    code, _, _ = run(["index", str(single), str(pooled)], capsys)
     assert code == EXIT_OK and recording_pool.sizes == [3, 2]
 
 
@@ -737,18 +741,19 @@ def test_jobs_size_the_pool_by_files(workspace, capsys, monkeypatch, recording_p
         (2, 2, [], 2),  # min(CPUs, 6 files // 2)
         (2, 8, [], 3),
         (4, 8, [], None),  # 6 // 4 is one worker, so no pool
-        (1, 8, ["--jobs", "1"], None),
-        (7, 8, ["--jobs", "4"], 4),
-        (7, 2, ["--jobs", "5000"], 2),  # an explicit count is capped by the CPUs
-        (7, 8, ["--jobs", "5000"], 6),  # and by the files
+        (1, 1, [], None),  # one usable CPU, as under `taskset -c 0`, starts no pool
+        (1, 4, [], 4),  # capped by the CPUs
+        (4, 8, ["--recursive"], 2),  # 8 // 4: the subdirectory's files count too
+        (1, 8, ["--recursive"], 8),
     ],
 )
 def test_worker_count_follows_the_files_and_the_cpus(
     tmp_path, capsys, monkeypatch, recording_pool, files_per_worker, cpus, flags, workers
 ):
     corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 6)
+    _copies(corpus / "sub", list(CORPUS.values()), 2)
     serial = tmp_path / "serial.jsonl"
-    assert run(["index", str(corpus), str(serial), "--jobs", "1"], capsys)[0] == EXIT_OK
+    assert run(["index", str(corpus), str(serial), *flags], capsys)[0] == EXIT_OK
     assert recording_pool.sizes == []
 
     monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", files_per_worker)
@@ -778,6 +783,7 @@ def test_bench_builds_in_process(tmp_path, capsys, monkeypatch, recording_pool):
         ("index", "--weights", "statement=1"),
         ("index", "--features", "statement"),
         ("index", "--format", "json"),
+        ("index", "--jobs", "2"),
         ("scan", "--beta", "1"),
         ("bench", "--jobs", "1"),
     ],
@@ -809,18 +815,19 @@ def test_index_empty_dir_warns_on_stderr(workspace, capsys):
     assert len((workspace / "empty.jsonl").read_text().splitlines()) == 1
 
 
-def test_index_determinism_and_jobs(workspace, capsys):
+def test_index_determinism_and_jobs(workspace, capsys, monkeypatch):
     corpus = str(workspace / "corpus")
     p1, p2, p3 = (str(workspace / name) for name in ("i1.jsonl", "i2.jsonl", "i3.jsonl"))
     run(["index", corpus, p1], capsys)
     run(["index", corpus, p2], capsys)
-    code, _, _ = run(["index", corpus, p3, "--jobs", "2"], capsys)
+    # a real pool of two workers
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
+    code, _, _ = run(["index", corpus, p3], capsys)
     assert code == EXIT_OK
     b1 = (workspace / "i1.jsonl").read_bytes()
     assert b1 == (workspace / "i2.jsonl").read_bytes()
     assert b1 == (workspace / "i3.jsonl").read_bytes()
-    assert main(["index", corpus, p1, "--jobs", "0"]) == EXIT_USAGE
-    capsys.readouterr()
 
 
 def test_index_recursive_flag(workspace, capsys):
@@ -858,7 +865,7 @@ def test_index_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
     to four batches; a batch is one file here, so that the smaller corpus
     fills those four too.
     """
-    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
     monkeypatch.setattr(simscan.cli, "_BATCH_FILES", 1)
     rng = random.Random(0)
     vocabulary = [
@@ -867,20 +874,20 @@ def test_index_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
     sentences = (" ".join(rng.choices(vocabulary, k=rng.randint(24, 40))) for _ in range(72))
     texts = [". ".join(next(sentences) for _ in range(24)) + ".\n" for _ in range(3)]
     corpora = {count: _copies(tmp_path / f"corpus_{count}", texts, count) for count in (6, 60)}
-    for jobs in ("1", "2"):
+    for cpus in (1, 2):
+        monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: cpus)
         # One untraced run first, so that one-time loads count in neither peak.
-        warm = ["index", str(corpora[6]), str(tmp_path / "warm.jsonl"), "--jobs", jobs]
-        assert main(warm) == EXIT_OK
+        assert main(["index", str(corpora[6]), str(tmp_path / "warm.jsonl")]) == EXIT_OK
         peaks = []
         for count, corpus in corpora.items():
             tracemalloc.start()
             try:
-                code = main(["index", str(corpus), str(tmp_path / "index.jsonl"), "--jobs", jobs])
+                code = main(["index", str(corpus), str(tmp_path / "index.jsonl")])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert code == EXIT_OK
-        assert peaks[1] <= 1.5 * peaks[0], (jobs, peaks)
+        assert peaks[1] <= 1.5 * peaks[0], (cpus, peaks)
 
 
 def _spawn_pool(monkeypatch):
@@ -892,21 +899,22 @@ def _spawn_pool(monkeypatch):
     monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_index_fault_in_the_last_file_keeps_the_old_index(tmp_path, capsys, monkeypatch, jobs):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_index_fault_in_the_last_file_keeps_the_old_index(tmp_path, capsys, monkeypatch, cpus):
     """The last file by id is read after every other record is written.
 
-    With two jobs, a real pool's worker reads the bad file, so the fault
-    comes back from a worker.
+    With two CPUs and one worker per file, a real pool's worker reads the
+    bad file, so the fault comes back from a worker.
     """
-    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
     corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 3)
     out = tmp_path / "idx.jsonl"
     assert run(["index", str(corpus), str(out)], capsys)[0] == EXIT_OK
     before = out.read_bytes()
     bad = corpus / "zz.txt"
     bad.write_bytes(b"\xff\xfe broken")
-    code, stdout, err = run(["index", str(corpus), str(out), "--jobs", jobs], capsys)
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: cpus)
+    code, stdout, err = run(["index", str(corpus), str(out)], capsys)
     assert (code, stdout) == (EXIT_IO, "")
     assert err == f"simscan: error: not valid UTF-8: {str(bad)!r}\n"
     assert out.read_bytes() == before
@@ -922,10 +930,11 @@ def test_spawned_workers_get_the_detector_from_the_initializer(tmp_path, capsys,
     _spawn_pool(monkeypatch)
     corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 12)
     serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
-    assert run(["index", str(corpus), str(serial), "--jobs", "1"], capsys)[0] == EXIT_OK
+    assert run(["index", str(corpus), str(serial)], capsys)[0] == EXIT_OK
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
     # A non-default setting shows that the workers' detector is the parent's.
     for flags in ([], ["--k", "3"]):
-        code, _, err = run(["index", str(corpus), str(pooled), "--jobs", "2", *flags], capsys)
+        code, _, err = run(["index", str(corpus), str(pooled), *flags], capsys)
         assert (code, err) == (EXIT_OK, "")
         assert (pooled.read_bytes() == serial.read_bytes()) is not flags
     assert load_index(str(pooled)).config["k_char"] == 3
@@ -933,7 +942,7 @@ def test_spawned_workers_get_the_detector_from_the_initializer(tmp_path, capsys,
     before = pooled.read_bytes()
     bad = corpus / "zz.txt"
     bad.write_bytes(b"\xff\xfe broken")
-    code, stdout, err = run(["index", str(corpus), str(pooled), "--jobs", "2"], capsys)
+    code, stdout, err = run(["index", str(corpus), str(pooled)], capsys)
     assert (code, stdout) == (EXIT_IO, "")
     assert err == f"simscan: error: not valid UTF-8: {str(bad)!r}\n"
     assert pooled.read_bytes() == before
@@ -947,16 +956,17 @@ def test_index_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeyp
     Under `--recursive`, id order and path order differ (`a-b/x.txt` sorts
     before `a/x.txt`, but the directory `a` before `a-b`).
     """
-    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 4)
     corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 9)
     for sub in ("a", "a-b"):
         _copies(corpus / sub, list(CORPUS.values())[::-1], 3)
     flags = ["--recursive"] if recursive else []
     indexes = []
-    for jobs in (["--jobs", "1"], [], ["--jobs", "2"], ["--jobs", "3"]):
+    # On 3 CPUs, 4 files per worker is 2 workers flat and 3 recursive.
+    for files_per_worker, cpus in ((4, 1), (4, 3), (1, 2), (1, 3)):
+        monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", files_per_worker)
+        monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: cpus)
         out = tmp_path / "out.jsonl"
-        assert run(["index", str(corpus), str(out), *flags, *jobs], capsys)[0] == EXIT_OK
+        assert run(["index", str(corpus), str(out), *flags], capsys)[0] == EXIT_OK
         indexes.append(out.read_bytes())
     assert indexes == [indexes[0]] * 4
     assert indexes[0].count(b"\n") == (16 if recursive else 10)
@@ -1009,6 +1019,46 @@ def test_module_entry_point(workspace):
         text=True,
     )
     assert proc.returncode == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs file names that are not UTF-8")
+def test_text_output_shows_a_name_that_is_not_utf8_as_json_does(tmp_path, capsys):
+    """A name byte that is not UTF-8 reaches Python as a lone surrogate.
+
+    Text output writes it as `\\udcXX`, as JSON does, so that a strict
+    UTF-8 stdout can take it.  A valid non-ASCII name prints unchanged.
+    """
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / os.fsdecode(b"caf\xe9.txt")
+    bad.write_text(S1, encoding="utf-8")
+    (corpus / "naïve.txt").write_text(S2, encoding="utf-8")
+    out = tmp_path / os.fsdecode(b"idx\xe9.jsonl")
+    commands = [
+        ["index", str(corpus), str(out)],
+        ["compare", str(bad), str(corpus / "naïve.txt"), "--format", "text"],
+        ["scan", str(bad), str(out), "--format", "text"],
+    ]
+    outputs = []
+    for argv in commands:
+        code, stdout, err = run(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        outputs.append(stdout.encode("utf-8"))  # strict: a lone surrogate raises
+    assert outputs[0] == f"indexed 2 documents -> {tmp_path}/idx\\udce9.jsonl\n".encode()
+    ids = f"ref:  {corpus}/caf\\udce9.txt\nsusp: {corpus}/naïve.txt\n"
+    assert outputs[1].startswith(ids.encode())
+    assert b"  1. caf\\udce9.txt  combined=1.000000000000" in outputs[2]
+
+    env = {
+        **os.environ,
+        "PYTHONIOENCODING": "utf-8:strict",
+        "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1]),
+    }
+    for argv, expected in zip(commands, outputs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "simscan", *argv], capture_output=True, env=env
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_OK, b"", expected)
 
 
 def test_cli_import_loads_no_process_pool():

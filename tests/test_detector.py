@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from cue_oracle import per_phrase_hits
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -658,10 +659,13 @@ def test_rank_scores_match_in_memory(detector, corpus_docs):
 
 
 # Small vocabulary so documents share grams and keywords; some sentences
-# open with a cue phrase, and a document may have no sentences at all.
+# open with a cue phrase, some with a cue phrase's words inside a longer
+# word or across a line break, and a document may have no sentences at all.
 sentences = st.builds(
     lambda cue, words: f"{cue}{' '.join(words)}.",
-    st.sampled_from(["", "", "We find that ", "In conclusion, "]),
+    st.sampled_from(
+        ["", "", "We find that ", "In conclusion, ", "We find thatched ", "In\nconclusion, "]
+    ),
     st.lists(st.sampled_from(["ball", "kick", "goal", "the", "net", "xy"]), max_size=6),
 )
 doc_texts = st.lists(sentences, max_size=4).map(" ".join)
@@ -787,10 +791,7 @@ def test_index_available_scores_equal_a_brute_force_oracle(ref_text, susp_text, 
     det = Detector(DetectorConfig(k_char=k, k_top=k_top))
     ref = det.document("r", ref_text)
     susp = det.document("s", susp_text)
-    cues = [
-        s for s in ref.sentences
-        if any(p in " ".join(s.text.lower().split()) for p in DEFAULT_QUERY_PHRASES)
-    ]
+    cues = [ref.sentences[i] for i in per_phrase_hits(ref, DEFAULT_QUERY_PHRASES)]
     cue_grams = oracle_grams(cues, k)
     susp_grams = char_kgrams(susp.normalized_text, k).gram_set()
     expected = {
@@ -822,7 +823,7 @@ def gram_union(sentences, k):
 def test_entry_grams_are_the_key_sentences_grams(text, k):
     det = Detector(DetectorConfig(k_char=k))
     doc = det.document("d", text)
-    cues = [s for s in doc.sentences if any(p in s.text.lower() for p in det.phrases)]
+    cues = [doc.sentences[i] for i in per_phrase_hits(doc, det.phrases)]
     entry = det.entry(doc)
     assert entry.first_grams == gram_union(doc.sentences[:1], k)
     assert entry.query_grams == gram_union(cues, k)

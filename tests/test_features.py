@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from cue_oracle import per_phrase_hits
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -215,36 +216,6 @@ def test_cue_phrases_match_in_cue_form(tmp_path):
 
 def test_extract_query_phrase_no_hits():
     assert cue_sentences(document("d", "Nothing here.")) == ()
-
-
-def per_phrase_hits(doc, phrases):
-    """The per-phrase cue scan `cue_sentences` replaced, as an oracle.
-
-    Like `cue_sentences`, it lowercases the text and each phrase, collapses
-    each whitespace run to one space, skips a phrase left empty, and takes
-    a phrase only as whole words: tried at every position, it must not
-    touch an alphanumeric character with an alphanumeric end of its own.
-    """
-    hits = []
-    for i, sentence in enumerate(doc.sentences):
-        lowered = " ".join(sentence.text.lower().split())
-        for phrase in phrases:
-            phrase = " ".join(phrase.lower().split())
-            if phrase and any(
-                _whole_phrase_at(lowered, phrase, i) for i in range(len(lowered))
-            ):
-                hits.append(i)
-                break
-    return tuple(hits)
-
-
-def _whole_phrase_at(text, phrase, i):
-    before, after = text[i - 1 : i], text[i + len(phrase) : i + len(phrase) + 1]
-    return (
-        text[i : i + len(phrase)] == phrase
-        and not (phrase[0].isalnum() and before.isalnum())
-        and not (phrase[-1].isalnum() and after.isalnum())
-    )
 
 
 def test_cue_phrase_matches_only_whole_words():

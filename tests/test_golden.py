@@ -14,6 +14,7 @@ and paste them over `DIGESTS`.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import simscan.cli
 from simscan.cli import main
 
 CORPUS = {
@@ -119,7 +121,6 @@ CASES = {
     "index": [["index", "corpus", IDX]],
     "index_k3": [["index", "corpus", IDX, "--k", "3"]],
     "index_k6_phrases": [["index", "corpus", IDX, "--k", "6", "--phrases", "phrases.txt"]],
-    "index_jobs2": [["index", "corpus", IDX, "--jobs", "2"]],
     "scan": [["index", "corpus", IDX], ["scan", C + "alpha_near.txt", IDX]],
     "scan_k3": [
         ["index", "corpus", IDX, "--k", "3"],
@@ -219,10 +220,6 @@ DIGESTS = {
         "71a1e9b1095cdbc8e3f98c6395d085ef8e2333cd265e3653d2bb1e7e03a583f1",
         "cfb3174420a430caeba0d018f8b98dd9a4cf33f9a99de7839b5b45cac62ca570",
     ),
-    "index_jobs2": (
-        "71a1e9b1095cdbc8e3f98c6395d085ef8e2333cd265e3653d2bb1e7e03a583f1",
-        "cfb3174420a430caeba0d018f8b98dd9a4cf33f9a99de7839b5b45cac62ca570",
-    ),
     "index_k3": (
         "71a1e9b1095cdbc8e3f98c6395d085ef8e2333cd265e3653d2bb1e7e03a583f1",
         "433bf796f3fae89f4b41fcf349b150877ba39f3c37926df181a5a98f0e549ef1",
@@ -284,6 +281,22 @@ def run_case(workdir: Path, commands: list[list[str]]) -> tuple[str, str | None]
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path):
     assert run_case(tmp_path, CASES[name]) == DIGESTS[name]
+
+
+def test_index_digest_on_a_two_worker_pool(tmp_path, monkeypatch):
+    """The `index` case, built by a real pool of two workers, prints and writes the same bytes."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
+    assert run_case(tmp_path, CASES["index"]) == DIGESTS["index"]
+    assert sizes == [2]
 
 
 def print_digests() -> None:
