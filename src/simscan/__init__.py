@@ -17,7 +17,6 @@ from .detector import (
 )
 from .features import (
     DEFAULT_QUERY_PHRASES,
-    KeywordSet,
     lcs_fmeasure,
     lcs_similarity,
     load_query_phrases,
@@ -58,7 +57,6 @@ __all__ = [
     "IndexEntry",
     "IndexFormatError",
     "IndexVersionError",
-    "KeywordSet",
     "ResemblanceScore",
     "Sentence",
     "SentenceFingerprint",

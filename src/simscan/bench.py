@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Sequence
 
 from .detector import Detector, dumps_record
@@ -53,12 +54,9 @@ def _row(scheme: str, docs: int, artifacts: list, compare, total_bytes: int) -> 
     """Time `compare(a, b)` over every ordered pair of distinct artifacts."""
     pairs = 0
     start = time.perf_counter()
-    for i, a in enumerate(artifacts):
-        for j, b in enumerate(artifacts):
-            if i == j:
-                continue
-            compare(a, b)
-            pairs += 1
+    for a, b in permutations(artifacts, 2):
+        compare(a, b)
+        pairs += 1
     elapsed = time.perf_counter() - start
     return BenchRow(
         scheme=scheme,

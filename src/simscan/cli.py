@@ -14,6 +14,7 @@ import argparse
 import collections
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -81,9 +82,14 @@ def _parse_weights(raw: str) -> dict[str, float]:
         if name in weights:
             raise _CliError(EXIT_USAGE, f"duplicate weight for {name!r}")
         try:
-            weights[name] = float(value)
+            weight = float(value)
         except ValueError:
             raise _CliError(EXIT_USAGE, f"bad weight for {name!r}: {value!r}") from None
+        if weight == 0 and any(c.isdecimal() and int(c) for c in value.lower().partition("e")[0]):
+            # A nonzero literal underflowed to 0.0, which means "feature off";
+            # pass the smallest float of its sign, which `DetectorConfig` refuses.
+            weight = math.copysign(math.ulp(0.0), weight)
+        weights[name] = weight
     return weights
 
 

@@ -325,7 +325,7 @@ class Detector:
         if self.config.k_char != STATEMENT_GRAM_LEN:
             del grams  # so that the 4-gram and k-gram lists are never held together
             grams = document_grams(doc, self.config.k_char)
-        return grams, keys, top_keywords(doc, self.config.k_top, self.stopwords, self._stems).terms
+        return grams, keys, top_keywords(doc, self.config.k_top, self.stopwords, self._stems)
 
     def _outcomes(
         self, ref: Reference, suspect: Suspect, gram_count: Callable[..., Counts] = overlap

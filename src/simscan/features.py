@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,13 +34,6 @@ DEFAULT_QUERY_PHRASES: tuple[str, ...] = (
 
 DEFAULT_K_TOP = 10
 DEFAULT_GRAM_LEN = 4
-
-
-@dataclass(frozen=True)
-class KeywordSet:
-    """The most frequent stemmed content terms of one document."""
-
-    terms: frozenset[str]
 
 
 def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
@@ -68,7 +60,7 @@ def top_keywords(
     k_top: int = DEFAULT_K_TOP,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     stems: StemMemo | None = None,
-) -> KeywordSet:
+) -> frozenset[str]:
     """The k_top most frequent stemmed content terms, ties alphabetical.
 
     A content term is a token not in `stopwords`, stemmed through `stems`;
@@ -83,7 +75,7 @@ def top_keywords(
     counts = Counter(map(stems.__getitem__, filterfalse(stopwords.__contains__, tokens)))
     # A reverse sort is still stable, so equal counts keep alphabetical order.
     ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
-    return KeywordSet(frozenset(ranked[:k_top]))
+    return frozenset(ranked[:k_top])
 
 
 def first_sentence(doc: Document) -> tuple[int, ...]:

@@ -159,6 +159,11 @@ def test_usage_errors_exit_1(workspace, capsys):
         ["compare", ref, ref, "--beta", "inf"],
         ["scan", ref, str(workspace / "idx.jsonl"), "--top", "-1"],
         ["compare", ref, ref, "--k", str(MAX_GRAM_LEN + 1)],
+        # Nonzero literals that underflow to 0.0 are not weight 0.
+        ["compare", ref, ref, "--weights", "statement=1e-400"],
+        ["compare", ref, ref, "--weights", "statement=2e-324"],
+        ["compare", ref, ref, "--weights", "statement=-1e-400"],
+        ["compare", ref, ref, "--weights", "statement=1e-99999999999999999999999"],
         # Subnormal weights round their products with feature values.
         ["compare", ref, ref, "--weights", ",".join(
             f"{name}=5e-324"
@@ -169,6 +174,12 @@ def test_usage_errors_exit_1(workspace, capsys):
         assert code == EXIT_USAGE and out == "", args
         assert err.startswith("simscan: error:") and err.count("\n") == 1, args
     assert main(["compare", ref, ref, "--k", str(MAX_GRAM_LEN)]) == EXIT_OK
+    capsys.readouterr()
+    # Zero written any way is weight 0, the feature left out of `combined`.
+    off = run(["compare", ref, ref, "--weights", "statement=0"], capsys)
+    for zero in ("-0", "0e9"):
+        assert run(["compare", ref, ref, "--weights", f"statement={zero}"], capsys) == off
+    assert off[0] == EXIT_OK
 
 
 def test_weight_names_are_stripped_like_feature_names(workspace, capsys):

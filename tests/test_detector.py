@@ -281,7 +281,7 @@ def test_entry_matches_direct_computation(detector, corpus_docs):
     doc = corpus_docs[0]
     entry = detector.build_index([doc]).entries["a"]
     assert set(entry.fingerprints) == fingerprint_keys(doc)
-    assert set(entry.keywords) == top_keywords(doc, 10).terms
+    assert set(entry.keywords) == top_keywords(doc, 10)
     assert entry.fingerprints == tuple(sorted(entry.fingerprints))
 
 
@@ -1049,7 +1049,7 @@ def test_suspect_equals_separate_computations(text, k):
     assert det._suspect(doc) == (
         doc,
         fingerprint_keys(doc),
-        top_keywords(doc, det.config.k_top).terms,
+        top_keywords(doc, det.config.k_top),
         char_kgrams(doc.normalized_text, k).gram_set(),
     )
 

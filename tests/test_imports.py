@@ -1,7 +1,7 @@
 """Every name a package module imports is used, exported or marked `# noqa`,
 every name in a module's `__all__` is bound in that module, every private
-module- or class-level name is used somewhere in the package, and every name
-the package exports is used, documented or read by the benchmark."""
+module- or class-level name is used somewhere in the package, and README
+names every name the package exports."""
 
 import ast
 import re
@@ -153,40 +153,27 @@ def test_check_flags_a_dead_private_name():
     ]
 
 
-def unused_public_names(sources: dict[str, str], readme: str, bench: dict[str, str]) -> list[str]:
-    """Names in `__init__.py`'s `__all__` that no other package module refers to
-    outside their own definition, that README does not name, and that no
-    benchmark source imports or reads as an attribute."""
-    exported = exports(ast.parse(sources["__init__.py"]))
-    trees = {p: ast.parse(s) for p, s in sources.items() if p != "__init__.py"}
-    own = {
-        (path, name): range(node.lineno, node.end_lineno + 1)
-        for path, tree in trees.items()
-        for name, node in definitions(tree)
-        if node in tree.body
-    }
-    used = {n for p, line, n in references(trees) if line not in own.get((p, n), ())}
-    used |= {n for _, _, n in references({p: ast.parse(s) for p, s in bench.items()})}
-    return sorted(n for n in exported - used if not re.search(rf"\b{re.escape(n)}\b", readme))
+def undocumented_public_names(init_source: str, readme: str) -> list[str]:
+    """Names in `__init__.py`'s `__all__`, `__version__` aside, that README
+    does not name as a whole word.  Use inside the package or by the benchmark
+    does not count: a library caller learns a public name from README."""
+    exported = exports(ast.parse(init_source)) - {"__version__"}
+    return sorted(n for n in exported if not re.search(rf"\b{re.escape(n)}\b", readme))
 
 
-def test_every_public_name_is_used_or_documented():
-    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    bench = {p.name: p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")}
+def test_readme_names_every_public_name():
+    init_source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    assert unused_public_names(sources, readme, bench) == []
+    assert undocumented_public_names(init_source, readme) == []
 
 
-def test_check_flags_an_unused_public_name():
-    sources = {
-        "__init__.py": "from .m import used, documented, benched, gone, ghost\n"
-        "__all__ = ['used', 'documented', 'benched', 'gone', 'ghost']\n",
-        "m.py": "def used():\n    return gone\ndef documented():\n    return documented()\n"
-        "def benched():\n    pass\ndef gone():\n    pass\n",
-        "n.py": "from .m import used\n",
-    }
+def test_check_flags_an_undocumented_public_name():
+    init_source = (
+        "from .m import used, documented, ghost\n"
+        "__version__ = '1'\n"
+        "__all__ = ['__version__', 'used', 'documented', 'ghost']\n"
+    )
     readme = "Call `documented()`; `undocumented` is not `ghosted`.\n"
-    bench = {"run.py": "from simscan.m import benched\n"}
-    assert unused_public_names(sources, readme, bench) == ["ghost"]
-    sources["m.py"] = sources["m.py"].replace("return gone", "return None")
-    assert unused_public_names(sources, readme, bench) == ["ghost", "gone"]
+    # `used` is used inside the package and read by the benchmark, and still fails.
+    assert undocumented_public_names(init_source, readme) == ["ghost", "used"]
+    assert undocumented_public_names(init_source, readme + "`used(x)`\n") == ["ghost"]
