@@ -14,7 +14,6 @@ import argparse
 import collections
 import contextlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -86,9 +85,8 @@ def _parse_weights(raw: str) -> dict[str, float]:
         except ValueError:
             raise _CliError(EXIT_USAGE, f"bad weight for {name!r}: {value!r}") from None
         if weight == 0 and any(c.isdecimal() and int(c) for c in value.lower().partition("e")[0]):
-            # A nonzero literal underflowed to 0.0, which means "feature off";
-            # pass the smallest float of its sign, which `DetectorConfig` refuses.
-            weight = math.copysign(math.ulp(0.0), weight)
+            # A nonzero literal underflowed to 0.0, which would mean "feature off".
+            raise _CliError(EXIT_USAGE, f"weight for {name} underflows to 0.0: {value!r}")
         weights[name] = weight
     return weights
 
@@ -159,6 +157,21 @@ def _discover(directory: str, recursive: bool) -> list[tuple[str, str]]:
     return files
 
 
+def _listed(path: str, directory: str, recursive: bool) -> bool:
+    """Whether `_discover(directory, recursive)` would list `path` once it exists.
+
+    Decided from real paths, without a look at the corpus's files: the file
+    `write_index` writes to, and the name `path` itself in its real directory,
+    which `_discover` would list and follow if it were a link.
+    """
+    root = Path(os.path.realpath(directory))
+    head, name = os.path.split(path)
+    for real in map(Path, (os.path.realpath(path), os.path.join(os.path.realpath(head), name))):
+        if real.match("*.txt") and (real.parent == root or recursive and root in real.parents):
+            return not real.is_dir()  # `_discover` lists files only
+    return False
+
+
 # One worker per this many files, up to the usable CPUs.  On a 2-CPU host,
 # starting and feeding a pool of two costs about as much as building 30-80
 # files in-process, so a smaller corpus stays in-process.
@@ -188,46 +201,35 @@ def _build_batch(files: list[tuple[str, str]]) -> list[IndexEntry]:
     return [_entry(_worker, doc_id, path) for doc_id, path in files]
 
 
-def _pooled(pool, files: list[tuple[str, str]], jobs: int) -> Iterator[IndexEntry]:
-    """Each file's entry in id order, with at most `2 * jobs` batches out at once.
+def _entries(det: Detector, files: list[tuple[str, str]]) -> Iterator[IndexEntry]:
+    """Each file's index entry in id order, the file read and built when the entry is asked for.
 
-    The bound holds the parent to a few batches of results even when the
-    pool builds faster than the caller consumes.
-    """
-    pending: collections.deque = collections.deque()
-    for start in range(0, len(files), _BATCH_FILES):
-        if len(pending) == 2 * jobs:
-            yield from pending.popleft().result()
-        pending.append(pool.submit(_build_batch, files[start : start + _BATCH_FILES]))
-    while pending:
-        yield from pending.popleft().result()
-
-
-@contextlib.contextmanager
-def _corpus(args) -> Iterator[tuple[Detector, Iterator[IndexEntry]]]:
-    """The detector and an iterator of the corpus's index entries, in id order.
-
-    The iterator reads and builds each file as it is asked for the next, so
-    neither the texts nor the entries are held together.  There is one
+    So neither the texts nor the entries are held together.  There is one
     worker per `_FILES_PER_WORKER` files, up to the usable CPUs; with fewer
     than two, the files are built in-process.  Otherwise each worker gets
-    the detector once, takes `_BATCH_FILES` files at a time, and the
-    entries come back in id order.
+    the detector once and takes `_BATCH_FILES` files at a time, and at most
+    `2 * jobs` batches are out at once, which holds the caller to a few
+    batches of results even when the pool builds faster than it consumes.
     """
-    det = _detector(args)
-    files = _discover(args.directory, args.recursive)
     jobs = min(_usable_cpus(), len(files) // _FILES_PER_WORKER)
     if jobs < 2:
-        yield det, (_entry(det, doc_id, path) for doc_id, path in files)
+        for doc_id, path in files:
+            yield _entry(det, doc_id, path)
         return
     # Imported here: it loads multiprocessing, which a serial run never needs.
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=(det,))
     try:
-        yield det, _pooled(pool, files, jobs)
+        pending: collections.deque = collections.deque()
+        for start in range(0, len(files), _BATCH_FILES):
+            if len(pending) == 2 * jobs:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_build_batch, files[start : start + _BATCH_FILES]))
+        while pending:
+            yield from pending.popleft().result()
     finally:
-        # If the writer stops early, the batches not yet started are dropped.
+        # If the caller stops early, the batches not yet started are dropped.
         pool.shutdown(cancel_futures=True)
 
 
@@ -326,7 +328,14 @@ def cmd_index(args) -> int:
     The index's temporary file is created before the first input is read,
     so an output that cannot be written is reported ahead of any input fault.
     """
-    with _corpus(args) as (det, entries):
+    det = _detector(args)
+    files = _discover(args.directory, args.recursive)
+    if _listed(args.out, args.directory, args.recursive):
+        raise _CliError(
+            EXIT_USAGE, f"output {args.out!r} would be read back as a document of the corpus"
+        )
+    # Closed on a fault in the writer too, so that a pool shuts down before `main` returns.
+    with contextlib.closing(_entries(det, files)) as entries:
         try:
             count = write_index(args.out, det.config_snapshot(), entries)
         except OSError as exc:

@@ -15,6 +15,7 @@ during scans and the remaining weights renormalize.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import heapq
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from operator import lt
 from pathlib import Path
@@ -489,10 +491,19 @@ def write_index(
     whatever yields `entries`, leaves any previous index intact.  Records
     are written in the order given, so each entry's id must sort strictly
     after the one before it; otherwise this raises ValueError.
+
+    A link at `path` stays a link: the file it resolves to is replaced.
+    An existing `path` that is not a regular file raises OSError before
+    anything is written, since the replacing step would turn a FIFO, a
+    device or a socket into a regular file, and cannot replace a directory.
     """
-    path = Path(path)
-    if not path.name:  # ".", "/" or "": no name to put a temporary file beside
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    path = Path(os.path.realpath(path))
+    with contextlib.suppress(FileNotFoundError):
+        mode = path.stat().st_mode
+        if stat.S_ISDIR(mode):  # "", "." and "/" among them
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not stat.S_ISREG(mode):
+            raise OSError(errno.EINVAL, "not a regular file", str(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     header = {"schema": INDEX_SCHEMA, "config": dict(config)}
     k = config["k_char"]

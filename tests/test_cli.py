@@ -173,6 +173,10 @@ def test_usage_errors_exit_1(workspace, capsys):
         code, out, err = run(args, capsys)
         assert code == EXIT_USAGE and out == "", args
         assert err.startswith("simscan: error:") and err.count("\n") == 1, args
+        literal = args[-1].partition("=")[2]
+        if literal in ("1e-400", "2e-324", "-1e-400"):
+            # the line quotes what was typed, not a float made up for it
+            assert literal in err and "5e-324" not in err, args
     assert main(["compare", ref, ref, "--k", str(MAX_GRAM_LEN)]) == EXIT_OK
     capsys.readouterr()
     # Zero written any way is weight 0, the feature left out of `combined`.
@@ -298,6 +302,7 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
     (good / "a.txt").write_text(CORPUS["a.txt"], encoding="utf-8")
     out_dir = workspace / "out_dir"
     out_dir.mkdir()
+    (good / "d.txt").mkdir()  # `_discover` would not list it
     cases = [
         ["compare", ref, ref, flag, str(path)]
         for flag in ("--stopwords", "--phrases")
@@ -307,8 +312,9 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
         ["index", ref, str(workspace / "idx.jsonl")],  # a file, not a directory
         ["bench", ref],
         ["index", str(good), str(out_dir)],  # the output path is a directory
+        ["index", str(good), str(good / "d.txt")],
     ]
-    # Output paths with no name to put a temporary file beside.
+    # Output paths that name a directory.
     cases += [["index", str(good), out] for out in (".", "/", "")]
     # An empty input path names no file, not the current directory.
     cases += [
@@ -325,7 +331,7 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
         assert code == EXIT_IO and out == "", args
         assert err.startswith("simscan: error:") and err.count("\n") == 1, args
         if args[:2] == ["index", str(good)]:
-            assert err.startswith("simscan: error: cannot write"), args
+            assert err == f"simscan: error: cannot write {args[2]!r}: Is a directory\n", args
         if "" in args:
             assert "''" in err, args
         if args[0] in ("index", "bench") and args[1] == "":
@@ -990,6 +996,95 @@ def test_index_reports_an_unwritable_output_before_a_bad_input(workspace, capsys
     code, stdout, err = run(["index", str(workspace / "corpus"), str(out)], capsys)
     assert (code, stdout) == (EXIT_IO, "")
     assert err == f"simscan: error: cannot write {str(out)!r}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_index_refuses_a_fifo_at_the_output(workspace, capsys):
+    """Replacing it would leave a regular file where the FIFO was."""
+    fifo = workspace / "pipe"
+    os.mkfifo(fifo)
+    code, stdout, err = run(["index", str(workspace / "corpus"), str(fifo)], capsys)
+    assert (code, stdout) == (EXIT_IO, "")
+    assert err == f"simscan: error: cannot write {str(fifo)!r}: not a regular file\n"
+    assert fifo.is_fifo() and not list(workspace.glob("*.tmp"))
+
+
+def test_index_writes_through_a_link_at_the_output(workspace, capsys):
+    corpus = str(workspace / "corpus")
+    direct = workspace / "direct.jsonl"
+    assert run(["index", corpus, str(direct)], capsys)[0] == EXIT_OK
+    (workspace / "old").mkdir()
+    target = workspace / "old" / "idx.jsonl"
+    target.write_text("an old index\n", encoding="utf-8")
+    link = workspace / "link.jsonl"
+    link.symlink_to(Path("old") / "idx.jsonl")
+    code, stdout, err = run(["index", corpus, str(link)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert stdout == f"indexed 3 documents -> {link}\n"
+    assert link.is_symlink() and target.read_bytes() == direct.read_bytes()
+    assert not list(workspace.glob("**/*.tmp"))
+
+    dangling = workspace / "dangling.jsonl"
+    dangling.symlink_to("new.jsonl")
+    assert run(["index", corpus, str(dangling)], capsys)[0] == EXIT_OK
+    assert dangling.is_symlink() and (workspace / "new.jsonl").read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize("recursive", [False, True])
+@pytest.mark.parametrize("present", [False, True])
+def test_index_refuses_an_output_it_would_read_as_a_document(
+    workspace, capsys, recursive, present
+):
+    """A `.txt` output in the corpus would come back as a record of the next run."""
+    corpus = workspace / "corpus"
+    (corpus / "sub").mkdir()
+    # A link is listed and followed wherever it points.
+    (corpus / "link.txt").symlink_to(workspace / "elsewhere.jsonl")
+    flags = ["--recursive"] if recursive else []
+    outs = [corpus / "idx.txt", corpus / "link.txt"]
+    outs += [corpus / "sub" / "idx.txt"] if recursive else []
+    for out in outs:
+        if present:
+            out.write_text("the old bytes\n", encoding="utf-8")
+        code, stdout, err = run(["index", str(corpus), str(out), *flags], capsys)
+        assert (code, stdout) == (EXIT_USAGE, ""), out
+        message = f"output {str(out)!r} would be read back as a document of the corpus"
+        assert err == f"simscan: error: {message}\n", out
+        if present:
+            assert out.read_text(encoding="utf-8") == "the old bytes\n"
+        else:
+            assert not out.exists()
+    assert not list(workspace.glob("**/*.tmp"))
+
+
+def test_index_writes_an_output_it_would_not_read(workspace, capsys):
+    corpus = workspace / "corpus"
+    (corpus / "sub").mkdir()
+    for out in (corpus / "sub" / "idx.txt", corpus / "idx.jsonl"):
+        code, stdout, _ = run(["index", str(corpus), str(out)], capsys)
+        assert code == EXIT_OK and stdout.startswith("indexed 3 documents"), out
+
+
+def test_index_fault_in_the_writer_shuts_the_pool_down(tmp_path, capsys, monkeypatch):
+    """The writer fails after one entry, while a real pool of two still has batches out."""
+    corpus = _copies(tmp_path / "corpus", list(CORPUS.values()), 12)
+    monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
+    monkeypatch.setattr(simscan.cli, "_BATCH_FILES", 1)
+    monkeypatch.setattr(simscan.cli, "_usable_cpus", lambda: 2)
+    held, taken = [], []
+
+    def write_one_then_fail(path, config, entries):
+        held.append(entries)  # so that only closing it, not its release, stops the pool
+        taken.append(next(entries))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(simscan.cli, "write_index", write_one_then_fail)
+    out = tmp_path / "idx.jsonl"
+    code, stdout, err = run(["index", str(corpus), str(out)], capsys)
+    assert multiprocessing.active_children() == []
+    assert (code, stdout) == (EXIT_IO, "")
+    assert err == f"simscan: error: cannot write {str(out)!r}: No space left on device\n"
+    assert [entry.doc_id for entry in taken] == ["doc_000.txt"]
 
 
 def test_bench_table(workspace, capsys):

@@ -347,6 +347,26 @@ def test_write_index_refuses_an_id_that_does_not_sort_after_the_last(
     assert path.read_bytes() == before
 
 
+def test_save_index_replaces_only_a_regular_file(detector, corpus_docs, tmp_path):
+    """A link keeps pointing at the new index; a FIFO or a directory is refused untouched."""
+    index = detector.build_index(corpus_docs)
+    direct = tmp_path / "direct.jsonl"
+    save_index(index, direct)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to("target.jsonl")
+    save_index(index, link)
+    assert link.is_symlink() and (tmp_path / "target.jsonl").read_bytes() == direct.read_bytes()
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_index(index, tmp_path / "dir")
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(tmp_path / "pipe")
+        with pytest.raises(OSError, match="not a regular file"):
+            save_index(index, tmp_path / "pipe")
+        assert (tmp_path / "pipe").is_fifo()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_rebuild_is_deterministic(detector, corpus_docs, tmp_path):
     p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
     save_index(detector.build_index(corpus_docs), p1)
