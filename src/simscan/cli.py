@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import errno
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -32,7 +33,7 @@ from .detector import (
     write_index,
 )
 from .detector import load_index, save_index  # noqa: F401  perfbench/tracer.py wraps both
-from .features import DEFAULT_GRAM_LEN, DEFAULT_K_TOP
+from .features import DEFAULT_GRAM_LEN, DEFAULT_K_TOP, load_query_phrases
 from .textprep import load_stopwords
 
 EXIT_OK = 0
@@ -103,42 +104,34 @@ def _detector(args) -> Detector:
             beta=_parse_beta(args.beta),
             features=features,
             feature_weights=weights,
-            stopword_path=args.stopwords,
-            phrase_path=args.phrases,
         )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from None
+    # Each list a flag names is read once, after the config is checked.
+    lists = {}
+    for name, load in (("stopwords", load_stopwords), ("phrases", load_query_phrases)):
+        path = getattr(args, name)
+        if path is not None:
+            with _reading(f"--{name} {path!r}"):
+                lists[name] = load(path)
+    return Detector(replace(cfg, **lists))
+
+
+@contextlib.contextmanager
+def _reading(name: str):
+    """Report a fault in reading the file that `name` names as exit 2."""
     try:
-        return Detector(cfg)
+        yield
     except OSError as exc:
-        flag, path = _failed_word_list(args)
-        raise _CliError(EXIT_IO, f"cannot read {flag} {path!r}: {exc.strerror or exc}") from None
+        raise _CliError(EXIT_IO, f"cannot read {name}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        flag, path = _failed_word_list(args)
-        raise _CliError(EXIT_IO, f"not valid UTF-8: {flag} {path!r}") from None
-
-
-def _failed_word_list(args) -> tuple[str, str]:
-    """The flag and path of the word list `Detector` could not load.
-
-    `Detector` loads the stopwords first, so if they load now, the phrases failed.
-    """
-    try:
-        load_stopwords(args.stopwords)
-    except (OSError, UnicodeDecodeError):
-        return "--stopwords", args.stopwords
-    return "--phrases", args.phrases
+        raise _CliError(EXIT_IO, f"not valid UTF-8: {name}") from None
 
 
 def _read_text(path: str) -> str:
-    try:
-        # open(), not Path: Path("") would name the current directory.
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path!r}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise _CliError(EXIT_IO, f"not valid UTF-8: {path!r}") from None
+    # open(), not Path: Path("") would name the current directory.
+    with _reading(repr(path)), open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _discover(directory: str, recursive: bool) -> list[tuple[str, str]]:
@@ -166,6 +159,8 @@ def _listed(path: str, directory: str, recursive: bool) -> bool:
     """
     root = Path(os.path.realpath(directory))
     head, name = os.path.split(path)
+    if not name:  # a trailing slash names a directory, which `_discover` does not list
+        return False
     for real in map(Path, (os.path.realpath(path), os.path.join(os.path.realpath(head), name))):
         if real.match("*.txt") and (real.parent == root or recursive and root in real.parents):
             return not real.is_dir()  # `_discover` lists files only
@@ -309,9 +304,20 @@ def _ranking_text(ranked: list[tuple[str, FeatureReport]]) -> str:
 
 def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> int:
     """Print `payload()` as JSON or `text()`, as `--format` asks."""
-    # Flushed, so that a closed stdout fails inside `main`, not at exit.
-    print(dumps_fixed(payload()) if args.format == "json" else text(), flush=True)
+    _print(dumps_fixed(payload()) if args.format == "json" else text())
     return EXIT_OK
+
+
+def _print(line: str) -> None:
+    """Print `line` to stdout; a stdout that cannot take it, full or closed, is exit 2."""
+    try:
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        # Flushed, so that a closed stdout fails here, not at exit.
+        print(line, flush=True)
+    except OSError as exc:
+        _discard(sys.stdout)
+        raise _CliError(EXIT_IO, f"cannot write output: {exc.strerror or exc}") from None
 
 
 def cmd_compare(args) -> int:
@@ -340,7 +346,7 @@ def cmd_index(args) -> int:
             count = write_index(args.out, det.config_snapshot(), entries)
         except OSError as exc:
             raise _CliError(EXIT_IO, f"cannot write {args.out!r}: {exc.strerror or exc}") from None
-    print(f"indexed {count} documents -> {_shown(args.out)}", flush=True)
+    _print(f"indexed {count} documents -> {_shown(args.out)}")
     return EXIT_OK
 
 
@@ -457,9 +463,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CliError as exc:
         code, message = exc.code, str(exc)
-    except BrokenPipeError as exc:
-        _discard(sys.stdout)
-        code, message = EXIT_IO, f"cannot write output: {exc.strerror}"
     except Exception as exc:
         # A bug, not bad input: one line, never a traceback.
         code, message = EXIT_INTERNAL, f"internal error: {exc!r}"

@@ -1,7 +1,7 @@
 """Pair analysis, corpus indexing, and candidate ranking.
 
-A Detector bundles a configuration with its loaded stopword and phrase
-lists.  Every reference is scored as a Reference around its IndexEntry,
+A Detector bundles a configuration, word lists included, with a stem
+memo.  Every reference is scored as a Reference around its IndexEntry,
 the derived artifacts build_index persists (statement fingerprint keys,
 keywords, first-sentence grams, cue-phrase grams, token digest):
 analyze_pair builds it in memory beside the document, rank_candidates
@@ -32,12 +32,12 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from .features import (
     DEFAULT_GRAM_LEN,
     DEFAULT_K_TOP,
+    DEFAULT_QUERY_PHRASES,
     _is_int,
     check_beta,
     cue_sentences,
     first_sentence,
     lcs_similarity,
-    load_query_phrases,
     sentence_grams,
     top_keywords,
 )
@@ -69,7 +69,7 @@ from .fingerprint import (
     overlap_bound,
     word_trigrams,
 )
-from .textprep import Document, StemMemo, document, load_stopwords
+from .textprep import DEFAULT_STOPWORDS, Document, StemMemo, document
 
 # Placeholders: perfbench/tracer.py::BOUNDARIES wraps these names, and nothing
 # calls them.  ROADMAP item 1 deletes this binding with the tracer's rebinding.
@@ -121,8 +121,9 @@ class DetectorConfig:
     beta: float | str = 1.0
     features: tuple[str, ...] = DEFAULT_FEATURES
     feature_weights: Mapping[str, float] = field(default_factory=dict)
-    stopword_path: str | None = None
-    phrase_path: str | None = None
+    # The lists themselves, as `load_stopwords` and `load_query_phrases` return them.
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS
+    phrases: tuple[str, ...] = DEFAULT_QUERY_PHRASES
 
     def __post_init__(self):
         for name in ("k_char", "k_top"):
@@ -132,6 +133,11 @@ class DetectorConfig:
         if self.k_char > MAX_GRAM_LEN:
             raise ValueError(f"k_char must be <= {MAX_GRAM_LEN}, got {self.k_char}")
         check_beta(self.beta)
+        # A str would match its substrings as words; a set's order follows the hash seed.
+        for name, kind in (("stopwords", frozenset), ("phrases", tuple)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got a {type(value).__name__}")
         if not self.features:
             raise ValueError("at least one feature must be enabled")
         for name in self.features:
@@ -261,12 +267,12 @@ def _combine(outcomes: Mapping[str, Outcome], weights: Iterable[tuple[str, float
 
 
 class Detector:
-    """A configuration bound to its stopword and cue-phrase lists."""
+    """A configuration and the stem memo its keywords share; it reads no file."""
 
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config or DetectorConfig()
-        self.stopwords = load_stopwords(self.config.stopword_path)
-        self.phrases = load_query_phrases(self.config.phrase_path)
+        self.stopwords = self.config.stopwords
+        self.phrases = self.config.phrases
         self._stems = StemMemo()  # kept for the detector's lifetime; the vocabulary bounds it
         # Each enabled feature with its weight, in `features` order.
         self._weights = tuple((name, self.config.weight(name)) for name in self.config.features)
@@ -496,14 +502,17 @@ def write_index(
     An existing `path` that is not a regular file raises OSError before
     anything is written, since the replacing step would turn a FIFO, a
     device or a socket into a regular file, and cannot replace a directory.
+    A `path` with a trailing slash names a directory, whether or not one is
+    there, and raises IsADirectoryError too.
     """
-    path = Path(os.path.realpath(path))
+    name, path = os.fspath(path), Path(os.path.realpath(path))  # realpath drops the slash
+    mode = 0
     with contextlib.suppress(FileNotFoundError):
         mode = path.stat().st_mode
-        if stat.S_ISDIR(mode):  # "", "." and "/" among them
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if not stat.S_ISREG(mode):
-            raise OSError(errno.EINVAL, "not a regular file", str(path))
+    if stat.S_ISDIR(mode) or name.endswith(("/", os.sep)):  # "", "." and "/" among them
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if mode and not stat.S_ISREG(mode):
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     header = {"schema": INDEX_SCHEMA, "config": dict(config)}
     k = config["k_char"]

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import contextlib
 import errno
 import functools
 import io
@@ -13,6 +14,7 @@ import re
 import string
 import subprocess
 import sys
+import threading
 import tracemalloc
 import uuid
 from pathlib import Path
@@ -159,6 +161,8 @@ def test_usage_errors_exit_1(workspace, capsys):
         ["compare", ref, ref, "--beta", "inf"],
         ["scan", ref, str(workspace / "idx.jsonl"), "--top", "-1"],
         ["compare", ref, ref, "--k", str(MAX_GRAM_LEN + 1)],
+        # The config is checked before any word list is read.
+        ["compare", ref, ref, "--k", "0", "--stopwords", str(workspace / "missing.txt")],
         # Nonzero literals that underflow to 0.0 are not weight 0.
         ["compare", ref, ref, "--weights", "statement=1e-400"],
         ["compare", ref, ref, "--weights", "statement=2e-324"],
@@ -313,9 +317,15 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
         ["bench", ref],
         ["index", str(good), str(out_dir)],  # the output path is a directory
         ["index", str(good), str(good / "d.txt")],
+        ["index", str(good), f"{good / 'e.txt'}/"],  # a directory name, not a document
     ]
-    # Output paths that name a directory.
-    cases += [["index", str(good), out] for out in (".", "/", "")]
+    # Output paths that name a directory, with a trailing slash whether or
+    # not a file of that name is there.
+    (workspace / "real.jsonl").write_text("before\n", encoding="utf-8")
+    cases += [
+        ["index", str(good), out]
+        for out in (".", "/", "", f"{workspace / 'absent.jsonl'}/", f"{workspace / 'real.jsonl'}/")
+    ]
     # An empty input path names no file, not the current directory.
     cases += [
         ["index", "", str(workspace / "idx.jsonl")],
@@ -345,6 +355,40 @@ def test_io_errors_exit_2(workspace, capsys, monkeypatch):
             else:
                 assert err.startswith(f"simscan: error: cannot read {flag} {path!r}: "), args
     assert out_dir.is_dir() and not list(workspace.glob("*.tmp"))
+    assert not (workspace / "absent.jsonl").exists()
+    assert (workspace / "real.jsonl").read_text(encoding="utf-8") == "before\n"
+
+
+def test_each_word_list_is_read_once(workspace):
+    """A list that can be read only once, such as a FIFO, is not read again for a diagnostic.
+
+    The FIFO is written once; the missing phrase file must then exit 2
+    naming `--phrases`, not hang on a second open of the FIFO.
+    """
+    fifo = workspace / "stopwords.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "w", encoding="utf-8") as fh:
+            fh.write("the\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    env = {**os.environ, "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1])}
+    args = ["compare", "S1.txt", "S2.txt", "--stopwords", fifo.name, "--phrases", "missing.txt"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simscan", *args],
+            cwd=workspace, capture_output=True, text=True, env=env, timeout=30,
+        )
+    finally:
+        # A writer still waiting for a reader opens, writes to no one and ends.
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
+    assert proc.returncode == EXIT_IO and proc.stdout == ""
+    assert proc.stderr == (
+        "simscan: error: cannot read --phrases 'missing.txt': No such file or directory\n"
+    )
 
 
 def test_index_and_scan_roundtrip(workspace, capsys):
@@ -540,15 +584,45 @@ def test_closed_stdout_exits_2(workspace, fmt, unbuffered):
 
 
 def test_closed_stdout_without_a_descriptor_exits_2(workspace, capsys, monkeypatch):
-    class ClosedPipe(io.StringIO):
-        def write(self, text):
-            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    """A stdout object without a descriptor whose write fails is exit 2.
 
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    ref = str(workspace / "S1.txt")
-    assert main(["compare", ref, ref]) == EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith("simscan: error:") and err.count("\n") == 1
+    Its write fails as on a closed pipe, then as on a full disk.
+    """
+    for error in (errno.EPIPE, errno.ENOSPC):
+
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(error, os.strerror(error))
+
+        monkeypatch.setattr(sys, "stdout", Unwritable())
+        ref = str(workspace / "S1.txt")
+        assert main(["compare", ref, ref]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"simscan: error: cannot write output: {os.strerror(error)}\n"
+
+
+@pytest.mark.parametrize(
+    "stdout", ["closed", "full"] if os.path.exists("/dev/full") else ["closed"]
+)
+@pytest.mark.parametrize("command", ["compare", "index"])
+def test_closed_or_full_stdout_exits_2(workspace, command, stdout):
+    """Descriptor 1 closed before Python starts, or on /dev/full: exit 2 and one line.
+
+    With descriptor 1 closed, sys.stdout is None.  `index` still writes its index.
+    """
+    args = {"compare": ["S1.txt", "S2.txt"], "index": ["corpus", "out.jsonl"]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1])}
+    with open(os.devnull if stdout == "closed" else "/dev/full", "w") as sink:
+        streams = {"preexec_fn": lambda: os.close(1)} if stdout == "closed" else {"stdout": sink}
+        proc = subprocess.run(
+            [sys.executable, "-m", "simscan", command, *args],
+            cwd=workspace, stderr=subprocess.PIPE, text=True, env=env, **streams,
+        )
+    strerror = os.strerror(errno.EBADF if stdout == "closed" else errno.ENOSPC)
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr == f"simscan: error: cannot write output: {strerror}\n"
+    if command == "index":
+        assert sorted(load_index(workspace / "out.jsonl").entries) == sorted(CORPUS)
 
 
 @pytest.mark.parametrize("at_start", [False, True], ids=["reader-closed", "no-descriptor"])

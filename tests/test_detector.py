@@ -1,5 +1,7 @@
 """Pair reports, score combination, index persistence, and ranking."""
 
+import builtins
+import io
 import json
 import math
 import os
@@ -36,9 +38,10 @@ from simscan.detector import (
     write_index,
 )
 from simscan.cli import EXIT_IO, dumps_fixed, main, report_dict
-from simscan.features import DEFAULT_QUERY_PHRASES, top_keywords
+from simscan.features import DEFAULT_QUERY_PHRASES, load_query_phrases, top_keywords
 from simscan.fingerprint import char_kgrams, fingerprint_keys, outcome_value, overlap_bound
 from simscan.porter import stem
+from simscan.textprep import DEFAULT_STOPWORDS, load_stopwords
 
 INDEX_AVAILABLE = ("statement", "top_keyword", "first_sentence", "query_phrase")
 
@@ -58,6 +61,7 @@ def test_config_defaults_and_validation():
     cfg = DetectorConfig()
     assert cfg.k_char == 4 and cfg.k_top == 10
     assert cfg.features == DEFAULT_FEATURES
+    assert cfg.stopwords is DEFAULT_STOPWORDS and cfg.phrases is DEFAULT_QUERY_PHRASES
     with pytest.raises(ValueError):
         DetectorConfig(k_char=0)
     assert DetectorConfig(k_char=MAX_GRAM_LEN).k_char == 64
@@ -103,9 +107,31 @@ def test_config_defaults_and_validation():
         {"k_top": True},
         {"feature_weights": {"statement": "1"}},
         {"feature_weights": {"statement": True}},
+        # A string would match its substrings or characters as words, and a
+        # set's order, which the header hashes for phrases, follows the hash seed.
+        {"stopwords": "the"},
+        {"phrases": "in conclusion,"},
+        {"stopwords": {"the"}},
+        {"phrases": {"in conclusion,", "we find that"}},
+        {"phrases": ["in conclusion,"]},
     ):
         with pytest.raises(ValueError):
             DetectorConfig(**wrong_type)
+
+
+def test_detector_takes_its_lists_from_the_config_and_reads_no_file(monkeypatch):
+    stopwords, phrases = frozenset({"players"}), ("we find that",)
+
+    def refuse(*args, **kwargs):
+        raise OSError("a Detector must open no file")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "open", refuse)
+        patched.setattr(io, "open", refuse)
+        det = Detector(DetectorConfig(stopwords=stopwords, phrases=phrases))
+    assert det.stopwords is stopwords and det.phrases is phrases
+    doc = det.document("d", "We find that players kick balls.")
+    assert det.entry(doc).query_grams and "player" not in det.entry(doc).keywords
 
 
 def test_weights_outside_the_normal_range_are_refused():
@@ -241,7 +267,7 @@ def test_phrase_left_empty_matches_no_sentence(tmp_path):
     for lines in ("in conclusion,\n...\n", "in conclusion,\n"):
         path = tmp_path / f"phrases{len(reports)}.txt"
         path.write_text(lines, encoding="utf-8")
-        det = Detector(DetectorConfig(phrase_path=str(path)))
+        det = Detector(DetectorConfig(phrases=load_query_phrases(path)))
         ref = det.document("r", "The quick fox runs. A lazy dog sleeps. Birds sing.")
         susp = det.document("s", "The quick fox runs. A cat sleeps. Fish swim.")
         reports.append(det.analyze_pair(ref, susp))
@@ -291,7 +317,7 @@ def test_document_does_not_depend_on_the_detector(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("players\nball\n", encoding="utf-8")
     text = "The players kicked the ball. We find that the ball rolled!"
-    plain, stopped = Detector(), Detector(DetectorConfig(stopword_path=str(path)))
+    plain, stopped = Detector(), Detector(DetectorConfig(stopwords=load_stopwords(path)))
     assert plain.stopwords != stopped.stopwords
     doc = plain.document("d", text)
     assert doc == stopped.document("d", text)
@@ -348,7 +374,10 @@ def test_write_index_refuses_an_id_that_does_not_sort_after_the_last(
 
 
 def test_save_index_replaces_only_a_regular_file(detector, corpus_docs, tmp_path):
-    """A link keeps pointing at the new index; a FIFO or a directory is refused untouched."""
+    """A link keeps pointing at the new index; a FIFO or a directory is refused untouched.
+
+    A trailing slash names a directory, whether a file of that name is there or not.
+    """
     index = detector.build_index(corpus_docs)
     direct = tmp_path / "direct.jsonl"
     save_index(index, direct)
@@ -359,6 +388,11 @@ def test_save_index_replaces_only_a_regular_file(detector, corpus_docs, tmp_path
     (tmp_path / "dir").mkdir()
     with pytest.raises(IsADirectoryError):
         save_index(index, tmp_path / "dir")
+    before = direct.read_bytes()
+    for name in ("absent.jsonl", "direct.jsonl"):
+        with pytest.raises(IsADirectoryError):
+            save_index(index, f"{tmp_path / name}/")
+    assert not (tmp_path / "absent.jsonl").exists() and direct.read_bytes() == before
     if hasattr(os, "mkfifo"):
         os.mkfifo(tmp_path / "pipe")
         with pytest.raises(OSError, match="not a regular file"):

@@ -215,7 +215,7 @@ def test_cue_phrases_match_in_cue_form(tmp_path):
             continue
         path = tmp_path / "phrases.txt"
         path.write_text(phrase + "\n", encoding="utf-8")
-        score = feature_score("query_phrase", ref, ref, phrase_path=str(path))
+        score = feature_score("query_phrase", ref, ref, phrases=load_query_phrases(path))
         assert not score.not_applicable
     assert cue_sentences(doc, ("", " \t")) == ()
 
