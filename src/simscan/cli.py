@@ -56,11 +56,12 @@ class _CliError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """Writes its help, version and usage text through `_diagnose` and `_print`, as reports go."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    def _print_message(self, message, file=None):
+        # argparse's one write hook; `print` adds back the newline stripped here.  With
+        # descriptors 1 and 2 closed, both streams are None, and `_print` reports that.
+        (_diagnose if file is sys.stderr is not None else _print)(message.removesuffix("\n"))
 
 
 def _parse_beta(raw: str) -> float | str:
@@ -118,12 +119,12 @@ def _detector(args) -> Detector:
 
 
 @contextlib.contextmanager
-def _reading(name: str):
-    """Report a fault in reading the file that `name` names as exit 2."""
+def _reading(name: str, verb: str = "read"):
+    """Report a fault in reading, or doing `verb` to, the file that `name` names as exit 2."""
     try:
         yield
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {name}: {exc.strerror or exc}") from None
+        raise _CliError(EXIT_IO, f"cannot {verb} {name}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise _CliError(EXIT_IO, f"not valid UTF-8: {name}") from None
 
@@ -341,11 +342,8 @@ def cmd_index(args) -> int:
             EXIT_USAGE, f"output {args.out!r} would be read back as a document of the corpus"
         )
     # Closed on a fault in the writer too, so that a pool shuts down before `main` returns.
-    with contextlib.closing(_entries(det, files)) as entries:
-        try:
-            count = write_index(args.out, det.config_snapshot(), entries)
-        except OSError as exc:
-            raise _CliError(EXIT_IO, f"cannot write {args.out!r}: {exc.strerror or exc}") from None
+    with contextlib.closing(_entries(det, files)) as entries, _reading(repr(args.out), "write"):
+        count = write_index(args.out, det.config_snapshot(), entries)
     _print(f"indexed {count} documents -> {_shown(args.out)}")
     return EXIT_OK
 
@@ -356,9 +354,8 @@ def cmd_scan(args) -> int:
     det = _detector(args)
     susp = det.document(args.suspect, _read_text(args.suspect))
     try:
-        ranked = det.scan_index(susp, args.index, args.top)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {args.index!r}: {exc.strerror or exc}") from None
+        with _reading(repr(args.index)):
+            ranked = det.scan_index(susp, args.index, args.top)
     except IndexFormatError as exc:
         raise _CliError(EXIT_IO, f"malformed index {args.index!r}: {exc}") from None
     except IndexVersionError as exc:
@@ -454,13 +451,11 @@ def _diagnose(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's: 0 after help or version, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     except _CliError as exc:
         code, message = exc.code, str(exc)
     except Exception as exc:

@@ -33,6 +33,7 @@ from .features import (
     DEFAULT_GRAM_LEN,
     DEFAULT_K_TOP,
     DEFAULT_QUERY_PHRASES,
+    _cue_form,
     _is_int,
     check_beta,
     cue_sentences,
@@ -69,7 +70,7 @@ from .fingerprint import (
     overlap_bound,
     word_trigrams,
 )
-from .textprep import DEFAULT_STOPWORDS, Document, StemMemo, document
+from .textprep import DEFAULT_STOPWORDS, Document, StemMemo, _tokens, document
 
 # Placeholders: perfbench/tracer.py::BOUNDARIES wraps these names, and nothing
 # calls them.  ROADMAP item 1 deletes this binding with the tracer's rebinding.
@@ -121,7 +122,7 @@ class DetectorConfig:
     beta: float | str = 1.0
     features: tuple[str, ...] = DEFAULT_FEATURES
     feature_weights: Mapping[str, float] = field(default_factory=dict)
-    # The lists themselves, as `load_stopwords` and `load_query_phrases` return them.
+    # The lists themselves, in the form `load_stopwords` and `load_query_phrases` give.
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
     phrases: tuple[str, ...] = DEFAULT_QUERY_PHRASES
 
@@ -138,6 +139,17 @@ class DetectorConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got a {type(value).__name__}")
+        # Each entry in the form its matcher matches, so no entry holds a newline,
+        # and each list's header hash, of its entries joined by newlines, names one list.
+        words = list(self.stopwords)
+        if _tokens(" ".join(words)) != words:
+            word = min(w for w in words if _tokens(w) != [w])
+            raise ValueError(f"a stopword must be one lowercase token: {word!r}")
+        for phrase in self.phrases:
+            if not phrase or _cue_form(phrase) != phrase:
+                raise ValueError(
+                    f"a phrase must be non-empty, lowercase and single-spaced: {phrase!r}"
+                )
         if not self.features:
             raise ValueError("at least one feature must be enabled")
         for name in self.features:

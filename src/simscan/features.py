@@ -86,15 +86,14 @@ def first_sentence(doc: Document) -> tuple[int, ...]:
 def cue_sentences(
     doc: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
 ) -> tuple[int, ...]:
-    """Indices of the sentences that contain a cue phrase as whole words, both in `_cue_form`.
+    """Indices of the sentences that, in `_cue_form`, contain one of `phrases` as whole words.
 
-    A phrase that is empty in that form is skipped.
+    Each phrase must be non-empty and in `_cue_form`, as `load_query_phrases`
+    gives it and `DetectorConfig` requires.
     """
-    cues = [cue for cue in map(_cue_form, phrases) if cue]
     texts = (_cue_form(sentence.text) for sentence in doc.sentences)
-    return tuple(
-        i for i, text in enumerate(texts) if any(cue in text and _whole_words(cue, text) for cue in cues)
-    )
+    hits = (any(cue in text and _whole_words(cue, text) for cue in phrases) for text in texts)
+    return tuple(i for i, hit in enumerate(hits) if hit)
 
 
 def _whole_words(cue: str, text: str) -> bool:

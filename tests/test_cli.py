@@ -5,6 +5,7 @@ import concurrent.futures
 import contextlib
 import errno
 import functools
+import gc
 import io
 import json
 import multiprocessing
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simscan.cli
+from simscan import __version__
 from simscan.cli import (
     EXIT_INDEX,
     EXIT_INTERNAL,
@@ -64,6 +66,17 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def argparse_text(args, capsys, monkeypatch):
+    """The stdout and stderr that argparse's own writer gives `args`: the bytes `main` keeps."""
+    with monkeypatch.context() as patched, pytest.raises(SystemExit):
+        patched.setattr(
+            simscan.cli._ArgumentParser, "_print_message", argparse.ArgumentParser._print_message
+        )
+        build_parser().parse_args(args)
+    captured = capsys.readouterr()
+    return captured.out, captured.err
 
 
 def test_compare_self_combined_is_one(workspace, capsys):
@@ -139,12 +152,14 @@ def test_stopword_lines_give_their_tokens(tmp_path, capsys):
     assert score["detail"] == {"intersection": 0, "union": 4, "size_a": 2, "size_b": 2}
 
 
-def test_usage_errors_exit_1(workspace, capsys):
-    assert main([]) == EXIT_USAGE
-    assert main(["compare"]) == EXIT_USAGE
-    assert main(["compare", "a", "b", "--bogus"]) == EXIT_USAGE
-    assert main(["nope"]) == EXIT_USAGE
-    capsys.readouterr()
+def test_usage_errors_exit_1(workspace, capsys, monkeypatch):
+    # argparse's own errors: its usage text and one error line, as its writer writes them.
+    bad = ([], ["compare"], ["compare", "a", "b", "--bogus"], ["nope"], ["index", "--k", "x"])
+    for args in bad:
+        out, err = argparse_text(args, capsys, monkeypatch)
+        assert out == "" and err.startswith("usage: simscan")
+        assert ": error: " in err.splitlines()[-1]
+        assert run(args, capsys) == (EXIT_USAGE, out, err), args
     ref = str(workspace / "S1.txt")
     code, out, err = run(["compare", ref, ref, "--features", "nope"], capsys)
     assert code == EXIT_USAGE and out == "" and err != ""
@@ -604,18 +619,24 @@ def test_closed_stdout_without_a_descriptor_exits_2(workspace, capsys, monkeypat
 @pytest.mark.parametrize(
     "stdout", ["closed", "full"] if os.path.exists("/dev/full") else ["closed"]
 )
-@pytest.mark.parametrize("command", ["compare", "index"])
+@pytest.mark.parametrize("command", ["compare", "index", "version", "help"])
 def test_closed_or_full_stdout_exits_2(workspace, command, stdout):
     """Descriptor 1 closed before Python starts, or on /dev/full: exit 2 and one line.
 
     With descriptor 1 closed, sys.stdout is None.  `index` still writes its index.
+    argparse's version and help text fail as a report does.
     """
-    args = {"compare": ["S1.txt", "S2.txt"], "index": ["corpus", "out.jsonl"]}[command]
+    args = {
+        "compare": ["compare", "S1.txt", "S2.txt"],
+        "index": ["index", "corpus", "out.jsonl"],
+        "version": ["--version"],
+        "help": ["compare", "--help"],
+    }[command]
     env = {**os.environ, "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1])}
     with open(os.devnull if stdout == "closed" else "/dev/full", "w") as sink:
         streams = {"preexec_fn": lambda: os.close(1)} if stdout == "closed" else {"stdout": sink}
         proc = subprocess.run(
-            [sys.executable, "-m", "simscan", command, *args],
+            [sys.executable, "-m", "simscan", *args],
             cwd=workspace, stderr=subprocess.PIPE, text=True, env=env, **streams,
         )
     strerror = os.strerror(errno.EBADF if stdout == "closed" else errno.ENOSPC)
@@ -623,6 +644,17 @@ def test_closed_or_full_stdout_exits_2(workspace, command, stdout):
     assert proc.stderr == f"simscan: error: cannot write output: {strerror}\n"
     if command == "index":
         assert sorted(load_index(workspace / "out.jsonl").entries) == sorted(CORPUS)
+
+
+@pytest.mark.parametrize("args", [["--version"], ["compare", "--help"]], ids=["version", "help"])
+def test_help_with_both_output_descriptors_closed_exits_2(args):
+    """With descriptors 1 and 2 closed, both streams are None, and text for stdout still fails."""
+    env = {**os.environ, "PYTHONPATH": str(Path(simscan.cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "simscan", *args],
+        preexec_fn=lambda: (os.close(1), os.close(2)), env=env,
+    )
+    assert proc.returncode == EXIT_IO
 
 
 @pytest.mark.parametrize("at_start", [False, True], ids=["reader-closed", "no-descriptor"])
@@ -954,7 +986,10 @@ def test_index_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
     with the corpus's token, sentence and key tuples.  With two workers,
     tracemalloc sees only the parent, which writes the entries and holds up
     to four batches; a batch is one file here, so that the smaller corpus
-    fills those four too.
+    fills those four too.  The cyclic collector is off while a run is
+    traced: the argument parser is garbage in reference cycles once
+    `main` has parsed, and a collection that happened to free it in one
+    run only would count it in one peak only.
     """
     monkeypatch.setattr(simscan.cli, "_FILES_PER_WORKER", 1)
     monkeypatch.setattr(simscan.cli, "_BATCH_FILES", 1)
@@ -971,12 +1006,14 @@ def test_index_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
         assert main(["index", str(corpora[6]), str(tmp_path / "warm.jsonl")]) == EXIT_OK
         peaks = []
         for count, corpus in corpora.items():
+            gc.disable()
             tracemalloc.start()
             try:
                 code = main(["index", str(corpus), str(tmp_path / "index.jsonl")])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+                gc.enable()
             assert code == EXIT_OK
         assert peaks[1] <= 1.5 * peaks[0], (cpus, peaks)
 
@@ -1308,3 +1345,13 @@ def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("simscan ")
+
+
+def test_help_and_version_print_argparse_text(capsys, monkeypatch):
+    """Help and version text reach stdout through `_print`, byte for byte as argparse writes it."""
+    commands = ("compare", "index", "scan", "bench")
+    for args in (["--help"], ["--version"], *([command, "--help"] for command in commands)):
+        out, err = argparse_text(args, capsys, monkeypatch)
+        assert out.startswith(("usage: simscan", "simscan ")) and out.endswith("\n") and err == ""
+        assert run(args, capsys) == (EXIT_OK, out, ""), args
+    assert argparse_text(["--version"], capsys, monkeypatch)[0] == f"simscan {__version__}\n"

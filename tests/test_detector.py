@@ -117,6 +117,32 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(ValueError):
             DetectorConfig(**wrong_type)
+    # An entry must be in the form its matcher matches: "Players" would stop
+    # nothing, and a newline in an entry would let two lists share a header hash.
+    for wrong_form in (
+        {"stopwords": frozenset({"Players"})},
+        {"stopwords": frozenset({"a\nb"})},
+        {"phrases": ("In Conclusion,",)},
+        {"stopwords": frozenset({""})},
+        {"phrases": ("",)},
+        {"phrases": ("in  conclusion,",)},
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            DetectorConfig(**wrong_form)
+
+
+# Any text a list file holds: `st.text()` draws every code point but the
+# surrogates, which UTF-8 cannot encode.  The example has entries in other
+# forms, "İ", which lowercases to "i" and a combining dot, and "\r" line ends.
+@settings(max_examples=300)
+@example("Players\nIn  Conclusion, ...\n a\tb \r\n\u0130stanbul\n# x\n\u03a3\u03a3...")
+@given(st.text())
+def test_every_list_file_gives_lists_the_config_accepts(text):
+    """No stopword or phrase file the CLI reads gives a list its config refuses."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "list.txt")
+        path.write_text(text, encoding="utf-8", newline="")
+        DetectorConfig(stopwords=load_stopwords(path), phrases=load_query_phrases(path))
 
 
 def test_detector_takes_its_lists_from_the_config_and_reads_no_file(monkeypatch):

@@ -206,18 +206,21 @@ def test_extract_query_phrase_one_hit_per_sentence():
 
 
 def test_cue_phrases_match_in_cue_form(tmp_path):
+    """A phrase file's variants of a cue reach the config in the one form it matches."""
     doc = document("d", "Filler first. In conclusion, it works. In general, no.")
     assert cue_sentences(doc, ("in conclusion,",)) == (1,)
     ref = document("r", "In conclusion, it works.")
-    for phrase in ("in  conclusion,", "in\tconclusion,", "In conclusion,", " IN \n conclusion, "):
-        assert cue_sentences(doc, (phrase,)) == (1,)
-        if "\n" in phrase:  # a phrase file holds one phrase per line
-            continue
-        path = tmp_path / "phrases.txt"
+    path = tmp_path / "phrases.txt"
+    for phrase in ("in  conclusion,", "in\tconclusion,", "In conclusion,", " IN \t conclusion, "):
         path.write_text(phrase + "\n", encoding="utf-8")
-        score = feature_score("query_phrase", ref, ref, phrases=load_query_phrases(path))
+        det = Detector(DetectorConfig(phrases=load_query_phrases(path)))
+        assert det.phrases == ("in conclusion,",)
+        assert cue_sentences(doc, det.phrases) == (1,)
+        score = feature_score("query_phrase", ref, ref, phrases=det.phrases)
         assert not score.not_applicable
-    assert cue_sentences(doc, ("", " \t")) == ()
+    # A phrase left empty would open every sentence; the file gives none.
+    path.write_text("\n \t\n...\n", encoding="utf-8")
+    assert load_query_phrases(path) == ()
 
 
 def test_extract_query_phrase_no_hits():
@@ -262,8 +265,10 @@ phrase_lists = st.one_of(
 
 @given(cue_texts, phrase_lists)
 def test_cue_sentences_match_per_phrase_scan(text, phrases):
+    """Phrases in `_cue_form`, as a config holds them, hit what the raw phrases hit."""
     doc = document("d", text)
-    assert cue_sentences(doc, phrases) == per_phrase_hits(doc, phrases)
+    cues = tuple(cue for cue in map(features._cue_form, phrases) if cue)
+    assert cue_sentences(doc, cues) == per_phrase_hits(doc, phrases)
 
 
 def test_query_phrase_half_overlap_fixture():

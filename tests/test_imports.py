@@ -117,14 +117,20 @@ def references(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
     return refs
 
 
+# Private names that code outside the package calls, so no package code refers
+# to them: argparse writes all its text through `ArgumentParser._print_message`,
+# which `cli._ArgumentParser` overrides.
+HOOKS = frozenset({"_print_message"})
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Private names that no code outside their own definition refers to."""
+    """Private names, `HOOKS` aside, that no code outside their own definition refers to."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
     refs = references(trees)
     dead = []
     for path, tree in trees.items():
         for name, node in definitions(tree):
-            if not name.startswith("_") or name.startswith("__"):
+            if not name.startswith("_") or name.startswith("__") or name in HOOKS:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(n == name and not (p == path and line in own) for p, line, n in refs):
@@ -144,12 +150,17 @@ def test_check_flags_a_dead_private_name():
         "class C:\n    _attr = 1\n    def _method(self):\n        return self._attr\n"
         "_CONST = _used()\n"
         "_IMPORTED = 2\n"
+        # argparse calls the hook; the other private method is still dead.
+        "class P(argparse.ArgumentParser):\n"
+        "    def _print_message(self, message, file=None):\n        pass\n"
+        "    def _format(self):\n        pass\n"
     )
     importing = "from m import _IMPORTED\n"
     assert dead_private_names({"m.py": defining, "n.py": importing}) == [
         "m.py:3: _recursive",
         "m.py:9: _CONST",
         "m.py:7: _method",
+        "m.py:14: _format",
     ]
 
 
