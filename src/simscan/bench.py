@@ -31,7 +31,8 @@ from .fingerprint import (
     TRIGRAM,
     char_kgrams,
     full_resemblance,
-    jaccard,
+    outcome_score,
+    overlap,
     word_trigrams,
 )
 from .textprep import Document
@@ -81,7 +82,7 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
 
     trigrams = [word_trigrams(d.normalized_text) for d in docs]
     tri_bytes = sum(len(g.encode("utf-8")) for t in trigrams for g in t)
-    rows.append(_row(TRIGRAM, n, trigrams, jaccard, tri_bytes))
+    rows.append(_row(TRIGRAM, n, trigrams, lambda a, b: outcome_score(overlap(a, b)), tri_bytes))
 
     # Each document as a reference and as a suspect, built as `compare` builds them.
     profiles = [(detector._reference(doc), detector._suspect(doc)) for doc in docs]
@@ -89,7 +90,7 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
     # `_suspect` already holds each document's statement fingerprint keys.
     keys = [suspect.keys for _, suspect in profiles]
     key_bytes = sum(len(key.encode("utf-8")) for ks in keys for key in ks)
-    rows.append(_row(STATEMENT, n, keys, jaccard, key_bytes))
+    rows.append(_row(STATEMENT, n, keys, lambda a, b: outcome_score(overlap(a, b)), key_bytes))
 
     entry_bytes = sum(len(dumps_record(r.entry.record(k)).encode("utf-8")) for r, _ in profiles)
     rows.append(

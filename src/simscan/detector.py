@@ -145,11 +145,16 @@ class DetectorConfig:
         if _tokens(" ".join(words)) != words:
             word = min(w for w in words if _tokens(w) != [w])
             raise ValueError(f"a stopword must be one lowercase token: {word!r}")
+        # A repeat matches nothing more, yet would change the phrases' header hash.
+        seen = set()
         for phrase in self.phrases:
             if not phrase or _cue_form(phrase) != phrase:
                 raise ValueError(
                     f"a phrase must be non-empty, lowercase and single-spaced: {phrase!r}"
                 )
+            if phrase in seen:
+                raise ValueError(f"a phrase must not repeat: {phrase!r}")
+            seen.add(phrase)
         if not self.features:
             raise ValueError("at least one feature must be enabled")
         for name in self.features:
@@ -504,6 +509,7 @@ def write_index(
 ) -> int:
     """Write an index of `entries`, taken one at a time; returns how many were written.
 
+    The one index writer: `save_index` and `simscan index` write through it.
     The header and each record stream into a new file beside `path` that
     then replaces it in one step, so a failed write, or a failure in
     whatever yields `entries`, leaves any previous index intact.  Records

@@ -41,13 +41,15 @@ def load_query_phrases(path: str | Path | None = None) -> tuple[str, ...]:
 
     Blank lines and `#` comments are skipped; phrases lose a trailing "..."
     and are put in `_cue_form`.  A phrase left empty is skipped too, since the
-    empty string would open every sentence.
+    empty string would open every sentence, and a repeat is dropped, the first
+    kept, so that files listing the same phrases in the same order give one
+    list and one header hash.
     """
     if path is None:
         return DEFAULT_QUERY_PHRASES
     with open(path, encoding="utf-8") as fh:
         phrases = [_cue_form(line.removesuffix("...")) for line in list_entries(fh)]
-    return tuple(phrase for phrase in phrases if phrase)
+    return tuple(dict.fromkeys(phrase for phrase in phrases if phrase))
 
 
 def _cue_form(text: str) -> str:
@@ -63,9 +65,9 @@ def top_keywords(
 ) -> frozenset[str]:
     """The k_top most frequent stemmed content terms, ties alphabetical.
 
-    A content term is a token not in `stopwords`, stemmed through `stems`;
-    pass one `StemMemo` (a `Detector` keeps one) to stem each distinct
-    token once across calls.
+    The one place that drops stopwords and stems tokens.  A content term is
+    a token not in `stopwords`, stemmed through `stems`; pass one `StemMemo`
+    (a `Detector` keeps one) to stem each distinct token once across calls.
     """
     if not _is_int(k_top) or k_top < 1:
         raise ValueError(f"k_top must be an int >= 1, got {k_top!r}")
@@ -115,16 +117,11 @@ def _whole_words(cue: str, text: str) -> bool:
     return False
 
 
-def key_sentence_indices(
-    ref: Document, cues: Iterable[int] | None = None
-) -> tuple[int, ...]:
-    """First sentence plus cue-phrase sentences, deduplicated, in order.
+def key_sentence_indices(ref: Document, cues: Iterable[int]) -> tuple[int, ...]:
+    """First sentence plus the cue-phrase sentences `cues`, deduplicated, in order.
 
-    `cues` are the reference's `cue_sentences`, by default of the built-in
-    phrases.
+    `cues` are the reference's `cue_sentences` under the detector's phrases.
     """
-    if cues is None:
-        cues = cue_sentences(ref)
     return tuple(sorted({*first_sentence(ref), *cues}))
 
 
@@ -147,6 +144,9 @@ def check_beta(beta: float | str) -> None:
 def _lcs_f(length: int, m: int, n: int, beta: float | str) -> tuple[float, float, float, float]:
     """R, P, b and F of an LCS of `length` between m reference and n suspect tokens.
 
+    With recall R = LCS/m and precision P = LCS/n, F = (1+b)RP / (R + bP),
+    where b is `beta` or, for beta="paper", P/R.  LCS = 0 scores 0, equal
+    sequences score 1, and where P/R is undefined "paper" reports b = 1.
     `beta` must have passed `check_beta`.  For fixed m, n and beta, F is
     linear in `length` (b = P/R = m/n for "paper"), up to the clamp to 1.
     """
@@ -162,44 +162,18 @@ def _lcs_f(length: int, m: int, n: int, beta: float | str) -> tuple[float, float
     return r, p, b, f
 
 
-def lcs_fmeasure(
-    ref_tokens: Sequence[str], susp_tokens: Sequence[str], beta: float | str = 1.0
-) -> ResemblanceScore:
-    """F-measure of the longest common word subsequence, as the lcs_f score.
-
-    With recall R = LCS/m and precision P = LCS/n the score is
-    (1+b)RP / (R + bP), where b is `beta` or, for beta="paper", P/R.
-    Empty inputs are degenerate; LCS = 0 scores 0; equal sequences score 1.
-    Where P/R is undefined (either of those two cases) "paper" reports b = 1.
-    The detail holds lcs_length, m, n, r_lcs, p_lcs and beta.
-    """
-    check_beta(beta)
-    m = len(ref_tokens)
-    n = len(susp_tokens)
-    return _lcs_score(lcs_length(ref_tokens, susp_tokens) if m and n else 0, m, n, beta)
-
-
-def _lcs_score(length: int, m: int, n: int, beta: float | str, **where: int) -> ResemblanceScore:
-    """The lcs_f score of an LCS of `length` between m and n tokens; `where`
-    (the sentence indices) ends the detail."""
-    r, p, b, f = _lcs_f(length, m, n, beta)
-    detail = {"lcs_length": length, "m": m, "n": n, "r_lcs": r, "p_lcs": p, "beta": b, **where}
-    return ResemblanceScore(f, detail, degenerate=not (m and n))
-
-
 def lcs_similarity(
-    ref: Document,
-    susp: Document,
-    beta: float | str = 1.0,
-    cues: Iterable[int] | None = None,
+    ref: Document, susp: Document, beta: float | str, cues: Iterable[int]
 ) -> ResemblanceScore:
     """Best sentence-pair LCS F-measure between key sentences and suspect.
 
     Key sentences of the reference (first sentence plus the cue-phrase
     sentences `cues`, as `key_sentence_indices` takes them) are compared
-    against every suspect sentence; the maximum F wins.  The first maximal
-    pair in scan order is reported: its detail is `lcs_fmeasure`'s, built
-    from the length the scan found, plus `ref_sentence` and `susp_sentence`.
+    against every suspect sentence; the maximum F of `_lcs_f` wins.  The
+    first maximal pair in scan order is reported.  Its detail holds
+    lcs_length, m, n, r_lcs, p_lcs and beta, then ref_sentence and
+    susp_sentence, the pair's indices; a pair with an empty sentence is
+    degenerate.
 
     Each key sentence's `match_masks` are built once for all suspect
     sentences.  A pair is skipped when its F at LCS = min(m, n), the most
@@ -226,4 +200,8 @@ def lcs_similarity(
             if f > best_f:
                 best_f, best = f, (length, m, n, ki, si)
     length, m, n, ki, si = best
-    return _lcs_score(length, m, n, beta, ref_sentence=ki, susp_sentence=si)
+    r, p, b, f = _lcs_f(length, m, n, beta)
+    detail = dict(
+        lcs_length=length, m=m, n=n, r_lcs=r, p_lcs=p, beta=b, ref_sentence=ki, susp_sentence=si
+    )
+    return ResemblanceScore(f, detail, degenerate=not (m and n))

@@ -127,6 +127,8 @@ def document_grams(doc: Document, k: int) -> GramMultiset:
     text (the lengths of the tokens before it) and stays inside the
     sentence; a gram spanning two sentences is counted but belongs to
     neither.  `counts` equals `char_kgrams(doc.normalized_text, k).counts`.
+    Sentence fingerprints, the first-sentence and cue-phrase grams and a
+    suspect's gram set all read it.
     """
     grams = _kgram_list(doc.normalized_text, k)
     sentences = []
@@ -215,14 +217,6 @@ def outcome_score(outcome: Outcome) -> ResemblanceScore:
         }
         return ResemblanceScore(jaccard_value(*outcome), detail, degenerate=union == 0)
     return outcome
-
-
-def jaccard(a: Collection[str], b: AbstractSet[str]) -> ResemblanceScore:
-    """|A o B| / |A u B|; two empty sets score 0 with the degenerate flag.
-
-    `a` holds distinct items (a set, or an IndexEntry tuple); `b` is a set.
-    """
-    return outcome_score(overlap(a, b))
 
 
 def document_fingerprints(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from array import array
 from typing import Hashable, Sequence
 
+# The kernel in use; this pure-Python one is the only one.
 LCS_BACKEND = "pure-python"
 
 

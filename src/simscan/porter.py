@@ -16,6 +16,9 @@ key holds the step's suffixes that end in it, longest first, so the first
 suffix the word ends with is the longest matching one.  It alone decides
 the step ("the longest matching S1 is obeyed"), whether or not the step's
 condition on the remaining stem holds.
+
+The stems equal those of the step-by-step implementation that
+`tests/porter_oracle.py` keeps as the oracle.
 """
 
 from __future__ import annotations

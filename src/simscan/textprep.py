@@ -20,16 +20,6 @@ from typing import Iterable, Iterator
 
 from .porter import stem
 
-__all__ = [
-    "DEFAULT_STOPWORDS",
-    "Document",
-    "Sentence",
-    "StemMemo",
-    "document",
-    "load_stopwords",
-    "stem",
-]
-
 # For str patterns, `\w` is `str.isalnum` plus "_" and `\s` is `str.isspace`.
 _WORD = re.compile(r"[^\W_]+")
 _SENTENCE_END = re.compile(r"(?<=[.!?])(?=\s|\Z)")

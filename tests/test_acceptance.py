@@ -15,8 +15,14 @@ from fingerprint_oracle import gram_weights
 
 from simscan.cli import main
 from simscan.detector import Detector, load_index, save_index
-from simscan.features import lcs_fmeasure
-from simscan.fingerprint import char_kgrams, full_resemblance, jaccard, word_trigrams
+from simscan.features import lcs_similarity
+from simscan.fingerprint import (
+    char_kgrams,
+    full_resemblance,
+    outcome_score,
+    overlap,
+    word_trigrams,
+)
 from simscan.kernels import lcs_length
 from simscan.textprep import document
 
@@ -91,11 +97,12 @@ def test_criterion_3():
 
 @_report(4, "LCS F-measure: S1/S2 = 0.75 (LCS 3), S1/S3 = 0.5 (LCS 2)")
 def test_criterion_4():
-    s1 = document("d", "Player kicked the ball.").normalized_text.split()
-    s2 = document("d", "Player kick the ball.").normalized_text.split()
-    s3 = document("d", "The ball kick player.").normalized_text.split()
-    r12 = lcs_fmeasure(s1, s2, 1.0)
-    r13 = lcs_fmeasure(s1, s3, 1.0)
+    s1 = document("d", "Player kicked the ball.")
+    s2 = document("d", "Player kick the ball.")
+    s3 = document("d", "The ball kick player.")
+    # One sentence each, so the one sentence pair is the one scored.
+    r12 = lcs_similarity(s1, s2, 1.0, ())
+    r13 = lcs_similarity(s1, s3, 1.0, ())
     assert r12.detail["lcs_length"] == 3
     assert abs(r12.value - 0.75) <= 1e-12
     assert r13.detail["lcs_length"] == 2
@@ -182,12 +189,12 @@ def test_criterion_7():
             assert full_resemblance(grams, grams).value == 1.0
         trigrams = word_trigrams(doc.normalized_text)
         if trigrams:
-            assert jaccard(trigrams, trigrams).value == 1.0
+            assert outcome_score(overlap(trigrams, trigrams)).value == 1.0
         assert self_report.scores["statement"].value in (0.0, 1.0)
         # Jaccard symmetry on this document pair
         a = char_kgrams(doc.normalized_text, 4).gram_set()
         b = char_kgrams(other.normalized_text, 4).gram_set()
-        assert jaccard(a, b).value == jaccard(b, a).value
+        assert outcome_score(overlap(a, b)).value == outcome_score(overlap(b, a)).value
 
 
 @_report(8, "end-to-end: self-compare combined 1.0, disjoint pair 0.0")

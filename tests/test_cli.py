@@ -472,6 +472,16 @@ def test_scan_exit_codes(workspace, capsys):
         assert err.startswith("simscan: error: malformed index") and err.count("\n") == 1
 
 
+def test_scan_matches_an_index_built_under_the_phrases_without_repeats(workspace, capsys):
+    (workspace / "once.txt").write_text("we find that\nin general,\n", encoding="utf-8")
+    (workspace / "twice.txt").write_text("we find that\nin general,\nwe find that\n", "utf-8")
+    index_path = str(workspace / "idx.jsonl")
+    once, twice, suspect = (str(workspace / name) for name in ("once.txt", "twice.txt", "S1.txt"))
+    assert run(["index", str(workspace / "corpus"), index_path, "--phrases", once], capsys)[0] == 0
+    code, out, err = run(["scan", suspect, index_path, "--phrases", twice], capsys)
+    assert code == EXIT_OK and out and err == ""
+
+
 def test_scan_reports_a_bad_last_record_before_a_config_mismatch(workspace, capsys):
     """Records are scored as they are read, and the config is checked after the last."""
     index_path = workspace / "idx.jsonl"

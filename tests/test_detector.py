@@ -160,6 +160,21 @@ def test_detector_takes_its_lists_from_the_config_and_reads_no_file(monkeypatch)
     assert det.entry(doc).query_grams and "player" not in det.entry(doc).keywords
 
 
+def test_phrase_files_that_differ_only_in_repeats_give_one_header(tmp_path):
+    """The loader drops a repeated phrase, keeping the first; the config refuses one."""
+    once, twice = tmp_path / "once.txt", tmp_path / "twice.txt"
+    once.write_text("we find that\nin general,\n", encoding="utf-8")
+    twice.write_text("We find that\nin general,\nwe  find that...\nin general,\n", "utf-8")
+    assert load_query_phrases(twice) == load_query_phrases(once) == ("we find that", "in general,")
+    snapshots = [
+        Detector(DetectorConfig(phrases=load_query_phrases(path))).config_snapshot()
+        for path in (once, twice)
+    ]
+    assert snapshots[0] == snapshots[1]
+    with pytest.raises(ValueError, match="must not repeat: 'we find that'"):
+        DetectorConfig(phrases=("we find that", "in general,", "we find that"))
+
+
 def test_weights_outside_the_normal_range_are_refused():
     """A positive weight lies in [2**-500, 2**500]; ints are checked as the floats used."""
     for weight in (5e-324, 1e-320, 2.0**-501, 2.0**501, 1e308, 10**400, math.inf, math.nan):

@@ -13,11 +13,12 @@ from simscan.features import (
     DEFAULT_QUERY_PHRASES,
     cue_sentences,
     key_sentence_indices,
-    lcs_fmeasure,
     lcs_similarity,
     load_query_phrases,
     top_keywords,
 )
+from simscan.fingerprint import ResemblanceScore
+from simscan.kernels import encode_pair, lcs_length_ids_py
 from simscan.porter import stem
 from simscan.textprep import Document, Sentence, StemMemo, document
 
@@ -301,7 +302,7 @@ def test_query_phrase_empty_ref_degenerate():
 def test_shared_flagged_scores_cannot_be_changed_through_their_detail():
     # Every feature returns the same degenerate and not-applicable instances.
     empty, cueless = document("e", ""), document("c", "No cues here.")
-    degenerate = lcs_similarity(empty, cueless)
+    degenerate = lcs_similarity(empty, cueless, 1.0, cue_sentences(empty))
     not_applicable = feature_score("query_phrase", cueless, empty)
     for score in (degenerate, not_applicable):
         with pytest.raises(TypeError):
@@ -310,47 +311,82 @@ def test_shared_flagged_scores_cannot_be_changed_through_their_detail():
     assert degenerate.detail == {} and not_applicable.detail == {}
 
 
+def hand_built(doc_id: str, token_lists) -> Document:
+    """A Document of these token tuples; unlike `document`'s, a sentence may be empty."""
+    sentences = tuple(Sentence(" ".join(t), tuple(t)) for t in token_lists)
+    return Document(doc_id, " ".join(" ".join(s.tokens) for s in sentences), sentences)
+
+
+def pair_score(xs, ys, beta=1.0):
+    """The lcs_f score of one sentence pair: `lcs_similarity` of one-sentence documents."""
+    return lcs_similarity(hand_built("r", [xs]), hand_built("s", [ys]), beta, ())
+
+
+def lcs_fmeasure(xs, ys, beta=1.0) -> ResemblanceScore:
+    """Oracle: the paper's LCS F-measure of one sentence pair, over the two-row DP.
+
+    R = LCS/m, P = LCS/n and F = (1+b)RP / (R + bP), with b = `beta`, or P/R
+    for "paper" (1 where LCS is 0, since P/R is then undefined).  LCS = 0
+    scores 0, an empty side is degenerate, and F is clamped to 1, since with
+    a huge b rounding can carry it past.  The float operations run in the
+    order `lcs_similarity` runs them, so the two agree exactly.
+    """
+    m, n = len(xs), len(ys)
+    length = lcs_length_ids_py(*encode_pair(xs, ys))
+    r = length / m if m else 0.0
+    p = length / n if n else 0.0
+    if beta == "paper":
+        b = p / r if length else 1.0
+    else:
+        b = float(beta) + 0.0
+    f = min((1.0 + b) * r * p / (r + b * p), 1.0) if length else 0.0
+    detail = {"lcs_length": length, "m": m, "n": n, "r_lcs": r, "p_lcs": p, "beta": b}
+    return ResemblanceScore(f, detail, degenerate=not (m and n))
+
+
 def test_lcs_fmeasure_worked_examples():
     s1 = "player kicked the ball".split()
     s2 = "player kick the ball".split()
     s3 = "the ball kick player".split()
-    r12 = lcs_fmeasure(s1, s2, 1.0)
+    r12 = pair_score(s1, s2, 1.0)
     assert r12.detail["lcs_length"] == 3
     assert r12.value == 0.75
-    r13 = lcs_fmeasure(s1, s3, 1.0)
+    r13 = pair_score(s1, s3, 1.0)
     assert r13.detail["lcs_length"] == 2
     assert r13.value == 0.5
 
 
 def test_lcs_fmeasure_identity_and_zero():
     s = "a b c".split()
-    assert lcs_fmeasure(s, s).value == 1.0
-    zero = lcs_fmeasure(s, ["x"])
+    assert pair_score(s, s).value == 1.0
+    zero = pair_score(s, ["x"])
     assert zero.detail["lcs_length"] == 0 and zero.value == 0.0
 
 
 def test_lcs_fmeasure_empty_degenerate():
-    res = lcs_fmeasure([], ["a"])
+    res = pair_score([], ["a"])
     assert res.degenerate and res.value == 0.0
-    assert lcs_fmeasure(["a"], []).degenerate
+    assert pair_score(["a"], []).degenerate
 
 
 def test_lcs_fmeasure_rejects_bad_mode_and_beta():
     for beta in ("wild", "fixed", -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            lcs_fmeasure(["a"], ["a"], beta)
+            pair_score(["a"], ["a"], beta)
+        with pytest.raises(ValueError, match="beta must be"):
+            DetectorConfig(beta=beta)
 
 
 def test_lcs_fmeasure_paper_beta_is_one_without_common_words():
-    assert lcs_fmeasure(["a"], ["b"], "paper").detail["beta"] == 1.0
-    assert lcs_fmeasure([], ["b"], "paper").detail["beta"] == 1.0
-    assert lcs_fmeasure(["a", "b"], ["a"], "paper").detail["beta"] == 2.0
+    assert pair_score(["a"], ["b"], "paper").detail["beta"] == 1.0
+    assert pair_score([], ["b"], "paper").detail["beta"] == 1.0
+    assert pair_score(["a", "b"], ["a"], "paper").detail["beta"] == 2.0
 
 
 @given(tokens, tokens)
 def test_lcs_fmeasure_paper_mode_matches_closed_form(xs, ys):
     # substituting beta = P/R turns the F formula into RP(R+P)/(R^2+P^2)
-    res = lcs_fmeasure(xs, ys, "paper")
+    res = pair_score(xs, ys, "paper")
     r, p = res.detail["r_lcs"], res.detail["p_lcs"]
     if res.detail["lcs_length"] == 0:
         assert res.value == 0.0
@@ -369,8 +405,11 @@ betas = st.one_of(
 @example(["a", "b", "c"], ["a", "b", "c", "a"], 1.5582952287322294e16)
 @given(tokens, tokens, betas)
 def test_lcs_fmeasure_bounded(xs, ys, beta):
-    res = lcs_fmeasure(xs, ys, beta)
-    assert list(res.detail) == ["lcs_length", "m", "n", "r_lcs", "p_lcs", "beta"]
+    res = pair_score(xs, ys, beta)
+    assert list(res.detail) == [
+        "lcs_length", "m", "n", "r_lcs", "p_lcs", "beta", "ref_sentence", "susp_sentence"
+    ]
+    assert res.detail["ref_sentence"] == res.detail["susp_sentence"] == 0
     assert 0.0 <= res.value <= 1.0
     length = res.detail["lcs_length"]
     assert length <= min(res.detail["m"], res.detail["n"])
@@ -390,8 +429,9 @@ def test_key_sentence_indices():
         "d",
         "Opening line of the text. Filler. We conclude that it holds. End.",
     )
-    assert key_sentence_indices(doc) == (0, 2)
-    assert key_sentence_indices(document("e", "")) == ()
+    assert key_sentence_indices(doc, cue_sentences(doc)) == (0, 2)
+    assert key_sentence_indices(doc, ()) == (0,)
+    assert key_sentence_indices(document("e", ""), ()) == ()
 
 
 def test_lcs_similarity_picks_best_pair():
@@ -399,7 +439,7 @@ def test_lcs_similarity_picks_best_pair():
     susp = document(
         "s", "Unrelated words entirely here. Player kick the ball."
     )
-    score = lcs_similarity(ref, susp)
+    score = lcs_similarity(ref, susp, 1.0, cue_sentences(ref))
     assert score.value == 0.75
     assert score.detail["ref_sentence"] == 0
     assert score.detail["susp_sentence"] == 1
@@ -410,20 +450,16 @@ def test_lcs_similarity_uses_query_sentences_too():
         "r", "Totally different opening words. We conclude that players kick balls."
     )
     susp = document("s", "We conclude that players kick balls.")
-    assert lcs_similarity(ref, susp).value == 1.0
+    assert lcs_similarity(ref, susp, 1.0, cue_sentences(ref)).value == 1.0
+    # Without the cue sentence only the opening one is key.
+    assert lcs_similarity(ref, susp, 1.0, ()).value < 1.0
 
 
 def test_lcs_similarity_empty_inputs_degenerate():
     ref = document("r", "Some words here.")
     empty = document("e", "")
-    assert lcs_similarity(ref, empty).degenerate
-    assert lcs_similarity(empty, ref).degenerate
-
-
-def hand_built(doc_id: str, token_lists) -> Document:
-    """A Document of these token tuples; unlike `document`'s, a sentence may be empty."""
-    sentences = tuple(Sentence(" ".join(t), tuple(t)) for t in token_lists)
-    return Document(doc_id, " ".join(" ".join(s.tokens) for s in sentences), sentences)
+    assert lcs_similarity(ref, empty, 1.0, cue_sentences(ref)).degenerate
+    assert lcs_similarity(empty, ref, 1.0, cue_sentences(empty)).degenerate
 
 
 # Sentences of up to five tokens over three words, empty ones included; ties
@@ -486,10 +522,11 @@ def test_lcs_similarity_calls_the_kernel_positionally_on_fewer_pairs(monkeypatch
         "Some other words open it. Players kick the ball hard. Then a short one. "
         "We find that the goal came late in the game. It ends here.",
     )
-    unwrapped = lcs_similarity(ref, susp)
+    cues = cue_sentences(ref)
+    unwrapped = lcs_similarity(ref, susp, 1.0, cues)
     # Replay the scan: the kernel runs once per non-empty pair the bound keeps.
     kept, best = 0, -1.0
-    for ki in key_sentence_indices(ref):
+    for ki in key_sentence_indices(ref, cues):
         xs = ref.sentences[ki].tokens
         for sentence in susp.sentences:
             ys = sentence.tokens
@@ -505,9 +542,9 @@ def test_lcs_similarity_calls_the_kernel_positionally_on_fewer_pairs(monkeypatch
         return kernel(*args)
 
     monkeypatch.setattr(features, "lcs_length", counted)
-    score = lcs_similarity(ref, susp)
+    score = lcs_similarity(ref, susp, 1.0, cues)
     assert calls
     assert len(calls) == kept
-    assert len(calls) < len(key_sentence_indices(ref)) * len(susp.sentences)
+    assert len(calls) < len(key_sentence_indices(ref, cues)) * len(susp.sentences)
     assert score.value == unwrapped.value == 1.0
     assert score.detail == unwrapped.detail

@@ -21,8 +21,8 @@ from simscan.fingerprint import (
     document_grams,
     fingerprint_keys,
     full_resemblance,
-    jaccard,
     jaccard_value,
+    outcome_score,
     overlap,
     overlap_bound,
     word_trigrams,
@@ -169,20 +169,20 @@ def test_full_resemblance_rejects_mismatched_grams():
 @given(st.frozensets(st.text(max_size=3), max_size=10),
        st.frozensets(st.text(max_size=3), max_size=10))
 def test_jaccard_symmetric_and_bounded(a, b):
-    ab = jaccard(a, b)
-    ba = jaccard(b, a)
+    ab = outcome_score(overlap(a, b))
+    ba = outcome_score(overlap(b, a))
     assert ab.value == ba.value
     assert 0.0 <= ab.value <= 1.0
     assert ab.detail["union"] == len(a | b)
     if a or b:
-        assert jaccard(a, a).value == (1.0 if a else 0.0)
+        assert outcome_score(overlap(a, a)).value == (1.0 if a else 0.0)
 
 
 @given(st.frozensets(st.text(max_size=3), max_size=10),
        st.frozensets(st.text(max_size=3), max_size=10))
 def test_jaccard_of_sorted_tuple_equals_set(a, b):
     # An index entry's list is scored as stored: a sorted tuple of distinct items.
-    assert jaccard(tuple(sorted(a)), b) == jaccard(a, b)
+    assert outcome_score(overlap(tuple(sorted(a)), b)) == outcome_score(overlap(a, b))
 
 
 @given(st.frozensets(st.text(max_size=3), max_size=10),
@@ -192,18 +192,18 @@ def test_overlap_bound_is_the_size_ratio_and_bounds_jaccard(a, b):
     assert bound[1:] == overlap(tuple(sorted(a)), b)[1:]
     small, large = sorted((len(a), len(b)))
     assert jaccard_value(*bound) == (small / large if large else 0.0)
-    assert jaccard_value(*bound) >= jaccard(a, b).value
+    assert jaccard_value(*bound) >= outcome_score(overlap(a, b)).value
 
 
 def test_jaccard_worked_example():
-    score = jaccard(frozenset({"x", "y", "z"}), frozenset({"y", "z", "w"}))
+    score = outcome_score(overlap(frozenset({"x", "y", "z"}), frozenset({"y", "z", "w"})))
     assert score.value == 0.5
     assert score.detail["intersection"] == 2
     assert score.detail["union"] == 4
 
 
 def test_jaccard_empty_inputs_degenerate():
-    score = jaccard(frozenset(), frozenset())
+    score = outcome_score(overlap(frozenset(), frozenset()))
     assert score.value == 0.0
     assert score.degenerate
 

@@ -1,13 +1,16 @@
-"""Every name a package module imports is used, exported or marked `# noqa`,
-every name in a module's `__all__` is bound in that module, every private
-module- or class-level name is used somewhere in the package, and README
-names every name the package exports."""
+"""Every name a package module imports is used, exported or marked `# noqa`
+with the repo file that reads it, every name in a module's `__all__` is bound
+in that module, every private module- or class-level name is used somewhere
+in the package, README names every name the package exports, and README's
+Library examples run."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import simscan
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "simscan"
@@ -54,6 +57,63 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads\n"
     assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
+
+
+# A repo path in a comment: a file name with an extension, maybe under directories.
+REPO_PATH = re.compile(r"[\w.-]+(?:/[\w.-]+)*\.\w+")
+
+
+def unread_noqa_imports(source: str, root: Path) -> list[str]:
+    """`# noqa` imports whose comment names no repo file, names a missing one,
+    or names files none of which mentions an imported name.
+
+    An import kept only for code outside the package says which file reads
+    it, so that the check flags the import once that file stops reading it.
+    """
+    lines = source.splitlines()
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        line = lines[node.lineno - 1]
+        if "# noqa" not in line:
+            continue
+        paths = REPO_PATH.findall(line[line.index("# noqa") :])
+        if not paths:
+            problems.append(f"line {node.lineno}: names no file")
+            continue
+        missing = [path for path in paths if not (root / path).is_file()]
+        problems += [f"line {node.lineno}: no file {path}" for path in missing]
+        if missing:
+            continue
+        text = "\n".join((root / path).read_text(encoding="utf-8") for path in paths)
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if not re.search(rf"\b{re.escape(name)}\b", text):
+                problems.append(f"line {node.lineno}: {' '.join(paths)} never names {name}")
+    return problems
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_noqa_imports_name_their_reader(path):
+    assert unread_noqa_imports(path.read_text(encoding="utf-8"), ROOT) == []
+
+
+def test_check_flags_a_noqa_import_without_its_reader(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("from m import kept\nkept()\n", encoding="utf-8")
+    source = (
+        "import os  # noqa: F401\n"
+        "import sys  # noqa: F401  bench/gone.py reads it\n"
+        "from m import kept, dropped  # noqa: F401  bench/run.py reads both\n"
+        "from m import kept as kept  # noqa: F401  bench/run.py reads it\n"
+        "import json\n"
+    )
+    assert unread_noqa_imports(source, tmp_path) == [
+        "line 1: names no file",
+        "line 2: no file bench/gone.py",
+        "line 3: bench/run.py never names dropped",
+    ]
 
 
 def stale_exports(source: str) -> list[str]:
@@ -188,3 +248,31 @@ def test_check_flags_an_undocumented_public_name():
     # `used` is used inside the package and read by the benchmark, and still fails.
     assert undocumented_public_names(init_source, readme) == ["ghost", "used"]
     assert undocumented_public_names(init_source, readme + "`used(x)`\n") == ["ghost"]
+
+
+def python_blocks(markdown: str) -> list[str]:
+    """The bodies of the ```python blocks, in order."""
+    return re.findall(r"^```python\n(.*?)^```$", markdown, re.M | re.S)
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("\n## Library\n")
+    blocks = python_blocks(readme[start : readme.index("\n## ", start + 1)])
+    assert blocks
+    # One cue sentence serves as a document, a stopword list and a phrase list.
+    for name in set(re.findall(r'"([\w.-]+\.txt)"', "".join(blocks))):
+        (tmp_path / name).write_text("In conclusion, the players kick the ball.\n", "utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for block in blocks:  # later blocks use what earlier ones bind
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out
+    imported = {
+        alias.name
+        for block in python_blocks(readme)
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "simscan"
+        for alias in node.names
+    }
+    assert imported and imported <= set(simscan.__all__), imported - set(simscan.__all__)
