@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .fingerprint import DEGENERATE, ResemblanceScore
-from .kernels import lcs_length, match_masks
+from .kernels import lcs_length  # noqa: F401  perfbench/tracer.py wraps it
+from .kernels import lcs_lengths, segment_table
 from .textprep import DEFAULT_STOPWORDS, Document, StemMemo, list_entries
 
 DEFAULT_QUERY_PHRASES: tuple[str, ...] = (
@@ -170,35 +171,46 @@ def lcs_similarity(
     Key sentences of the reference (first sentence plus the cue-phrase
     sentences `cues`, as `key_sentence_indices` takes them) are compared
     against every suspect sentence; the maximum F of `_lcs_f` wins.  The
-    first maximal pair in scan order is reported.  Its detail holds
-    lcs_length, m, n, r_lcs, p_lcs and beta, then ref_sentence and
+    first maximal pair in scan order, key-major, is reported.  Its detail
+    holds lcs_length, m, n, r_lcs, p_lcs and beta, then ref_sentence and
     susp_sentence, the pair's indices; a pair with an empty sentence is
     degenerate.
 
-    Each key sentence's `match_masks` are built once for all suspect
-    sentences.  A pair is skipped when its F at LCS = min(m, n), the most
-    it can reach, is below the best F so far; an empty sentence scores 0
-    without the kernel.
+    The kernel's table of the suspect sentences is built once, with masks
+    for the key sentences' tokens only, and `lcs_lengths` makes one pass
+    per key sentence that gives its LCS with every suspect sentence.  A
+    pair is skipped when its F at LCS = min(m, n), the most it can reach,
+    is below the best F so far.  Within a key sentence that bound is
+    computed once per n and F once per (LCS, n).  Once the best F is 1,
+    the clamp's ceiling, no later pair can replace it, so the scan stops.
     """
     check_beta(beta)
     key_indices = key_sentence_indices(ref, cues)
     if not key_indices or not susp.sentences:
         return DEGENERATE
+    keys = [ref.sentences[ki].tokens for ki in key_indices]
+    table = segment_table((s.tokens for s in susp.sentences), set(chain.from_iterable(keys)))
+    ns = [len(s.tokens) for s in susp.sentences]
     best_f, best = -1.0, None
-    for ki in key_indices:
-        xs = ref.sentences[ki].tokens
+    for ki, xs in zip(key_indices, keys):
         m = len(xs)
-        masks = match_masks(xs)
-        for si, sentence in enumerate(susp.sentences):
-            ys = sentence.tokens
-            n = len(ys)
-            if _lcs_f(min(m, n), m, n, beta)[3] < best_f:
+        lengths = lcs_lengths(xs, table)
+        tops: dict[int, float] = {}
+        fs: dict[tuple[int, int], float] = {}
+        for si, n in enumerate(ns):
+            top = tops.get(n)
+            if top is None:
+                top = tops[n] = _lcs_f(min(m, n), m, n, beta)[3]
+            if top < best_f:
                 continue
-            # Positional arguments only: the benchmark's tracer wraps this name.
-            length = lcs_length(xs, ys, masks) if m and n else 0
-            f = _lcs_f(length, m, n, beta)[3]
+            length = lengths[si]
+            f = fs.get((length, n))
+            if f is None:
+                f = fs[length, n] = _lcs_f(length, m, n, beta)[3]
             if f > best_f:
                 best_f, best = f, (length, m, n, ki, si)
+        if best_f == 1.0:
+            break
     length, m, n, ki, si = best
     r, p, b, f = _lcs_f(length, m, n, beta)
     detail = dict(

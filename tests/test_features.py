@@ -1,5 +1,6 @@
 """The four detection features."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -513,38 +514,87 @@ def test_lcs_similarity_matches_brute_force_first_maximum(ref_lists, picks, susp
     }
 
 
-def test_lcs_similarity_calls_the_kernel_positionally_on_fewer_pairs(monkeypatch):
-    # The benchmark's tracer wraps `features.lcs_length` with a wrapper that
-    # takes positional arguments only; the scan must still call through it.
-    ref = document("r", "Players kick the ball hard. We find that the goal came late in the game.")
+def count_kernel_passes(monkeypatch) -> list:
+    """Record each call `lcs_similarity` makes through `features.lcs_lengths`, the one kernel pass."""
+    calls = []
+    kernel = features.lcs_lengths
+
+    def counted(xs, table):
+        calls.append(xs)
+        return kernel(xs, table)
+
+    monkeypatch.setattr(features, "lcs_lengths", counted)
+    return calls
+
+
+def test_lcs_similarity_makes_one_kernel_pass_per_key_sentence(monkeypatch):
+    ref = document(
+        "r",
+        "Players kick the ball hard. We find that the goal came late in the game. "
+        "In general, the fans went home.",
+    )
     susp = document(
         "s",
-        "Some other words open it. Players kick the ball hard. Then a short one. "
-        "We find that the goal came late in the game. It ends here.",
+        "Some other words open it. Players kick a ball hard. Then a short one. "
+        "We find that the goal came late in a game. It ends here. The fans went home.",
     )
     cues = cue_sentences(ref)
+    keys = key_sentence_indices(ref, cues)
+    assert len(keys) == 3
     unwrapped = lcs_similarity(ref, susp, 1.0, cues)
-    # Replay the scan: the kernel runs once per non-empty pair the bound keeps.
-    kept, best = 0, -1.0
-    for ki in key_sentence_indices(ref, cues):
-        xs = ref.sentences[ki].tokens
-        for sentence in susp.sentences:
-            ys = sentence.tokens
-            if features._lcs_f(min(len(xs), len(ys)), len(xs), len(ys), 1.0)[3] < best:
-                continue
-            kept += bool(xs and ys)
-            best = max(best, lcs_fmeasure(xs, ys).value)
-    calls = []
-    kernel = features.lcs_length
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(features, "lcs_length", counted)
+    brute = max(
+        (lcs_fmeasure(ref.sentences[ki].tokens, s.tokens).value, -ki, -si)
+        for ki in keys
+        for si, s in enumerate(susp.sentences)
+    )
+    calls = count_kernel_passes(monkeypatch)
     score = lcs_similarity(ref, susp, 1.0, cues)
-    assert calls
-    assert len(calls) == kept
-    assert len(calls) < len(key_sentence_indices(ref, cues)) * len(susp.sentences)
-    assert score.value == unwrapped.value == 1.0
-    assert score.detail == unwrapped.detail
+    # No pair reaches F = 1, so each key sentence gets its one pass, in order.
+    assert calls == [ref.sentences[ki].tokens for ki in keys]
+    assert (score.value, -score.detail["ref_sentence"], -score.detail["susp_sentence"]) == brute
+    assert score == unwrapped and score.value < 1.0
+    # Here the first key sentence has an exact copy: its pass is the only one.
+    calls.clear()
+    copied = document("c", "Nothing here. Players kick the ball hard. Players kick the ball hard.")
+    score = lcs_similarity(ref, copied, 1.0, cues)
+    assert calls == [ref.sentences[0].tokens]
+    assert score.value == 1.0
+    assert (score.detail["ref_sentence"], score.detail["susp_sentence"]) == (0, 1)
+
+
+def cue_dense_text(seed: int, count: int = 300) -> str:
+    """`count` sentences over ten words, about half opening with a cue phrase."""
+    rng = random.Random(seed)
+    words = "player kicked ball goal match team score field coach game".split()
+    cues = ("We find that", "In general,", "In conclusion,", "We conclude that")
+    sentences = []
+    for _ in range(count):
+        body = " ".join(rng.choice(words) for _ in range(rng.randint(6, 16)))
+        sentences.append(f"{rng.choice(cues)} {body}." if rng.random() < 0.5 else f"{body}.")
+    return " ".join(sentences)
+
+
+def test_lcs_work_is_one_kernel_pass_per_key_sentence_on_a_cue_dense_pair(monkeypatch):
+    ref, susp = document("r", cue_dense_text(1)), document("s", cue_dense_text(2))
+    cues = cue_sentences(ref)
+    keys = key_sentence_indices(ref, cues)
+    assert (len(keys), len(susp.sentences)) == (159, 300)
+    calls = count_kernel_passes(monkeypatch)
+    score = lcs_similarity(ref, susp, 1.0, cues)
+    # One pass per key sentence, where the per-pair kernel of cb4f60f ran
+    # 36,627 times on this pair, one call per pair its length bound kept.
+    assert len(calls) == len(keys)
+    assert score.value < 1.0
+    assert (score.detail["ref_sentence"], score.detail["susp_sentence"]) == (161, 170)
+
+
+def test_lcs_stops_after_the_first_key_sentence_of_a_repeated_text(monkeypatch):
+    text = " ".join(["We find that the player kicked the ball past the keeper."] * 300)
+    doc = document("d", text)
+    cues = cue_sentences(doc)
+    assert len(key_sentence_indices(doc, cues)) == 300
+    calls = count_kernel_passes(monkeypatch)
+    score = lcs_similarity(doc, doc, 1.0, cues)
+    assert len(calls) == 1
+    assert score.value == 1.0
+    assert (score.detail["ref_sentence"], score.detail["susp_sentence"]) == (0, 0)

@@ -1,5 +1,5 @@
-"""LCS kernel: agreement with the DP and exhaustive oracles, reused match
-masks, encoding, and algebraic properties."""
+"""LCS kernel: agreement with the DP and exhaustive oracles, one segmented
+pass against many sequences, encoding, and algebraic properties."""
 
 from itertools import combinations
 
@@ -80,31 +80,41 @@ def test_appending_common_token_adds_one(xs, ys, token):
     assert kernels.lcs_length(xs + [token], ys + [token]) == base + 1
 
 
-# One sequence and several to match it against, all over the same alphabet.
+# One sequence and several to match it against, all over one alphabet: empty
+# ones, ones longer than a 64-bit word, repeated tokens, and tokens of the
+# one sequence that no other holds.
 one_against_many = st.one_of(
-    *(st.tuples(seq, st.lists(seq, min_size=1, max_size=3)) for seq in (ids, long_ids, words))
+    *(st.tuples(seq, st.lists(seq, max_size=6)) for seq in (ids, long_ids, words, short_ids))
 )
 
 
-@given(one_against_many)
-def test_one_mask_table_serves_many_sequences(case):
+@given(one_against_many, st.sets(st.integers(min_value=0, max_value=9) | st.sampled_from(["x", "a"])))
+def test_one_table_serves_many_sequences(case, extra):
     xs, yss = case
-    masks = kernels.match_masks(xs)
-    for ys in yss:
-        length = kernels.lcs_length(xs, ys, masks)
-        assert length == kernels.lcs_length(xs, ys)
-        assert length == kernels.lcs_length_ids_py(*kernels.encode_pair(xs, ys))
-    assert masks == kernels.match_masks(xs)
+    # The table may hold masks for tokens that `xs` lacks; it needs those `xs` has.
+    table = kernels.segment_table(yss, set(xs) | extra)
+    lengths = kernels.lcs_lengths(xs, table)
+    assert lengths == [kernels.lcs_length_ids_py(*kernels.encode_pair(xs, ys)) for ys in yss]
+    assert lengths == [kernels.lcs_length(xs, ys) for ys in yss]
+    # The pass leaves the table as it was, so it serves the next sequence too.
+    assert table == kernels.segment_table(yss, set(xs) | extra)
 
 
-@given(st.one_of(ids, long_ids, words))
-def test_match_masks_set_bit_i_where_the_token_is_xs_i(xs):
-    masks = kernels.match_masks(xs)
-    assert set(masks) == set(xs)
-    for token, mask in masks.items():
-        assert mask >= 0
-        assert all(bool(mask >> i & 1) == (x == token) for i, x in enumerate(xs))
-        assert mask >> len(xs) == 0
+@given(st.lists(st.one_of(ids, long_ids, words), max_size=4), st.sets(st.sampled_from(range(5))))
+def test_segment_table_gives_each_token_a_bit_and_each_sequence_a_zero_guard(yss, vocab):
+    table = kernels.segment_table(yss, vocab)
+    assert table.width == sum(len(ys) + 1 for ys in yss)
+    bits = format(table.ones, f"0{table.width}b")[::-1]
+    start = 0
+    for ys, (a, b) in zip(yss, table.bounds):
+        # Bit start + j is token j of ys; `bounds` reads it from the high end.
+        assert (a, b) == (table.width - start - len(ys), table.width - start)
+        assert bits[start : start + len(ys) + 1] == "1" * len(ys) + "0"
+        for token, mask in table.masks.items():
+            assert all((mask >> (start + j) & 1) == (y == token) for j, y in enumerate(ys))
+        start += len(ys) + 1
+    assert set(table.masks) == vocab & {y for ys in yss for y in ys}
+    assert all(mask & ~table.ones == 0 for mask in table.masks.values())
 
 
 def test_encode_pair_shares_ids():
