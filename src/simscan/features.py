@@ -86,9 +86,7 @@ def first_sentence(doc: Document) -> tuple[int, ...]:
     return (0,) if doc.sentences else ()
 
 
-def cue_sentences(
-    doc: Document, phrases: Sequence[str] = DEFAULT_QUERY_PHRASES
-) -> tuple[int, ...]:
+def cue_sentences(doc: Document, phrases: Sequence[str]) -> tuple[int, ...]:
     """Indices of the sentences that, in `_cue_form`, contain one of `phrases` as whole words.
 
     Each phrase must be non-empty and in `_cue_form`, as `load_query_phrases`
@@ -148,8 +146,7 @@ def _lcs_f(length: int, m: int, n: int, beta: float | str) -> tuple[float, float
     With recall R = LCS/m and precision P = LCS/n, F = (1+b)RP / (R + bP),
     where b is `beta` or, for beta="paper", P/R.  LCS = 0 scores 0, equal
     sequences score 1, and where P/R is undefined "paper" reports b = 1.
-    `beta` must have passed `check_beta`.  For fixed m, n and beta, F is
-    linear in `length` (b = P/R = m/n for "paper"), up to the clamp to 1.
+    `beta` must have passed `check_beta`.
     """
     b = 1.0 if beta == "paper" else float(beta) + 0.0  # reported as a float; -0.0 + 0.0 is +0.0
     r = length / m if m else 0.0
@@ -178,11 +175,12 @@ def lcs_similarity(
 
     The kernel's table of the suspect sentences is built once, with masks
     for the key sentences' tokens only, and `lcs_lengths` makes one pass
-    per key sentence that gives its LCS with every suspect sentence.  A
-    pair is skipped when its F at LCS = min(m, n), the most it can reach,
-    is below the best F so far.  Within a key sentence that bound is
-    computed once per n and F once per (LCS, n).  Once the best F is 1,
-    the clamp's ceiling, no later pair can replace it, so the scan stops.
+    per key sentence that gives its LCS with every suspect sentence.  For a
+    key sentence, F depends on a pair only through (LCS, n), so F is
+    computed once per distinct (LCS, n), and of the pairs that reach the
+    largest F the lowest suspect index is taken, if that F beats the best
+    so far.  Once the best F is 1, its ceiling, no later pair can beat it,
+    so the scan ends there.
     """
     check_beta(beta)
     key_indices = key_sentence_indices(ref, cues)
@@ -194,24 +192,15 @@ def lcs_similarity(
     best_f, best = -1.0, None
     for ki, xs in zip(key_indices, keys):
         m = len(xs)
-        lengths = lcs_lengths(xs, table)
-        tops: dict[int, float] = {}
-        fs: dict[tuple[int, int], float] = {}
-        for si, n in enumerate(ns):
-            top = tops.get(n)
-            if top is None:
-                top = tops[n] = _lcs_f(min(m, n), m, n, beta)[3]
-            if top < best_f:
-                continue
-            length = lengths[si]
-            f = fs.get((length, n))
-            if f is None:
-                f = fs[length, n] = _lcs_f(length, m, n, beta)[3]
-            if f > best_f:
-                best_f, best = f, (length, m, n, ki, si)
+        pairs = list(zip(lcs_lengths(xs, table), ns))
+        fs = {(length, n): _lcs_f(length, m, n, beta)[3] for length, n in set(pairs)}
+        f = max(fs.values())
+        if f > best_f:
+            si = min(pairs.index(pair) for pair, pf in fs.items() if pf == f)
+            best_f, best = f, (ki, si, m, pairs[si])
         if best_f == 1.0:
             break
-    length, m, n, ki, si = best
+    ki, si, m, (length, n) = best
     r, p, b, f = _lcs_f(length, m, n, beta)
     detail = dict(
         lcs_length=length, m=m, n=n, r_lcs=r, p_lcs=p, beta=b, ref_sentence=ki, susp_sentence=si

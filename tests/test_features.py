@@ -19,7 +19,7 @@ from simscan.features import (
     top_keywords,
 )
 from simscan.fingerprint import ResemblanceScore
-from simscan.kernels import encode_pair, lcs_length_ids_py
+from simscan.kernels import encode_pair, lcs_length, lcs_length_ids_py
 from simscan.porter import stem
 from simscan.textprep import Document, Sentence, StemMemo, document
 
@@ -190,7 +190,7 @@ def test_extract_query_phrase_sentences_finds_default_cues():
         "We conclude that the main cause of the social ills is the family problem. "
         "In conclusion, it cannot be denied that teachers play an important role.",
     )
-    assert cue_sentences(doc) == (0, 1)
+    assert cue_sentences(doc, DEFAULT_QUERY_PHRASES) == (0, 1)
 
 
 def test_extract_query_phrase_case_insensitive_and_ordered():
@@ -199,12 +199,12 @@ def test_extract_query_phrase_case_insensitive_and_ordered():
         "Filler first sentence here. WE CONCLUDE THAT it works. "
         "More filler. The survey shows that people agree.",
     )
-    assert cue_sentences(doc) == (1, 3)
+    assert cue_sentences(doc, DEFAULT_QUERY_PHRASES) == (1, 3)
 
 
 def test_extract_query_phrase_one_hit_per_sentence():
     doc = document("d", "In general, we conclude that both cues appear.")
-    assert cue_sentences(doc) == (0,)
+    assert cue_sentences(doc, DEFAULT_QUERY_PHRASES) == (0,)
 
 
 def test_cue_phrases_match_in_cue_form(tmp_path):
@@ -226,14 +226,14 @@ def test_cue_phrases_match_in_cue_form(tmp_path):
 
 
 def test_extract_query_phrase_no_hits():
-    assert cue_sentences(document("d", "Nothing here.")) == ()
+    assert cue_sentences(document("d", "Nothing here."), DEFAULT_QUERY_PHRASES) == ()
 
 
 def test_cue_phrase_matches_only_whole_words():
     doc = document(
         "d", "This is a domain general, task-free method. We find thatched roofs. In general, yes."
     )
-    assert cue_sentences(doc) == (2,)
+    assert cue_sentences(doc, DEFAULT_QUERY_PHRASES) == (2,)
 
 
 # Mixed-case words drawn so that cue phrases, their substrings and their
@@ -303,7 +303,7 @@ def test_query_phrase_empty_ref_degenerate():
 def test_shared_flagged_scores_cannot_be_changed_through_their_detail():
     # Every feature returns the same degenerate and not-applicable instances.
     empty, cueless = document("e", ""), document("c", "No cues here.")
-    degenerate = lcs_similarity(empty, cueless, 1.0, cue_sentences(empty))
+    degenerate = lcs_similarity(empty, cueless, 1.0, cue_sentences(empty, DEFAULT_QUERY_PHRASES))
     not_applicable = feature_score("query_phrase", cueless, empty)
     for score in (degenerate, not_applicable):
         with pytest.raises(TypeError):
@@ -430,7 +430,7 @@ def test_key_sentence_indices():
         "d",
         "Opening line of the text. Filler. We conclude that it holds. End.",
     )
-    assert key_sentence_indices(doc, cue_sentences(doc)) == (0, 2)
+    assert key_sentence_indices(doc, cue_sentences(doc, DEFAULT_QUERY_PHRASES)) == (0, 2)
     assert key_sentence_indices(doc, ()) == (0,)
     assert key_sentence_indices(document("e", ""), ()) == ()
 
@@ -440,7 +440,7 @@ def test_lcs_similarity_picks_best_pair():
     susp = document(
         "s", "Unrelated words entirely here. Player kick the ball."
     )
-    score = lcs_similarity(ref, susp, 1.0, cue_sentences(ref))
+    score = lcs_similarity(ref, susp, 1.0, cue_sentences(ref, DEFAULT_QUERY_PHRASES))
     assert score.value == 0.75
     assert score.detail["ref_sentence"] == 0
     assert score.detail["susp_sentence"] == 1
@@ -451,7 +451,7 @@ def test_lcs_similarity_uses_query_sentences_too():
         "r", "Totally different opening words. We conclude that players kick balls."
     )
     susp = document("s", "We conclude that players kick balls.")
-    assert lcs_similarity(ref, susp, 1.0, cue_sentences(ref)).value == 1.0
+    assert lcs_similarity(ref, susp, 1.0, cue_sentences(ref, DEFAULT_QUERY_PHRASES)).value == 1.0
     # Without the cue sentence only the opening one is key.
     assert lcs_similarity(ref, susp, 1.0, ()).value < 1.0
 
@@ -459,8 +459,8 @@ def test_lcs_similarity_uses_query_sentences_too():
 def test_lcs_similarity_empty_inputs_degenerate():
     ref = document("r", "Some words here.")
     empty = document("e", "")
-    assert lcs_similarity(ref, empty, 1.0, cue_sentences(ref)).degenerate
-    assert lcs_similarity(empty, ref, 1.0, cue_sentences(empty)).degenerate
+    assert lcs_similarity(ref, empty, 1.0, cue_sentences(ref, DEFAULT_QUERY_PHRASES)).degenerate
+    assert lcs_similarity(empty, ref, 1.0, cue_sentences(empty, DEFAULT_QUERY_PHRASES)).degenerate
 
 
 # Sentences of up to five tokens over three words, empty ones included; ties
@@ -473,9 +473,14 @@ lcs_betas = st.one_of(st.sampled_from((0, 0.5, 1, 2, "paper")), betas)
 # Key sentence and suspect sentences of equal length that tie on F: the first wins.
 @example([["a", "b"]], set(), [["a", "c"], ["c", "b"]], 1)
 @example([["a", "b"]], set(), [["a", "c"], ["c", "b"]], "paper")
-# The bound skips the second pair of the first example.  In the second, the
-# exact match follows a pair of F 6/7; a bound taken at LCS = min(m, n) - 1
-# (F 2/3) would skip it too.
+# Ties on F across two different (LCS, n): (2, 4) and (1, 1) both score
+# 2/3 at beta 1 and 0.6 at "paper", equal as floats.  The lower suspect
+# index wins, in either order.
+@example([["a", "b"]], set(), [["a", "b", "c", "c"], ["a"]], 1)
+@example([["a", "b"]], set(), [["a", "b", "c", "c"], ["a"]], "paper")
+@example([["a", "b"]], set(), [["a"], ["a", "b", "c", "c"]], 1)
+@example([["a", "b"]], set(), [["a"], ["a", "b", "c", "c"]], "paper")
+# An exact match before a shorter pair, and after a pair of F 6/7.
 @example([["a", "b"]], set(), [["a", "b"], ["a"]], 1)
 @example([["a", "b", "c"]], set(), [["a", "b"], ["a", "b", "c"]], 0.5)
 # Empty sentences on either side score 0 and can still win, as degenerate.
@@ -538,7 +543,7 @@ def test_lcs_similarity_makes_one_kernel_pass_per_key_sentence(monkeypatch):
         "Some other words open it. Players kick a ball hard. Then a short one. "
         "We find that the goal came late in a game. It ends here. The fans went home.",
     )
-    cues = cue_sentences(ref)
+    cues = cue_sentences(ref, DEFAULT_QUERY_PHRASES)
     keys = key_sentence_indices(ref, cues)
     assert len(keys) == 3
     unwrapped = lcs_similarity(ref, susp, 1.0, cues)
@@ -576,7 +581,7 @@ def cue_dense_text(seed: int, count: int = 300) -> str:
 
 def test_lcs_work_is_one_kernel_pass_per_key_sentence_on_a_cue_dense_pair(monkeypatch):
     ref, susp = document("r", cue_dense_text(1)), document("s", cue_dense_text(2))
-    cues = cue_sentences(ref)
+    cues = cue_sentences(ref, DEFAULT_QUERY_PHRASES)
     keys = key_sentence_indices(ref, cues)
     assert (len(keys), len(susp.sentences)) == (159, 300)
     calls = count_kernel_passes(monkeypatch)
@@ -588,10 +593,34 @@ def test_lcs_work_is_one_kernel_pass_per_key_sentence_on_a_cue_dense_pair(monkey
     assert (score.detail["ref_sentence"], score.detail["susp_sentence"]) == (161, 170)
 
 
+def test_lcs_checks_f_once_per_distinct_lcs_and_length_on_a_cue_dense_pair(monkeypatch):
+    ref, susp = document("r", cue_dense_text(1)), document("s", cue_dense_text(2))
+    cues = cue_sentences(ref, DEFAULT_QUERY_PHRASES)
+    keys = [ref.sentences[ki].tokens for ki in key_sentence_indices(ref, cues)]
+    distinct = sum(
+        len({(lcs_length(xs, s.tokens), len(s.tokens)) for s in susp.sentences}) for xs in keys
+    )
+    calls = []
+    check = features._lcs_f
+
+    def counted(length, m, n, beta):
+        calls.append((length, m, n))
+        return check(length, m, n, beta)
+
+    monkeypatch.setattr(features, "_lcs_f", counted)
+    score = lcs_similarity(ref, susp, 1.0, cues)
+    # One F check per distinct (LCS, n) of each key sentence, plus one for the
+    # detail: 11,282.  At dd1966a a per-length bound and per-key caches of F
+    # made 10,923 checks, from a Python loop of 47,700 pair iterations.
+    assert score.value < 1.0
+    assert len(calls) == distinct + 1 == 11_282
+    assert calls[-1] == (score.detail["lcs_length"], score.detail["m"], score.detail["n"])
+
+
 def test_lcs_stops_after_the_first_key_sentence_of_a_repeated_text(monkeypatch):
     text = " ".join(["We find that the player kicked the ball past the keeper."] * 300)
     doc = document("d", text)
-    cues = cue_sentences(doc)
+    cues = cue_sentences(doc, DEFAULT_QUERY_PHRASES)
     assert len(key_sentence_indices(doc, cues)) == 300
     calls = count_kernel_passes(monkeypatch)
     score = lcs_similarity(doc, doc, 1.0, cues)
