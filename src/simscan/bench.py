@@ -29,7 +29,7 @@ from .fingerprint import (
     FULL_CHAR,
     STATEMENT,
     TRIGRAM,
-    char_kgrams,
+    document_grams,
     full_resemblance,
     outcome_score,
     overlap,
@@ -76,11 +76,11 @@ def run_bench(docs: Sequence[Document], detector: Detector) -> list[BenchRow]:
     n = len(docs)
     rows = []
 
-    multisets = [char_kgrams(d.normalized_text, k) for d in docs]
+    multisets = [document_grams(d, k) for d in docs]
     full_bytes = sum(k * m.total for m in multisets)
     rows.append(_row(FULL_CHAR, n, multisets, full_resemblance, full_bytes))
 
-    trigrams = [word_trigrams(d.normalized_text) for d in docs]
+    trigrams = [word_trigrams([t for s in d.sentences for t in s.tokens]) for d in docs]
     tri_bytes = sum(len(g.encode("utf-8")) for t in trigrams for g in t)
     rows.append(_row(TRIGRAM, n, trigrams, lambda a, b: outcome_score(overlap(a, b)), tri_bytes))
 

@@ -276,8 +276,10 @@ def _dumps(obj, indent: str) -> str:
 
 
 def _shown(name: str) -> str:
-    """`name` for text output: a lone surrogate, from a non-UTF-8 file name, as `\\udcXX`."""
-    return name.encode("utf-8", "backslashreplace").decode("utf-8")
+    """`name` for text output, each character `str.isprintable` rejects as its Python escape."""
+    if name.isprintable():
+        return name
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in name)
 
 
 def _format_report_text(report: FeatureReport) -> str:

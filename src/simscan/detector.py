@@ -25,6 +25,7 @@ import os
 import re
 import stat
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import lt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -60,7 +61,6 @@ from .fingerprint import (
     GramMultiset,
     Outcome,
     ResemblanceScore,
-    char_kgrams,
     document_grams,
     fingerprint_keys,
     full_resemblance,
@@ -223,10 +223,10 @@ class IndexEntry:
             "id": self.doc_id,
             "scheme": STATEMENT,
             "k": k,
-            "fingerprints": list(self.fingerprints),
-            "keywords": list(self.keywords),
-            "first_grams": list(self.first_grams),
-            "query_grams": list(self.query_grams),
+            "fingerprints": self.fingerprints,
+            "keywords": self.keywords,
+            "first_grams": self.first_grams,
+            "query_grams": self.query_grams,
             "token_digest": self.token_digest,
         }
 
@@ -334,7 +334,7 @@ class Detector:
             first_grams=tuple(sorted(sentence_grams(grams.sentences, first_sentence(doc)))),
             query_grams=tuple(sorted(sentence_grams(grams.sentences, cues))),
             token_digest=hashlib.sha256(
-                "\x1f".join(t for s in doc.sentences for t in s.tokens).encode("utf-8")
+                "\x1f".join(chain.from_iterable(s.tokens for s in doc.sentences)).encode("utf-8")
             ).hexdigest(),
         )
 
@@ -387,13 +387,13 @@ class Detector:
                 outcomes[name] = lcs_similarity(ref_doc, susp, cfg.beta, cues)
             elif name == FULL_CHAR:
                 outcomes[name] = full_resemblance(
-                    char_kgrams(ref_doc.normalized_text, cfg.k_char),
-                    char_kgrams(susp.normalized_text, cfg.k_char),
+                    document_grams(ref_doc, cfg.k_char), document_grams(susp, cfg.k_char)
                 )
             elif name == TRIGRAM:
-                outcomes[name] = overlap(
-                    word_trigrams(ref_doc.normalized_text), word_trigrams(susp.normalized_text)
+                ref_words, susp_words = (
+                    [t for s in d.sentences for t in s.tokens] for d in (ref_doc, susp)
                 )
+                outcomes[name] = overlap(word_trigrams(ref_words), word_trigrams(susp_words))
         return outcomes
 
     @staticmethod

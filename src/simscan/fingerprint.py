@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from types import MappingProxyType
-from typing import AbstractSet, Collection, Mapping, NamedTuple
+from typing import AbstractSet, Collection, Mapping, NamedTuple, Sequence
 
 from .textprep import Document
 
@@ -99,15 +99,14 @@ class SentenceFingerprint(NamedTuple):
 
 
 def _kgram_list(text: str, k: int) -> list[str]:
-    """The k-character windows of the space-stripped text, in order."""
+    """The k-character windows of `text`, in order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    stripped = text.replace(" ", "")
-    n = len(stripped) - k + 1
+    n = len(text) - k + 1
     if n < 1:
         return []
-    # Tuple i holds the k characters of stripped[i : i + k]; zip reads n from each slice.
-    return list(map("".join, zip(*(stripped[j : j + n] for j in range(k)))))
+    # Tuple i holds the k characters of text[i : i + k]; zip reads n from each slice.
+    return list(map("".join, zip(*(text[j : j + n] for j in range(k)))))
 
 
 def char_kgrams(text: str, k: int) -> GramMultiset:
@@ -116,21 +115,21 @@ def char_kgrams(text: str, k: int) -> GramMultiset:
     A space-stripped text of length L yields L - k + 1 grams (with
     multiplicity); shorter text yields an empty multiset.
     """
-    return GramMultiset(k, dict(Counter(_kgram_list(text, k))))
+    return GramMultiset(k, dict(Counter(_kgram_list(text.replace(" ", ""), k))))
 
 
 def document_grams(doc: Document, k: int) -> GramMultiset:
-    """The k-grams of the document's text, counted and cut into sentences.
+    """The k-grams of the document's tokens, counted and cut into sentences.
 
-    The text's gram list is built once.  A sentence's grams are the slice
-    of that list that starts at the sentence's offset in the space-stripped
-    text (the lengths of the tokens before it) and stays inside the
-    sentence; a gram spanning two sentences is counted but belongs to
-    neither.  `counts` equals `char_kgrams(doc.normalized_text, k).counts`.
-    Sentence fingerprints, the first-sentence and cue-phrase grams and a
-    suspect's gram set all read it.
+    The grams are cut once from the tokens joined with no separator.  A
+    sentence's grams are the slice of that list that starts at the
+    sentence's offset (the lengths of the tokens before it) and stays
+    inside the sentence; a gram spanning two sentences is counted but
+    belongs to neither.  `counts` equals `char_kgrams` of the tokens joined
+    by spaces.  Sentence fingerprints, the first-sentence, cue-phrase and
+    full_char grams and a suspect's gram set all read it.
     """
-    grams = _kgram_list(doc.normalized_text, k)
+    grams = _kgram_list("".join(chain.from_iterable(s.tokens for s in doc.sentences)), k)
     sentences = []
     start = 0
     for sentence in doc.sentences:
@@ -142,9 +141,8 @@ def document_grams(doc: Document, k: int) -> GramMultiset:
     return GramMultiset(k, dict(Counter(grams)), tuple(sentences))
 
 
-def word_trigrams(text: str) -> frozenset[str]:
-    """The set of all consecutive three-word sequences of normalized text."""
-    words = text.split()
+def word_trigrams(words: Sequence[str]) -> frozenset[str]:
+    """The set of all consecutive three-word sequences, each joined by spaces."""
     return frozenset(" ".join(words[i : i + 3]) for i in range(len(words) - 2))
 
 

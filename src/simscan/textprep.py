@@ -43,10 +43,9 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Document:
-    """A preprocessed document: id, sentences, and every token joined by one space."""
+    """A preprocessed document: its id and its sentences, in order."""
 
     id: str
-    normalized_text: str
     sentences: tuple[Sentence, ...]
 
 
@@ -74,11 +73,7 @@ def document(doc_id: str, raw_text: str) -> Document:
         tokens = tuple(_tokens(raw))
         if tokens:
             sentences.append(Sentence(raw.strip(), tokens))
-    return Document(
-        id=doc_id,
-        normalized_text=" ".join(" ".join(s.tokens) for s in sentences),
-        sentences=tuple(sentences),
-    )
+    return Document(doc_id, tuple(sentences))
 
 
 def list_entries(lines: Iterable[str]) -> Iterator[str]:

@@ -35,7 +35,8 @@ def weighted_fingerprints(doc: Document) -> tuple[tuple[int, str], ...]:
     order, and ranked by their exact weights over the whole document, ties
     by that order; the three lightest concatenate into the key.
     """
-    multiset = char_kgrams(doc.normalized_text, STATEMENT_GRAM_LEN)
+    text = " ".join(t for s in doc.sentences for t in s.tokens)
+    multiset = char_kgrams(text, STATEMENT_GRAM_LEN)
     if not multiset.total:
         return ()
     weights = gram_weights(multiset)

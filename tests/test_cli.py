@@ -539,6 +539,9 @@ def test_scan_rejects_hand_edited_index(workspace, capsys):
     }
     contents["not-an-object"] = [json.dumps(header), "[1, 2]"]
     contents["no-schema"] = [json.dumps({"config": header["config"]}), json.dumps(record)]
+    contents["config-number"] = [json.dumps({**header, "config": 5}), json.dumps(record)]
+    no_config = {key: value for key, value in header.items() if key != "config"}
+    contents["no-config"] = [json.dumps(no_config), json.dumps(record)]
     suspect = str(workspace / "S1.txt")
     for name, lines in contents.items():
         path = workspace / f"{name}.jsonl"
@@ -1286,6 +1289,46 @@ def test_text_output_shows_a_name_that_is_not_utf8_as_json_does(tmp_path, capsys
             [sys.executable, "-m", "simscan", *argv], capture_output=True, env=env
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_OK, b"", expected)
+
+
+def test_text_output_keeps_one_result_per_line(tmp_path, capsys):
+    """A line break, ESC, C1 control or bidi override in a name prints as its Python escape.
+
+    So a file name can neither split a text result across lines nor send a
+    control sequence to the terminal.  JSON output carries the exact ids.
+    """
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    names = ["a\nb.txt", "\x1b[31mred.txt", "\x9b31mc1.txt", "\u202eevil.txt"]
+    for name in names:
+        (corpus / name).write_text(S1, encoding="utf-8")
+    index = tmp_path / "idx.jsonl"
+    suspect, other = str(corpus / names[0]), str(corpus / names[3])
+    outputs = []
+    for argv in (
+        ["index", str(corpus), str(index)],
+        ["scan", suspect, str(index), "--format", "text"],
+        ["compare", suspect, other, "--format", "text"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        outputs.append(out)
+        assert all(byte >= 0x20 for byte in out.replace("\n", "").encode()), argv
+        assert all(c.isprintable() for c in out.replace("\n", "")), argv
+    indexed, scanned, compared = outputs
+    assert indexed.count("\n") == 1
+    lines = scanned.splitlines()
+    assert len(lines) == len(names)
+    shown = sorted(line.split(". ", 1)[1].split("  combined=")[0] for line in lines)
+    assert shown == sorted(repr(name)[1:-1] for name in names)
+    ref, susp = compared.splitlines()[:2]
+    assert (ref, susp) == (f"ref:  {corpus}/a\\nb.txt", f"susp: {corpus}/\\u202eevil.txt")
+
+    code, out, _ = run(["scan", suspect, str(index)], capsys)
+    assert code == EXIT_OK
+    assert sorted(r["ref_id"] for r in json.loads(out)["results"]) == sorted(names)
+    code, out, _ = run(["compare", suspect, other], capsys)
+    assert (json.loads(out)["ref_id"], json.loads(out)["susp_id"]) == (suspect, other)
 
 
 def test_cli_import_loads_no_process_pool():

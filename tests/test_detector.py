@@ -856,7 +856,7 @@ def test_rank_scores_equal_analyze_pair(detector, texts, susp_text):
 
 def oracle_keys(doc):
     """Each sentence's three least frequent 4-grams over the document, ties by position."""
-    counts = char_kgrams(doc.normalized_text, 4).counts
+    counts = char_kgrams(" ".join(t for s in doc.sentences for t in s.tokens), 4).counts
     keys = set()
     for sentence in doc.sentences:
         own = list(char_kgrams(" ".join(sentence.tokens), 4).counts)  # first-occurrence order
@@ -888,7 +888,7 @@ def test_index_available_scores_equal_a_brute_force_oracle(ref_text, susp_text, 
     susp = det.document("s", susp_text)
     cues = [ref.sentences[i] for i in per_phrase_hits(ref, DEFAULT_QUERY_PHRASES)]
     cue_grams = oracle_grams(cues, k)
-    susp_grams = char_kgrams(susp.normalized_text, k).gram_set()
+    susp_grams = char_kgrams(" ".join(t for s in susp.sentences for t in s.tokens), k).gram_set()
     expected = {
         "statement": oracle_jaccard(oracle_keys(ref), oracle_keys(susp)),
         "top_keyword": oracle_jaccard(
@@ -1145,7 +1145,7 @@ def test_suspect_equals_separate_computations(text, k):
         doc,
         fingerprint_keys(doc),
         top_keywords(doc, det.config.k_top),
-        char_kgrams(doc.normalized_text, k).gram_set(),
+        char_kgrams(" ".join(t for s in doc.sentences for t in s.tokens), k).gram_set(),
     )
 
 

@@ -95,7 +95,8 @@ keyword_stopwords = st.frozensets(
 
 def oracle_keywords(doc, k_top, stopwords):
     """Stem each non-stopword token with `porter.stem`, count, keep the k best by (-count, stem)."""
-    counts = Counter(stem(t) for t in doc.normalized_text.split() if t not in stopwords)
+    tokens = (t for s in doc.sentences for t in s.tokens)
+    counts = Counter(stem(t) for t in tokens if t not in stopwords)
     return frozenset(sorted(counts, key=lambda term: (-counts[term], term))[:k_top])
 
 
@@ -314,8 +315,7 @@ def test_shared_flagged_scores_cannot_be_changed_through_their_detail():
 
 def hand_built(doc_id: str, token_lists) -> Document:
     """A Document of these token tuples; unlike `document`'s, a sentence may be empty."""
-    sentences = tuple(Sentence(" ".join(t), tuple(t)) for t in token_lists)
-    return Document(doc_id, " ".join(" ".join(s.tokens) for s in sentences), sentences)
+    return Document(doc_id, tuple(Sentence(" ".join(t), tuple(t)) for t in token_lists))
 
 
 def pair_score(xs, ys, beta=1.0):

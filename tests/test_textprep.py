@@ -1,6 +1,7 @@
 """Tokens, segmentation, and document construction."""
 
 import hashlib
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,11 @@ def _oracle_segment(text: str) -> list[str]:
     return [s.strip() for s in segments if s.strip()]
 
 
+def _joined(text: str) -> str:
+    """The tokens of `document(text)`, in order, joined by one space."""
+    return " ".join(t for s in document("d", text).sentences for t in s.tokens)
+
+
 def _oracle_sentences(text: str) -> list[tuple[str, tuple[str, ...]]]:
     pieces = [(raw, tuple(_oracle_normalize(raw).split())) for raw in _oracle_segment(text)]
     return [(raw, tokens) for raw, tokens in pieces if tokens]
@@ -50,7 +56,7 @@ def _oracle_sentences(text: str) -> list[tuple[str, tuple[str, ...]]]:
 
 @given(st.one_of(st.text(max_size=200), EDGE_TEXT))
 def test_normalize_matches_per_character_oracle(text):
-    assert document("d", text).normalized_text == _oracle_normalize(text)
+    assert _joined(text) == _oracle_normalize(text)
 
 
 @given(st.one_of(st.text(max_size=200), EDGE_TEXT))
@@ -60,18 +66,18 @@ def test_split_sentences_matches_segment_loop_oracle(text):
 
 
 def test_normalize_examples():
-    assert document("d", "  Web   Based—Cross!  ").normalized_text == "web based cross"
-    assert document("d", "Touch.").normalized_text == "touch"
-    assert document("d", "English Word").normalized_text == "english word"
-    assert document("d", "A1 b2, C3.").normalized_text == "a1 b2 c3"
-    assert document("d", "").normalized_text == ""
-    assert document("d", "!!!").normalized_text == ""
+    assert _joined("  Web   Based—Cross!  ") == "web based cross"
+    assert _joined("Touch.") == "touch"
+    assert _joined("English Word") == "english word"
+    assert _joined("A1 b2, C3.") == "a1 b2 c3"
+    assert _joined("") == ""
+    assert _joined("!!!") == ""
 
 
 @given(st.text(max_size=200))
 def test_normalize_idempotent_and_tidy(text):
-    once = document("d", text).normalized_text
-    assert document("d", once).normalized_text == once
+    once = _joined(text)
+    assert _joined(once) == once
     assert once == once.strip()
     assert "  " not in once
     assert once == once.lower()
@@ -117,7 +123,7 @@ def test_stopword_check_precedes_stemming():
 
 def test_document_concatenates_sentences():
     doc = document("d", "The quick fox. The lazy dog!")
-    assert doc.normalized_text == "the quick fox the lazy dog"
+    assert [f.name for f in fields(doc)] == ["id", "sentences"]
     tokens = tuple(t for s in doc.sentences for t in s.tokens)
     assert tokens == ("the", "quick", "fox", "the", "lazy", "dog")
     assert top_keywords(doc, 10, frozenset({"the"})) == {"quick", "fox", "lazi", "dog"}
@@ -126,9 +132,7 @@ def test_document_concatenates_sentences():
 
 @given(st.text(max_size=300))
 def test_document_tokens_match_normalized_text(text):
-    doc = document("d", text)
-    assert " ".join(t for s in doc.sentences for t in s.tokens) == doc.normalized_text
-    assert doc.normalized_text == _oracle_normalize(text)
+    assert _joined(text) == _oracle_normalize(text)
 
 
 def _is_subsequence(needle: str, haystack: str) -> bool:
